@@ -498,7 +498,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         record, exit_code = args.func(args)
-    except (ToleranceError, TruncationError, ExtrapolationError) as exc:
+    except (ToleranceError, TruncationError, ExtrapolationError, OverflowError) as exc:
         print(f"fraclat: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -12,7 +12,11 @@ offset vector p is reachable by three independent representations:
 The Bessel route converges in the damping parameter with a mixture of integer
 powers and a band edge power (dim + alpha) / 2 coming from the kink of
 lambda^(alpha/2) at the zone centre, so the Richardson weights are built for
-the two leading exponents of that mixture rather than for plain powers.
+the two leading exponents of that mixture rather than for plain powers.  The
+three dampings are sampled in one pass: their uniform panel grids are
+prefixes of the smallest damping's grid, so the damping independent factor
+trig(2 n xi) prod_j J_{|p_j|}(2 xi) is evaluated once per node and only the
+damped kernel is evaluated per damping.
 """
 from __future__ import annotations
 
@@ -20,13 +24,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+# unused here, but bench/spans.py wraps lattice.leggauss to count Gauss orders
+from numpy.polynomial.legendre import leggauss  # noqa: F401
 from scipy.special import jv
 
 from .chain import INFINITE, FractionalOrder
 from .special import (
     QuadratureSpec,
     ToleranceError,
+    gauss_panel_rule,
     geometric_panel_edges,
     log_gamma,
 )
@@ -205,13 +211,7 @@ def element_periodic_nd(
 def _bz_axis_rule(p_component: int, gauss_order: int):
     cap = math.pi / (2.0 * (abs(p_component) + 1.0))
     edges = geometric_panel_edges(math.pi, min_width=1e-8, max_width=cap)
-    t, w = leggauss(gauss_order)
-    a = edges[:-1]
-    b = edges[1:]
-    half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b)[:, None] + np.outer(half, t)).ravel()
-    weights = np.outer(half, w).ravel()
-    return nodes, weights
+    return gauss_panel_rule(edges, gauss_order)
 
 
 def _bz_value(order: FractionalOrder, dim: int, comps, gauss_order: int) -> float:
@@ -266,10 +266,14 @@ def element_infinite_nd_bz(
     return order.omega_sq * fine
 
 
-def _damped_bessel_value(
-    order: FractionalOrder, dim: int, offset: OffsetVector, epsilon: float, xi_max: float
-) -> float:
-    """Damped Bessel product integral at fixed damping, without the scale.
+_BESSEL_GAUSS_ORDER = 16
+_BESSEL_BLOCK_PANELS = 50000
+
+
+def _damped_bessel_values(
+    order: FractionalOrder, dim: int, offset: OffsetVector, epsilons, xi_maxes
+) -> list[float]:
+    """Damped Bessel product integrals at several dampings, without the scale.
 
     Integrand on xi >= 0 (the negative half plane is its mirror):
     2 sigma trig(2 n xi) prod_j J_{|p_j|}(2 xi) D(xi) exp(-2 n eps xi),
@@ -277,50 +281,71 @@ def _damped_bessel_value(
     gamma(s) / pi * Re (eps - i xi)^(-s) with s = alpha/2 + 1, and the
     trig/sign pair comes from the phase factor (-i)^P of the Bessel bridge
     I_p(-2 i xi) = (-i)^p J_p(2 xi) with P = sum |p_j|.
+
+    Returns one value per (epsilon, xi_max) pair, each bit-identical to a
+    call with that pair alone.  The factor trig(2 n xi) prod_j J does not
+    depend on the damping.  Each damping gets its own geometric start-up,
+    but dampings whose start-ups end at the same point share one uniform
+    panel grid, of which each uses a prefix; the shared factor is evaluated
+    once per node of the longest grid, with one J call per distinct |p_j|.
     """
     s = 0.5 * order.alpha + 1.0
     total_p = offset.total_order
-    gauss_order = 16
     width = math.pi / (2.0 * (2 * dim + 1))
-    # geometric panels resolve the eps scale spike of the kernel at xi = 0
-    # and its algebraic xi^(-s) shape; uniform panels track the oscillation
-    lo = min(epsilon / 32.0, width / 1024.0)
-    geo = [0.0]
-    w_cur = lo
-    while w_cur < width:
-        geo.append(w_cur)
-        w_cur *= 2.0
-    n_uniform = int(math.ceil((xi_max - geo[-1]) / width))
     kernel_scale = math.exp(log_gamma(s)) / math.pi
-    t, w = leggauss(gauss_order)
     sign = -1.0 if (total_p // 2) % 2 else 1.0
     use_cos = total_p % 2 == 0
     abs_p = [abs(c) for c in offset.components]
 
-    def block(edges: np.ndarray) -> float:
-        a = edges[:-1]
-        b = edges[1:]
-        half = 0.5 * (b - a)
-        xi = (0.5 * (a + b)[:, None] + np.outer(half, t)).ravel()
-        wts = np.outer(half, w).ravel()
+    def shared_factor(xi: np.ndarray) -> np.ndarray:
+        osc = np.cos(2.0 * dim * xi) if use_cos else np.sin(2.0 * dim * xi)
+        x2 = 2.0 * xi
+        bessel = {p: jv(p, x2) for p in dict.fromkeys(abs_p)}
+        prod = bessel[abs_p[0]]
+        for p in abs_p[1:]:
+            prod = prod * bessel[p]
+        return osc * prod
+
+    def damped_sum(epsilon: float, xi: np.ndarray, wts: np.ndarray, shared: np.ndarray) -> float:
         r = np.hypot(epsilon, xi)
         theta = np.arctan2(-xi, epsilon)
         kernel = kernel_scale * r ** (-s) * np.cos(s * theta)
-        osc = np.cos(2.0 * dim * xi) if use_cos else np.sin(2.0 * dim * xi)
-        prod = jv(abs_p[0], 2.0 * xi)
-        for p in abs_p[1:]:
-            prod = prod * jv(p, 2.0 * xi)
-        values = osc * prod * kernel * np.exp(-2.0 * dim * epsilon * xi)
-        return float(np.dot(wts, values))
+        return float(np.dot(wts, shared * kernel * np.exp(-2.0 * dim * epsilon * xi)))
 
-    total = block(np.asarray(geo))
-    block_panels = 50000
-    start = geo[-1]
-    for k0 in range(0, n_uniform, block_panels):
-        k1 = min(k0 + block_panels, n_uniform)
+    totals = []
+    grids = {}  # uniform grid origin -> (damping index, panel count) pairs
+    for i, (epsilon, xi_max) in enumerate(zip(epsilons, xi_maxes)):
+        # geometric panels resolve the eps scale spike of the kernel at xi = 0
+        # and its algebraic xi^(-s) shape; uniform panels track the oscillation.
+        # lo = eps/32 scales by exact powers of two, so the default ladder
+        # eps, eps/2, eps/4 ends its start-ups at one shared origin
+        lo = min(epsilon / 32.0, width / 1024.0)
+        geo = [0.0]
+        w_cur = lo
+        while w_cur < width:
+            geo.append(w_cur)
+            w_cur *= 2.0
+        xi, wts = gauss_panel_rule(geo, _BESSEL_GAUSS_ORDER)
+        totals.append(damped_sum(epsilon, xi, wts, shared_factor(xi)))
+        n_uniform = int(math.ceil((xi_max - geo[-1]) / width))
+        grids.setdefault(geo[-1], []).append((i, n_uniform))
+
+    def uniform_block(start: float, k0: int, k1: int, members) -> None:
+        # panels k0..k1-1 of one shared grid; a damping whose grid ends inside
+        # the block sums over the prefix of nodes it would have built itself
         edges = start + width * np.arange(k0, k1 + 1)
-        total += block(edges)
-    return 2.0 * sign * total
+        xi, wts = gauss_panel_rule(edges, _BESSEL_GAUSS_ORDER)
+        shared = shared_factor(xi)
+        for i, n_uniform in members:
+            if n_uniform > k0:
+                m = _BESSEL_GAUSS_ORDER * (min(k1, n_uniform) - k0)
+                totals[i] += damped_sum(epsilons[i], xi[:m], wts[:m], shared[:m])
+
+    for start, members in grids.items():
+        n_max = max(n for _, n in members)
+        for k0 in range(0, n_max, _BESSEL_BLOCK_PANELS):
+            uniform_block(start, k0, min(k0 + _BESSEL_BLOCK_PANELS, n_max), members)
+    return [2.0 * sign * total for total in totals]
 
 
 def _bessel_envelope(order: FractionalOrder, dim: int, epsilon: float, xi: float) -> float:
@@ -334,15 +359,9 @@ def _bessel_envelope(order: FractionalOrder, dim: int, epsilon: float, xi: float
     )
 
 
-def element_infinite_nd_bessel(
+def _check_bessel_args(
     order: FractionalOrder, dim: int, offset: OffsetVector, epsilon: float, xi_max: float
-) -> float:
-    """Single damping evaluation of the Bessel product representation.
-
-    Returns the profile at damping epsilon; the limit of zero damping is the
-    infinite lattice element, reached by Richardson extrapolation over
-    epsilon, epsilon/2, epsilon/4 (see bessel_element_extrapolated).
-    """
+) -> None:
     if order.is_integer_half:
         raise ValueError("the Bessel representation requires non integer alpha/2")
     if not (isinstance(dim, int) and 1 <= dim <= _MAX_DIM):
@@ -358,11 +377,29 @@ def element_infinite_nd_bessel(
             f"xi_max {xi_max:g} leaves damped integrand envelope "
             f"{_bessel_envelope(order, dim, epsilon, xi_max):.3e} >= 1e-14"
         )
-    return order.omega_sq * _damped_bessel_value(order, dim, offset, epsilon, xi_max)
+
+
+def element_infinite_nd_bessel(
+    order: FractionalOrder, dim: int, offset: OffsetVector, epsilon: float, xi_max: float
+) -> float:
+    """Single damping evaluation of the Bessel product representation.
+
+    Returns the profile at damping epsilon; the limit of zero damping is the
+    infinite lattice element, reached by Richardson extrapolation over
+    epsilon, epsilon/2, epsilon/4 (see bessel_element_extrapolated).
+    """
+    _check_bessel_args(order, dim, offset, epsilon, xi_max)
+    return order.omega_sq * _damped_bessel_values(order, dim, offset, (epsilon,), (xi_max,))[0]
 
 
 def default_bessel_epsilon(dim: int) -> float:
-    """Base damping calibrated so the extrapolated error stays under 3e-7."""
+    """Base damping of the Richardson ladder, calibrated for errors near 3e-7.
+
+    The 3e-7 target is not met everywhere.  Measured misses: in 3D at the
+    origin for alpha = 0.1, 0.3 (off by 1.9e-6) and 0.7, and at (1, 0, 0)
+    for alpha = 3.3 (2.3e-6); in 1D at p = 0 for alpha = 1.3 (7.5e-7) and
+    alpha = 2.2 (9.7e-5).  See bench/NOTES.md; ROADMAP item 5 tracks the fix.
+    """
     return {1: 1.5e-4, 2: 2.5e-4, 3: 1.25e-3, 4: 2.5e-3}[dim]
 
 
@@ -401,10 +438,13 @@ def bessel_element_extrapolated(
     if epsilon is None:
         epsilon = default_bessel_epsilon(dim)
     epsilons = (epsilon, 0.5 * epsilon, 0.25 * epsilon)
-    values = []
-    for eps in epsilons:
-        xi_max = 36.0 / (2.0 * dim * eps)
-        values.append(element_infinite_nd_bessel(order, dim, offset, eps, xi_max))
+    xi_maxes = tuple(36.0 / (2.0 * dim * eps) for eps in epsilons)
+    for eps, xi_max in zip(epsilons, xi_maxes):
+        _check_bessel_args(order, dim, offset, eps, xi_max)
+    values = [
+        order.omega_sq * value
+        for value in _damped_bessel_values(order, dim, offset, epsilons, xi_maxes)
+    ]
     e1, e2 = _extrapolation_exponents(dim, order.alpha)
     weights = _richardson_weights(e1, e2)
     third = float(np.dot(weights, values))

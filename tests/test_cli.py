@@ -267,6 +267,16 @@ class TestKernelCommand:
             assert code == 2
             assert err.strip()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_is_reported_with_exit_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "kernel", "--alpha", "30.5", "--length", "1", "--x-range", "1e-10..0.5",
+            "--samples", "2",
+        )
+        assert code == 1
+        assert not out
+        assert "exceeds the double range" in err
+
     def test_parameter_validation(self, capsys):
         bad_invocations = [
             ("kernel", "--alpha", "0.5"),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from fraclat.chain import (
     INFINITE,
@@ -10,6 +11,7 @@ from fraclat.chain import (
     element_infinite_closed,
     element_periodic_bloch,
 )
+import fraclat.lattice as lattice
 from fraclat.lattice import (
     ExtrapolationError,
     LatticeSpec,
@@ -235,6 +237,108 @@ class TestBesselRoute:
         for comps in ((1, 2), (-2, 1), (2, -1)):
             got = element_infinite_nd_bessel(order, 2, OffsetVector(comps), 0.0125, 36.0 / 0.05)
             np.testing.assert_allclose(got, base, rtol=1e-13)
+
+
+def reference_damped_value(order, dim, comps, epsilon, xi_max):
+    """One damping of the Bessel route as a plain loop over panel blocks.
+
+    Spells out the panel grid and the integrand separately from the library,
+    which shares the damping independent factor between dampings.
+    """
+    s = 0.5 * order.alpha + 1.0
+    total_p = sum(abs(c) for c in comps)
+    width = math.pi / (2.0 * (2 * dim + 1))
+    lo = min(epsilon / 32.0, width / 1024.0)
+    geo = [0.0]
+    while lo < width:
+        geo.append(lo)
+        lo *= 2.0
+    n_uniform = int(math.ceil((xi_max - geo[-1]) / width))
+    t, w = np.polynomial.legendre.leggauss(16)
+    kernel_scale = math.exp(math.lgamma(s)) / math.pi
+    trig = np.cos if total_p % 2 == 0 else np.sin
+
+    def block(edges):
+        a, b = edges[:-1], edges[1:]
+        half = 0.5 * (b - a)
+        xi = (0.5 * (a + b)[:, None] + np.outer(half, t)).ravel()
+        r = np.hypot(epsilon, xi)
+        kernel = kernel_scale * r ** (-s) * np.cos(s * np.arctan2(-xi, epsilon))
+        prod = scipy.special.jv(abs(comps[0]), 2.0 * xi)
+        for p in comps[1:]:
+            prod = prod * scipy.special.jv(abs(p), 2.0 * xi)
+        values = trig(2.0 * dim * xi) * prod * kernel * np.exp(-2.0 * dim * epsilon * xi)
+        return float(np.dot(np.outer(half, w).ravel(), values))
+
+    total = block(np.asarray(geo))
+    for k0 in range(0, n_uniform, 50000):
+        k1 = min(k0 + 50000, n_uniform)
+        total += block(geo[-1] + width * np.arange(k0, k1 + 1))
+    sign = -1.0 if (total_p // 2) % 2 else 1.0
+    return order.omega_sq * (2.0 * sign * total)
+
+
+# (alpha, offset, epsilon): repeated orders, the sin branch of an odd total
+# order and negative components on one shared grid origin, then user dampings
+# large enough that lo = min(eps/32, width/1024) gives the ladder two origins:
+# in 3D eps/32 > width/1024 = 2.19e-4 > eps/64 at eps = 1e-2, in 2D
+# eps/64 > width/1024 = 3.07e-4 > eps/128 at eps = 2e-2
+LADDER_CASES = [
+    (1.1, (1, 1, 0), 6e-3),
+    (0.3, (0, 0, 0), 6e-3),
+    (0.5, (1,), 1e-2),
+    (1.5, (2, -1), 9e-3),
+    (2.5, (-1, 2, 1), 6e-3),
+    (0.9, (0, 0, 0), 1e-2),
+    (0.5, (1, 1), 2e-2),
+]
+
+
+class TestBesselSharedLadder:
+    @pytest.mark.parametrize("alpha, comps, epsilon", LADDER_CASES)
+    def test_ladder_equals_single_dampings(self, alpha, comps, epsilon):
+        order = FractionalOrder(alpha=alpha)
+        dim = len(comps)
+        offset = OffsetVector(comps)
+        epsilons = (epsilon, 0.5 * epsilon, 0.25 * epsilon)
+        values = []
+        for eps in epsilons:
+            xi_max = 36.0 / (2.0 * dim * eps)
+            value = element_infinite_nd_bessel(order, dim, offset, eps, xi_max)
+            assert value == reference_damped_value(order, dim, comps, eps, xi_max)
+            values.append(value)
+        weights = lattice._richardson_weights(*lattice._extrapolation_exponents(dim, alpha))
+        expected = float(np.dot(weights, values))
+        got = bessel_element_extrapolated(order, dim, offset, epsilon=epsilon, check_tol=math.inf)
+        assert got == expected
+
+    def test_one_bessel_call_per_node_of_the_longest_grid(self, monkeypatch):
+        calls = []
+
+        def counting_jv(p, x):
+            calls.append(x.size)
+            return scipy.special.jv(p, x)
+
+        monkeypatch.setattr(lattice, "jv", counting_jv)
+        dim, epsilon = 3, 6e-3
+        bessel_element_extrapolated(
+            FractionalOrder(alpha=0.7), dim, OffsetVector((0, 0, 0)), epsilon=epsilon,
+            check_tol=math.inf,
+        )
+        width = math.pi / (2.0 * (2 * dim + 1))
+        expected = 0
+        for eps in (epsilon, 0.5 * epsilon, 0.25 * epsilon):
+            edge = eps / 32.0
+            assert edge < width / 1024.0
+            startup_panels = 0
+            while edge < width:
+                startup_panels += 1
+                edge *= 2.0
+            expected += 16 * startup_panels
+        last_edge = edge / 2.0
+        xi_max = 36.0 / (2.0 * dim * 0.25 * epsilon)
+        expected += 16 * math.ceil((xi_max - last_edge) / width)
+        assert sum(calls) == expected
 
 
 class TestAsymptoticConstant:

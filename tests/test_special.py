@@ -86,6 +86,13 @@ class TestHurwitzZeta:
             lhs = hurwitz_zeta(beta, x) - hurwitz_zeta(beta, x + 1.0)
             np.testing.assert_allclose(lhs, x ** (-beta), rtol=1e-11)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            hurwitz_zeta(60.0, 1e-6)
+        # 1e-6^(-50) = 1e300 still fits in a double
+        assert math.isfinite(hurwitz_zeta(50.0, 1e-6))
+
     def test_domain(self):
         with pytest.raises(ValueError):
             hurwitz_zeta(1.0, 2.0)
