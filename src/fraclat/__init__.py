@@ -6,7 +6,7 @@ cross check them at stated tolerances.
 
 Modules
 -------
-special    reusable numerics: log gamma, Hurwitz zeta, Bessel J, quadrature
+special    reusable numerics: log gamma, Hurwitz zeta, panel quadrature
 chain      1D infinite and periodic coupling profiles, matrices, dispersion
 lattice    nD periodic and infinite elements, far field constants, surfaces
 continuum  Riesz kernels on the line and the circle, continuum convergence
@@ -30,6 +30,8 @@ from .chain import (
     element_infinite_quadrature,
     element_periodic_bloch,
     element_periodic_images,
+    laplacian_eigenvalues_1d,
+    normalized_dispersion_1d,
 )
 from .continuum import (
     ConvergenceReport,
@@ -46,6 +48,7 @@ from .lattice import (
     SizeLimitError,
     asymptotic_constant_nd,
     bessel_element_extrapolated,
+    build_laplacian_nd,
     default_bessel_epsilon,
     dispersion_surface,
     eigenvalue_nd,
@@ -72,6 +75,8 @@ __all__ = [
     "element_infinite_quadrature",
     "element_periodic_bloch",
     "element_periodic_images",
+    "laplacian_eigenvalues_1d",
+    "normalized_dispersion_1d",
     "ConvergenceReport",
     "KernelSpec",
     "continuum_convergence_check",
@@ -84,6 +89,7 @@ __all__ = [
     "SizeLimitError",
     "asymptotic_constant_nd",
     "bessel_element_extrapolated",
+    "build_laplacian_nd",
     "default_bessel_epsilon",
     "dispersion_surface",
     "eigenvalue_nd",

@@ -41,7 +41,9 @@ __all__ = [
     "element_periodic_images",
     "element_asymptotic",
     "dispersion_1d",
+    "normalized_dispersion_1d",
     "build_laplacian_1d",
+    "laplacian_eigenvalues_1d",
 ]
 
 INFINITE = float("inf")
@@ -51,6 +53,30 @@ INFINITE = float("inf")
 _INTEGER_HALF_TOL = 1e-12
 
 _IMAGE_SUM_CAP = 10**7
+
+
+def is_integer_half(alpha: float) -> bool:
+    """Whether alpha/2 is an integer, where the profile is a finite stencil."""
+    half = 0.5 * alpha
+    return abs(half - round(half)) < _INTEGER_HALF_TOL
+
+
+def require_non_integer_half(alpha: float) -> None:
+    """Reject alpha unless it is positive, finite and alpha/2 is not an integer."""
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if is_integer_half(alpha):
+        raise ValueError(f"alpha/2 must not be an integer, got alpha = {alpha}")
+
+
+def riesz_amplitude(alpha: float) -> float:
+    """Power law amplitude gamma(alpha + 1) sin(alpha pi / 2) / pi.
+
+    It sets the chain tail f(p) ~ -A p^(-alpha-1) and the continuum Riesz
+    kernel A |x|^(-alpha-1); neither exists at integer alpha/2.
+    """
+    require_non_integer_half(alpha)
+    return math.exp(log_gamma(alpha + 1.0)) * math.sin(0.5 * math.pi * alpha) / math.pi
 
 
 class TruncationError(RuntimeError):
@@ -79,13 +105,8 @@ class FractionalOrder:
             raise ValueError(f"omega_sq must be positive and finite, got {self.omega_sq}")
 
     @property
-    def half_order(self) -> float:
-        return 0.5 * self.alpha
-
-    @property
     def is_integer_half(self) -> bool:
-        half = 0.5 * self.alpha
-        return abs(half - round(half)) < _INTEGER_HALF_TOL
+        return is_integer_half(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -157,11 +178,6 @@ class CirculantMatrix:
             raise ValueError("spectrum has eigenvalues of both signs")
 
 
-def _reflection_amplitude(alpha: float) -> float:
-    # gamma(alpha + 1) * sin(alpha pi / 2) / pi; vanishes at even integer alpha
-    return math.exp(log_gamma(alpha + 1.0)) * math.sin(0.5 * math.pi * alpha) / math.pi
-
-
 def _binomial_element(m: int, q: int) -> float:
     # integer half order: signed central binomial stencil, zero beyond |q| = m
     if q > m:
@@ -213,7 +229,7 @@ def _elements_closed_array(order: FractionalOrder, q: np.ndarray) -> np.ndarray:
         for i, qi in np.ndenumerate(q):
             out[i] = order.omega_sq * _binomial_element(m, int(abs(qi)))
         return out
-    amp = _reflection_amplitude(alpha)
+    amp = riesz_amplitude(alpha)
     small = q <= a + 1.0
     for i in np.argwhere(small):
         out[tuple(i)] = element_infinite_closed(order, int(q[tuple(i)]))
@@ -288,7 +304,7 @@ def element_periodic_images(
 
     alpha = order.alpha
     a = 0.5 * alpha
-    amp = order.omega_sq * _reflection_amplitude(alpha)
+    amp = order.omega_sq * riesz_amplitude(alpha)
     total = element_infinite_closed(order, p)
     s_done = 0
     s_target = 8
@@ -333,6 +349,17 @@ def dispersion_1d(order: FractionalOrder, kappa):
     return float(value) if value.ndim == 0 else value
 
 
+def normalized_dispersion_1d(order: FractionalOrder, kappa) -> np.ndarray:
+    """1D mode frequency normalized by the alpha = 2 zone edge value 2.
+
+    (4 sin^2(kappa/2))^(alpha/4) / 2; the frequency scale cancels in the
+    ratio.  Every order crosses 1/2 where the Born-von-Karman eigenvalue
+    equals one.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    return (4.0 * np.sin(0.5 * kappa) ** 2) ** (0.25 * order.alpha) / 2.0
+
+
 def element_asymptotic(order: FractionalOrder, p: int) -> float:
     """Leading large offset behaviour of the infinite chain profile.
 
@@ -345,7 +372,12 @@ def element_asymptotic(order: FractionalOrder, p: int) -> float:
     p = abs(int(p))
     if p == 0:
         raise ValueError("the asymptotic form needs a nonzero offset")
-    return -order.omega_sq * _reflection_amplitude(order.alpha) * float(p) ** (-order.alpha - 1.0)
+    return -order.omega_sq * riesz_amplitude(order.alpha) * float(p) ** (-order.alpha - 1.0)
+
+
+def _ring_lambda(n: int) -> np.ndarray:
+    # Born-von-Karman eigenvalues 4 sin^2(pi l / N) of the ring, l = 0 .. N-1
+    return 4.0 * np.sin(math.pi * np.arange(n) / n) ** 2
 
 
 def build_laplacian_1d(order: FractionalOrder, chain: ChainSpec) -> CirculantMatrix:
@@ -358,8 +390,18 @@ def build_laplacian_1d(order: FractionalOrder, chain: ChainSpec) -> CirculantMat
     if chain.is_infinite:
         raise ValueError("matrix construction requires a finite chain")
     n = chain.size
-    ell = np.arange(n)
-    modes = order.omega_sq * (4.0 * np.sin(math.pi * ell / n) ** 2) ** (0.5 * order.alpha)
+    modes = order.omega_sq * _ring_lambda(n) ** (0.5 * order.alpha)
     row = np.fft.ifft(modes).real
     row = 0.5 * (row + np.roll(row[::-1], 1))
     return CirculantMatrix(order=order, n=n, first_row=-chain.mass * row)
+
+
+def laplacian_eigenvalues_1d(order: FractionalOrder, chain: ChainSpec) -> np.ndarray:
+    """Ring Laplacian spectrum -mass * omega_sq * lambda_l^(alpha/2), l = 0 .. N-1.
+
+    The analytic form; CirculantMatrix.eigenvalues() of build_laplacian_1d
+    reproduces it to roundoff and stays an independent cross check.
+    """
+    if chain.is_infinite:
+        raise ValueError("matrix construction requires a finite chain")
+    return -chain.mass * order.omega_sq * _ring_lambda(chain.size) ** (0.5 * order.alpha) + 0.0

@@ -27,6 +27,8 @@ from .chain import (
     element_infinite_quadrature,
     element_periodic_bloch,
     element_periodic_images,
+    laplacian_eigenvalues_1d,
+    normalized_dispersion_1d,
 )
 from .continuum import KernelSpec, riesz_kernel_infinite, riesz_kernel_periodic
 from .lattice import (
@@ -34,8 +36,9 @@ from .lattice import (
     ExtrapolationError,
     LatticeSpec,
     bessel_element_extrapolated,
+    build_laplacian_nd,
+    dispersion_surface,
     element_infinite_nd_bz,
-    element_periodic_nd,
     normalized_dispersion_2d,
 )
 from .output import OutputRecord, record_to_csv, record_to_json
@@ -218,52 +221,6 @@ def cmd_elements(args):
     return OutputRecord("elements", parameters, columns, rows, metadata), 0
 
 
-def _matrix_record_1d(args, alpha):
-    n = args.n
-    if n > MATRIX_MAX_SITES_1D:
-        raise UsageError(f"--n {n} exceeds the matrix export limit {MATRIX_MAX_SITES_1D}")
-    order = FractionalOrder(alpha, omega_sq=args.omega_sq)
-    matrix = build_laplacian_1d(order, ChainSpec(n, mass=args.mu))
-    # eigenvalue list in its analytic form -mu omega_sq lambda^(alpha/2); the
-    # matrix.eigenvalues() route reproduces it to roundoff and stays the
-    # independent cross check in the test suite
-    mode_lambda = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
-    eigenvalues = -args.mu * args.omega_sq * mode_lambda ** (alpha / 2.0) + 0.0
-    parameters = {"alpha": alpha, "n": n, "mu": args.mu, "omega_sq": args.omega_sq}
-    rows = [("row", p, float(matrix.first_row[p])) for p in range(n)]
-    rows += [("eigenvalue", l, float(eigenvalues[l])) for l in range(n)]
-    return OutputRecord("matrix", parameters, ("kind", "i", "value"), rows, _metadata())
-
-
-def _matrix_record_nd(args, alpha):
-    sizes = _parse_dims(args.dims)
-    if math.prod(sizes) > MATRIX_MAX_SITES_ND:
-        raise UsageError(
-            f"--dims {args.dims} has {math.prod(sizes)} sites, over the export limit {MATRIX_MAX_SITES_ND}"
-        )
-    lattice = LatticeSpec(len(sizes), sizes, mass=args.mu, omega_sq=args.omega_sq)
-    # all fundamental cell elements at once: the element table is the inverse
-    # DFT of the mode values, and the eigenvalue list is the modes themselves
-    mode_lambda = np.zeros(sizes)
-    for axis, n_axis in enumerate(sizes):
-        shape = [1] * len(sizes)
-        shape[axis] = n_axis
-        kappa = 2.0 * np.pi * np.arange(n_axis) / n_axis
-        mode_lambda = mode_lambda + (4.0 * np.sin(kappa / 2.0) ** 2).reshape(shape)
-    modes = args.omega_sq * mode_lambda ** (alpha / 2.0)
-    table = -args.mu * np.fft.ifftn(modes).real
-    eigenvalues = -args.mu * modes + 0.0
-
-    parameters = {"alpha": alpha, "dims": args.dims, "mu": args.mu, "omega_sq": args.omega_sq}
-    index_columns = tuple(f"i{j + 1}" for j in range(len(sizes)))
-    rows = [("element",) + idx + (float(table[idx]),) for idx in np.ndindex(*sizes)]
-    rows += [("eigenvalue",) + idx + (float(eigenvalues[idx]),) for idx in np.ndindex(*sizes)]
-    record = OutputRecord(
-        "matrix", parameters, ("kind",) + index_columns + ("value",), rows, _metadata()
-    )
-    return record, lattice
-
-
 def cmd_matrix(args):
     alpha = _single_alpha(args)
     if args.infinite:
@@ -271,43 +228,30 @@ def cmd_matrix(args):
     if (args.n is None) == (args.dims is None):
         raise UsageError("matrix export needs exactly one of --n or --dims")
     if args.n is not None:
-        return _matrix_record_1d(args, alpha), 0
-    record, _ = _matrix_record_nd(args, alpha)
-    return record, 0
+        if args.n > MATRIX_MAX_SITES_1D:
+            raise UsageError(f"--n {args.n} exceeds the matrix export limit {MATRIX_MAX_SITES_1D}")
+        order = FractionalOrder(alpha, omega_sq=args.omega_sq)
+        chain = ChainSpec(args.n, mass=args.mu)
+        row = build_laplacian_1d(order, chain).first_row.tolist()
+        eigenvalues = laplacian_eigenvalues_1d(order, chain).tolist()
+        parameters = {"alpha": alpha, "n": args.n, "mu": args.mu, "omega_sq": args.omega_sq}
+        rows = [("row", p, v) for p, v in enumerate(row)]
+        rows += [("eigenvalue", l, v) for l, v in enumerate(eigenvalues)]
+        return OutputRecord("matrix", parameters, ("kind", "i", "value"), rows, _metadata()), 0
 
-
-def _dispersion_rows_1d(alphas, grid):
-    # normalized by the alpha = 2 zone edge value 2; all orders cross 1/2
-    # where the Born-von-Karman eigenvalue equals one
-    kappa = np.linspace(0.0, math.pi, grid)
-    rows = []
-    for alpha in alphas:
-        values = (4.0 * np.sin(kappa / 2.0) ** 2) ** (alpha / 4.0) / 2.0
-        rows += [(alpha, float(k), float(v)) for k, v in zip(kappa, values)]
-    return ("alpha", "kappa", "omega_normalized"), rows
-
-
-def _dispersion_rows_2d(alphas, grid, cut):
-    path = np.linspace(0.0, math.pi, grid)
-    rows = []
-    if cut == "full":
-        for alpha in alphas:
-            order = FractionalOrder(alpha)
-            k1, k2 = np.meshgrid(path, path, indexing="ij")
-            values = normalized_dispersion_2d(order, k1, k2)
-            rows += [
-                (alpha, float(a), float(b), float(v))
-                for a, b, v in zip(k1.ravel(), k2.ravel(), values.ravel())
-            ]
-        return ("alpha", "kappa1", "kappa2", "omega_normalized"), rows
-    for alpha in alphas:
-        order = FractionalOrder(alpha)
-        if cut == "plane_010":
-            values = normalized_dispersion_2d(order, path, np.zeros_like(path))
-        else:  # plane_110, the zone diagonal
-            values = normalized_dispersion_2d(order, path, path)
-        rows += [(alpha, float(k), float(v)) for k, v in zip(path, values)]
-    return ("alpha", "kappa_path", "omega_normalized"), rows
+    sizes = _parse_dims(args.dims)
+    if math.prod(sizes) > MATRIX_MAX_SITES_ND:
+        raise UsageError(
+            f"--dims {args.dims} has {math.prod(sizes)} sites, over the export limit {MATRIX_MAX_SITES_ND}"
+        )
+    lattice = LatticeSpec(len(sizes), sizes, mass=args.mu)
+    table, eigenvalues = build_laplacian_nd(FractionalOrder(alpha, omega_sq=args.omega_sq), lattice)
+    parameters = {"alpha": alpha, "dims": args.dims, "mu": args.mu, "omega_sq": args.omega_sq}
+    columns = ("kind",) + tuple(f"i{j + 1}" for j in range(len(sizes))) + ("value",)
+    cells = list(np.ndindex(*sizes))
+    rows = [("element",) + idx + (v,) for idx, v in zip(cells, table.ravel().tolist())]
+    rows += [("eigenvalue",) + idx + (v,) for idx, v in zip(cells, eigenvalues.ravel().tolist())]
+    return OutputRecord("matrix", parameters, columns, rows, _metadata()), 0
 
 
 def cmd_dispersion(args):
@@ -323,10 +267,26 @@ def cmd_dispersion(args):
         "grid": args.grid,
         "cut": args.cut,
     }
-    if args.dim == 1:
-        columns, rows = _dispersion_rows_1d(alphas, args.grid)
-    else:
-        columns, rows = _dispersion_rows_2d(alphas, args.grid, args.cut)
+    if args.dim == 2 and args.cut == "full":
+        columns = ("alpha", "kappa1", "kappa2", "omega_normalized")
+        rows = []
+        for alpha in alphas:
+            surface = dispersion_surface(FractionalOrder(alpha), args.grid)
+            rows += [(alpha, k1, k2, v) for k1, k2, v in zip(*surface.T.tolist())]
+        return OutputRecord("dispersion", parameters, columns, rows, _metadata()), 0
+
+    # a path over [0, pi]: the 1D zone, or the 2D axis or diagonal cut
+    path = np.linspace(0.0, math.pi, args.grid)
+    columns = ("alpha", "kappa" if args.dim == 1 else "kappa_path", "omega_normalized")
+    rows = []
+    for alpha in alphas:
+        order = FractionalOrder(alpha)
+        if args.dim == 1:
+            values = normalized_dispersion_1d(order, path)
+        else:
+            across = np.zeros_like(path) if args.cut == "plane_010" else path
+            values = normalized_dispersion_2d(order, path, across)
+        rows += [(alpha, k, v) for k, v in zip(path.tolist(), values.tolist())]
     return OutputRecord("dispersion", parameters, columns, rows, _metadata()), 0
 
 

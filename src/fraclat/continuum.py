@@ -15,8 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chain import INFINITE, FractionalOrder, element_infinite_closed
-from .special import hurwitz_zeta, log_gamma
+from .chain import (
+    INFINITE,
+    FractionalOrder,
+    element_infinite_closed,
+    require_non_integer_half,
+    riesz_amplitude,
+)
+from .special import hurwitz_zeta
 
 __all__ = [
     "KernelSpec",
@@ -26,17 +32,6 @@ __all__ = [
     "riesz_kernel_periodic",
     "continuum_convergence_check",
 ]
-
-_INTEGER_HALF_TOL = 1e-12
-
-
-def _require_non_integer_half(alpha: float) -> None:
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    half = 0.5 * alpha
-    if abs(half - round(half)) < _INTEGER_HALF_TOL:
-        raise ValueError(f"alpha/2 must not be an integer, got alpha = {alpha}")
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -49,7 +44,7 @@ class KernelSpec:
     a_alpha: float = 1.0
 
     def __post_init__(self):
-        _require_non_integer_half(self.alpha)
+        require_non_integer_half(self.alpha)
         if self.period != INFINITE and not (self.period > 0.0 and math.isfinite(self.period)):
             raise ValueError(f"period must be positive or INFINITE, got {self.period}")
         if not (self.rho0 > 0.0 and math.isfinite(self.rho0)):
@@ -62,19 +57,19 @@ class KernelSpec:
         return self.period != INFINITE
 
 
-def riesz_amplitude(alpha: float) -> float:
-    """Kernel amplitude gamma(alpha + 1) sin(alpha pi / 2) / pi."""
-    _require_non_integer_half(alpha)
-    return math.exp(log_gamma(alpha + 1.0)) * math.sin(0.5 * math.pi * alpha) / math.pi
-
-
 def riesz_kernel_infinite(spec: KernelSpec, x: float) -> float:
     """Whole line kernel: amplitude times |x|^(-alpha-1), singular at x = 0."""
     if spec.is_periodic:
         raise ValueError("infinite space kernel requires period = INFINITE")
     if x == 0.0:
         raise ValueError("kernel is singular at x = 0")
-    return riesz_amplitude(spec.alpha) * abs(x) ** (-spec.alpha - 1.0)
+    try:
+        value = riesz_amplitude(spec.alpha) * abs(x) ** (-spec.alpha - 1.0)
+    except OverflowError:  # raised by the float power itself
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"riesz_kernel_infinite({spec.alpha!r}, {x!r}) exceeds the double range")
+    return value
 
 
 def riesz_kernel_periodic(spec: KernelSpec, x: float) -> float:
@@ -128,11 +123,11 @@ def continuum_convergence_check(alpha: float, x: float, h_values) -> Convergence
     elements f; the density and coupling factors drop out of the relative
     error, so the scan runs in dimensionless mode.
     """
-    _require_non_integer_half(alpha)
+    require_non_integer_half(alpha)
     if not x > 0.0:
         raise ValueError(f"probe point must be positive, got {x}")
     order = FractionalOrder(alpha=alpha, omega_sq=1.0)
-    kernel = riesz_amplitude(alpha) * x ** (-alpha - 1.0)
+    kernel = riesz_kernel_infinite(KernelSpec(alpha), x)
     entries = []
     for h in h_values:
         if not (0.0 < h and math.isfinite(h)):

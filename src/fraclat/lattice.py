@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss  # noqa: F401
 from scipy.special import jv
 
-from .chain import INFINITE, FractionalOrder
+from .chain import INFINITE, FractionalOrder, is_integer_half
 from .special import (
     QuadratureSpec,
     ToleranceError,
@@ -44,6 +44,7 @@ __all__ = [
     "OffsetVector",
     "eigenvalue_nd",
     "element_periodic_nd",
+    "build_laplacian_nd",
     "element_infinite_nd_bz",
     "element_infinite_nd_bessel",
     "bessel_element_extrapolated",
@@ -76,18 +77,16 @@ class ExtrapolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Cubic lattice geometry: dimension, per axis sizes, mass and scale.
+    """Cubic lattice geometry: dimension, per axis sizes and mass.
 
     sizes is a tuple with one entry per axis, each an integer >= 2, or every
-    entry INFINITE for the infinite lattice.  omega_sq stored here must agree
-    with the FractionalOrder used in element calls; the constructor of either
-    object does not know about the other, so the element routines check.
+    entry INFINITE for the infinite lattice.  The frequency scale lives on
+    the FractionalOrder.
     """
 
     dim: int
     sizes: tuple
     mass: float = 1.0
-    omega_sq: float = 1.0
 
     def __post_init__(self):
         if not (isinstance(self.dim, int) and 1 <= self.dim <= _MAX_DIM):
@@ -108,8 +107,6 @@ class LatticeSpec:
         object.__setattr__(self, "sizes", sizes)
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
-        if not (self.omega_sq > 0.0 and math.isfinite(self.omega_sq)):
-            raise ValueError(f"omega_sq must be positive and finite, got {self.omega_sq}")
 
     @property
     def is_infinite(self) -> bool:
@@ -152,15 +149,6 @@ def eigenvalue_nd(kappa) -> float:
     return float(value) if value.ndim == 0 else value
 
 
-def _check_scales(order: FractionalOrder, lattice: LatticeSpec) -> None:
-    # both objects carry the squared frequency scale; a silent mismatch would
-    # make the result ambiguous, so refuse it
-    if order.omega_sq != lattice.omega_sq:
-        raise ValueError(
-            f"omega_sq mismatch: order has {order.omega_sq}, lattice has {lattice.omega_sq}"
-        )
-
-
 def element_periodic_nd(
     order: FractionalOrder, lattice: LatticeSpec, offset: OffsetVector
 ) -> float:
@@ -169,7 +157,6 @@ def element_periodic_nd(
     f(p) = omega_sq / N_total * sum over all Bloch vectors of
     cos(kappa . p) * lambda(kappa)^(alpha/2).
     """
-    _check_scales(order, lattice)
     if lattice.is_infinite:
         raise ValueError("spectral sum requires a finite lattice")
     if offset.dim != lattice.dim:
@@ -206,6 +193,23 @@ def element_periodic_nd(
         for i in range(sizes[0]):
             total += cosines[0][i] * float(np.sum(rest_cos * (s2[0][i] + rest_sum) ** a))
     return order.omega_sq * total / float(math.prod(sizes))
+
+
+def build_laplacian_nd(order: FractionalOrder, lattice: LatticeSpec):
+    """Fractional Laplacian of a finite periodic lattice, all at once.
+
+    Returns (table, eigenvalues), both of shape lattice.sizes: table[p] is
+    -mass * f(p) over the fundamental cell, the inverse DFT of the modes
+    omega_sq * lambda(kappa)^(alpha/2), and eigenvalues[l] is -mass times
+    the mode at Bloch vector kappa_j = 2 pi l_j / N_j.
+    """
+    if lattice.is_infinite:
+        raise ValueError("matrix construction requires a finite lattice")
+    axes = [2.0 * np.pi * np.arange(n) / n for n in lattice.sizes]
+    kappa = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    modes = order.omega_sq * eigenvalue_nd(kappa) ** (0.5 * order.alpha)
+    table = -lattice.mass * np.fft.ifftn(modes).real
+    return table, -lattice.mass * modes + 0.0
 
 
 def _bz_axis_rule(p_component: int, gauss_order: int):
@@ -258,10 +262,9 @@ def element_infinite_nd_bz(
     coarse = _bz_value(order, dim, comps, spec.points)
     fine = _bz_value(order, dim, comps, spec.points + 8)
     estimate = abs(fine - coarse)
-    bound = spec.abs_tol + spec.rel_tol * abs(fine)
-    if estimate > bound:
+    if estimate > spec.abs_tol:
         raise ToleranceError(
-            f"zone integral error estimate above bound {bound:.3e}", achieved=estimate
+            f"zone integral error estimate above bound {spec.abs_tol:.3e}", achieved=estimate
         )
     return order.omega_sq * fine
 
@@ -360,8 +363,9 @@ def _bessel_envelope(order: FractionalOrder, dim: int, epsilon: float, xi: float
 
 
 def _check_bessel_args(
-    order: FractionalOrder, dim: int, offset: OffsetVector, epsilon: float, xi_max: float
-) -> None:
+    order: FractionalOrder, dim: int, offset: OffsetVector, epsilon: float, xi_max=None
+) -> float:
+    # checks one damping and returns its xi_max, by default 36 / (2 dim epsilon)
     if order.is_integer_half:
         raise ValueError("the Bessel representation requires non integer alpha/2")
     if not (isinstance(dim, int) and 1 <= dim <= _MAX_DIM):
@@ -370,6 +374,8 @@ def _check_bessel_args(
         raise ValueError(f"offset has {offset.dim} components, expected {dim}")
     if not (epsilon > 0.0 and math.isfinite(epsilon)):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if xi_max is None:
+        xi_max = 36.0 / (2.0 * dim * epsilon)
     if not xi_max > 0.0:
         raise ValueError(f"xi_max must be positive, got {xi_max}")
     if _bessel_envelope(order, dim, epsilon, xi_max) >= 1e-14:
@@ -377,6 +383,7 @@ def _check_bessel_args(
             f"xi_max {xi_max:g} leaves damped integrand envelope "
             f"{_bessel_envelope(order, dim, epsilon, xi_max):.3e} >= 1e-14"
         )
+    return xi_max
 
 
 def element_infinite_nd_bessel(
@@ -392,6 +399,9 @@ def element_infinite_nd_bessel(
     return order.omega_sq * _damped_bessel_values(order, dim, offset, (epsilon,), (xi_max,))[0]
 
 
+_BESSEL_EPSILON = {1: 1.5e-4, 2: 2.5e-4, 3: 1.25e-3, 4: 2.5e-3}
+
+
 def default_bessel_epsilon(dim: int) -> float:
     """Base damping of the Richardson ladder, calibrated for errors near 3e-7.
 
@@ -400,7 +410,9 @@ def default_bessel_epsilon(dim: int) -> float:
     for alpha = 3.3 (2.3e-6); in 1D at p = 0 for alpha = 1.3 (7.5e-7) and
     alpha = 2.2 (9.7e-5).  See bench/NOTES.md; ROADMAP item 5 tracks the fix.
     """
-    return {1: 1.5e-4, 2: 2.5e-4, 3: 1.25e-3, 4: 2.5e-3}[dim]
+    if dim not in _BESSEL_EPSILON:
+        raise ValueError(f"dim must be in 1..{_MAX_DIM}, got {dim}")
+    return _BESSEL_EPSILON[dim]
 
 
 def _extrapolation_exponents(dim: int, alpha: float) -> tuple[float, float]:
@@ -438,9 +450,7 @@ def bessel_element_extrapolated(
     if epsilon is None:
         epsilon = default_bessel_epsilon(dim)
     epsilons = (epsilon, 0.5 * epsilon, 0.25 * epsilon)
-    xi_maxes = tuple(36.0 / (2.0 * dim * eps) for eps in epsilons)
-    for eps, xi_max in zip(epsilons, xi_maxes):
-        _check_bessel_args(order, dim, offset, eps, xi_max)
+    xi_maxes = tuple(_check_bessel_args(order, dim, offset, eps) for eps in epsilons)
     values = [
         order.omega_sq * value
         for value in _damped_bessel_values(order, dim, offset, epsilons, xi_maxes)
@@ -468,14 +478,13 @@ def asymptotic_constant_nd(dim: int, alpha: float) -> float:
         raise ValueError(f"dim must be in 1..{_MAX_DIM}, got {dim}")
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be positive, got {alpha}")
-    half = 0.5 * alpha
-    if abs(half - round(half)) < 1e-12:
+    if is_integer_half(alpha):
         return 0.0
     log_mag = (
         (alpha - 1.0) * math.log(2.0)
         + math.log(alpha)
         + log_gamma(0.5 * (alpha + dim))
-        + log_gamma(half)
+        + log_gamma(0.5 * alpha)
         - (0.5 * dim + 1.0) * math.log(math.pi)
     )
     return math.exp(log_mag) * math.sin(0.5 * math.pi * alpha)

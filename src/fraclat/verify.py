@@ -15,7 +15,6 @@ import numpy as np
 from .chain import (
     ChainSpec,
     FractionalOrder,
-    _reflection_amplitude,
     build_laplacian_1d,
     element_infinite_closed,
     element_infinite_quadrature,
@@ -150,7 +149,7 @@ def _check_chain_tail_amplitude(tol):
     p = 200
     for alpha in (0.5, 1.5):
         order = FractionalOrder(alpha)
-        target = -_reflection_amplitude(alpha)
+        target = -riesz_amplitude(alpha)
         scaled = element_infinite_closed(order, p) * float(p) ** (alpha + 1.0)
         worst = max(worst, abs(scaled - target) / abs(target))
     return _result("chain_tail_amplitude", "asymptotics", worst, tol)
@@ -178,7 +177,7 @@ def _check_amplitude_identity(tol):
         if abs(alpha / 2.0 - round(alpha / 2.0)) < 1e-3:
             alpha += 0.01
         a = asymptotic_constant_nd(1, alpha)
-        b = _reflection_amplitude(alpha)
+        b = riesz_amplitude(alpha)
         worst = max(worst, abs(a - b) / abs(b))
     return _result("amplitude_identity", "asymptotics", worst, tol)
 

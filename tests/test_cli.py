@@ -97,6 +97,14 @@ class TestElementsCommand:
         assert code == 2
         assert "integer" in err
 
+    def test_nd_bessel_rejects_five_components(self, capsys):
+        code, _, err = run_cli(
+            capsys, "elements", "--alpha", "1.3", "--infinite", "--route", "nd_bessel",
+            "--offset", "1,0,0,0,0",
+        )
+        assert code == 2
+        assert "dim must be in 1..4" in err
+
     def test_route_lattice_mismatches_exit_2(self, capsys):
         bad_invocations = [
             ("elements", "--alpha", "1.5", "--n", "8", "--route", "closed"),
@@ -267,7 +275,7 @@ class TestKernelCommand:
             assert code == 2
             assert err.strip()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflow_is_reported_with_exit_1(self, capsys):
         code, out, err = run_cli(
             capsys, "kernel", "--alpha", "30.5", "--length", "1", "--x-range", "1e-10..0.5",
@@ -276,6 +284,15 @@ class TestKernelCommand:
         assert code == 1
         assert not out
         assert "exceeds the double range" in err
+
+    def test_infinite_kernel_overflow_names_the_call(self, capsys):
+        code, out, err = run_cli(
+            capsys, "kernel", "--alpha", "30.5", "--infinite", "--x-range", "1e-11..1",
+            "--samples", "2",
+        )
+        assert code == 1
+        assert not out
+        assert err.strip() == "fraclat: riesz_kernel_infinite(30.5, 1e-11) exceeds the double range"
 
     def test_parameter_validation(self, capsys):
         bad_invocations = [

@@ -19,6 +19,7 @@ from fraclat.lattice import (
     SizeLimitError,
     asymptotic_constant_nd,
     bessel_element_extrapolated,
+    build_laplacian_nd,
     dispersion_surface,
     eigenvalue_nd,
     element_infinite_nd_bessel,
@@ -89,9 +90,8 @@ class TestSpectralSum:
         value = element_periodic_nd(order, lattice, OffsetVector((0, 0)))
         np.testing.assert_allclose(value, 4.0, rtol=1e-13)
         scaled_order = FractionalOrder(alpha=2.0, omega_sq=2.5)
-        scaled_lattice = LatticeSpec(dim=2, sizes=(8, 8), omega_sq=2.5)
         np.testing.assert_allclose(
-            element_periodic_nd(scaled_order, scaled_lattice, OffsetVector((0, 0))),
+            element_periodic_nd(scaled_order, lattice, OffsetVector((0, 0))),
             10.0,
             rtol=1e-13,
         )
@@ -103,12 +103,6 @@ class TestSpectralSum:
         lattice = LatticeSpec(dim=2, sizes=(16, 16))
         value = element_periodic_nd(order, lattice, OffsetVector((2, 1)))
         np.testing.assert_allclose(value, -0.014063814095614628, rtol=1e-12)
-
-    def test_scale_mismatch_rejected(self):
-        order = FractionalOrder(alpha=1.0, omega_sq=2.0)
-        lattice = LatticeSpec(dim=2, sizes=(8, 8))
-        with pytest.raises(ValueError):
-            element_periodic_nd(order, lattice, OffsetVector((0, 0)))
 
     def test_size_cap(self):
         order = FractionalOrder(alpha=1.0)
@@ -146,6 +140,34 @@ class TestSpectralSum:
             np.testing.assert_allclose(
                 element_periodic_nd(order, cube, OffsetVector(comps)), base3, rtol=1e-12
             )
+
+
+class TestBuildLaplacianNd:
+    def test_table_matches_spectral_sum(self):
+        order = FractionalOrder(alpha=1.3, omega_sq=1.7)
+        lattice = LatticeSpec(dim=2, sizes=(6, 4), mass=0.8)
+        table, eigenvalues = build_laplacian_nd(order, lattice)
+        assert table.shape == eigenvalues.shape == (6, 4)
+        for p1 in range(6):
+            for p2 in range(4):
+                expected = -0.8 * element_periodic_nd(order, lattice, OffsetVector((p1, p2)))
+                np.testing.assert_allclose(table[p1, p2], expected, rtol=0.0, atol=1e-13)
+
+    def test_zero_row_sum_and_one_signed_spectrum(self):
+        for alpha, sizes in ((0.7, (6, 4)), (2.6, (3, 4, 5)), (1.1, (2, 3, 2, 3))):
+            table, eigenvalues = build_laplacian_nd(
+                FractionalOrder(alpha), LatticeSpec(len(sizes), sizes)
+            )
+            assert abs(table.sum()) <= 1e-12 * np.abs(table).max()
+            assert eigenvalues.max() == 0.0 and eigenvalues.flat[0] == 0.0
+            # the table's DFT is the spectrum
+            np.testing.assert_allclose(
+                np.fft.fftn(table).real, eigenvalues, rtol=0.0, atol=1e-12
+            )
+
+    def test_requires_finite_lattice(self):
+        with pytest.raises(ValueError):
+            build_laplacian_nd(FractionalOrder(1.0), LatticeSpec(2, (INFINITE, INFINITE)))
 
 
 class TestZoneIntegral:
@@ -221,6 +243,15 @@ class TestBesselRoute:
         with pytest.raises(ValueError):
             # damped envelope at this cutoff is far above 1e-14
             element_infinite_nd_bessel(order, 1, OffsetVector((0,)), 0.1, 5.0)
+
+    def test_extrapolated_argument_checks_run_first(self):
+        # the checks run before epsilon divides into xi_max or dim picks a default
+        order = FractionalOrder(alpha=0.5)
+        for epsilon in (0.0, -0.1):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                bessel_element_extrapolated(order, 1, OffsetVector((0,)), epsilon=epsilon)
+        with pytest.raises(ValueError, match="dim must be in 1..4"):
+            bessel_element_extrapolated(order, 5, OffsetVector((0, 0, 0, 0, 0)))
 
     def test_extrapolation_failure_carries_ladder(self):
         order = FractionalOrder(alpha=0.5)
