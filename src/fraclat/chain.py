@@ -12,7 +12,11 @@ routes:
 * a sum over periodic images of the infinite chain profile.
 
 The routes share no code beyond scalar special functions, which makes
-cross-checking them a meaningful test of each.
+cross-checking them a meaningful test of each.  The batch forms of the
+closed product and the image sum walk the product once per request, so a
+request for offsets up to P costs O(P) rather than O(sum of the offsets).
+scipy.special is imported on first use, by the image sum's tail (gammaln)
+only, so importing this module does not load scipy.
 """
 from __future__ import annotations
 
@@ -20,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .special import (
     QuadratureSpec,
@@ -36,9 +39,11 @@ __all__ = [
     "ChainSpec",
     "CirculantMatrix",
     "element_infinite_closed",
+    "elements_infinite_closed",
     "element_infinite_quadrature",
     "element_periodic_bloch",
     "element_periodic_images",
+    "elements_periodic_images",
     "element_asymptotic",
     "dispersion_1d",
     "normalized_dispersion_1d",
@@ -53,6 +58,14 @@ INFINITE = float("inf")
 _INTEGER_HALF_TOL = 1e-12
 
 _IMAGE_SUM_CAP = 10**7
+
+
+def _gammaln(x):
+    # importing scipy.special costs about 0.3 s, more than most 1D requests
+    # compute, and only the image sum's tail needs it: import on first call
+    from scipy.special import gammaln
+
+    return gammaln(x)
 
 
 def is_integer_half(alpha: float) -> bool:
@@ -76,7 +89,11 @@ def riesz_amplitude(alpha: float) -> float:
     kernel A |x|^(-alpha-1); neither exists at integer alpha/2.
     """
     require_non_integer_half(alpha)
-    return math.exp(log_gamma(alpha + 1.0)) * math.sin(0.5 * math.pi * alpha) / math.pi
+    try:
+        scale = math.exp(log_gamma(alpha + 1.0))
+    except OverflowError:  # gamma(alpha + 1) passes the double range near alpha = 170.6
+        raise OverflowError(f"riesz_amplitude(alpha={alpha!r}) exceeds the double range") from None
+    return scale * math.sin(0.5 * math.pi * alpha) / math.pi
 
 
 class TruncationError(RuntimeError):
@@ -188,28 +205,50 @@ def _binomial_element(m: int, q: int) -> float:
 def element_infinite_closed(order: FractionalOrder, p: int) -> float:
     """Coupling profile f(p) of the infinite chain, by the product formula.
 
+    The one offset view of elements_infinite_closed.
+    """
+    return elements_infinite_closed(order, [p])[0]
+
+
+def elements_infinite_closed(order: FractionalOrder, offsets) -> list:
+    """Coupling profile f(p) of the infinite chain at each offset, in order.
+
     f(p) = omega_sq * gamma(alpha+1) / (gamma(a+1) gamma(a+p+1))
            * prod_{s=0}^{p-1} (s - a)      with a = alpha / 2.
 
-    The product keeps the expression finite for every non negative integer p,
-    including integer a where the profile truncates exactly.
+    The product keeps the expression finite for every integer p (f is even
+    in p), including integer a where the profile truncates exactly.  One walk
+    over s = 0 .. max |p| serves every offset: the partial product of each
+    offset is the same sequence of additions as a walk of its own, so each
+    value is bit-identical to a one offset request.
     """
-    p = abs(int(p))
+    ps = [abs(int(p)) for p in offsets]
     alpha = order.alpha
     a = 0.5 * alpha
     if order.is_integer_half:
-        return order.omega_sq * _binomial_element(round(a), p)
+        m = round(a)
+        return [order.omega_sq * _binomial_element(m, p) for p in ps]
     # accumulate the product in log space: its magnitude grows like p! and
     # would overflow long before the gamma ratio rescales it
-    log_ratio = log_gamma(alpha + 1.0) - log_gamma(a + 1.0) - log_gamma(a + p + 1.0)
+    log_head = log_gamma(alpha + 1.0) - log_gamma(a + 1.0)
+    partial = {}
     log_prod = 0.0
     sign = 1.0
-    for s in range(p):
-        term = s - a
-        if term < 0.0:
-            sign = -sign
-        log_prod += math.log(abs(term))
-    return order.omega_sq * sign * math.exp(log_ratio + log_prod)
+    done = 0
+    for p in sorted(set(ps)):
+        for s in range(done, p):
+            term = s - a
+            if term < 0.0:
+                sign = -sign
+            log_prod += math.log(abs(term))
+        done = p
+        partial[p] = (sign, log_prod)
+    values = []
+    for p in ps:
+        sign, log_prod = partial[p]
+        log_ratio = log_head - log_gamma(a + p + 1.0)
+        values.append(order.omega_sq * sign * math.exp(log_ratio + log_prod))
+    return values
 
 
 def _elements_closed_array(order: FractionalOrder, q: np.ndarray) -> np.ndarray:
@@ -231,12 +270,12 @@ def _elements_closed_array(order: FractionalOrder, q: np.ndarray) -> np.ndarray:
         return out
     amp = riesz_amplitude(alpha)
     small = q <= a + 1.0
-    for i in np.argwhere(small):
-        out[tuple(i)] = element_infinite_closed(order, int(q[tuple(i)]))
+    if np.any(small):
+        out[small] = elements_infinite_closed(order, q[small].tolist())
     big = ~small
     if np.any(big):
         qb = q[big].astype(float)
-        out[big] = -order.omega_sq * amp * np.exp(gammaln(qb - a) - gammaln(qb + 1.0 + a))
+        out[big] = -order.omega_sq * amp * np.exp(_gammaln(qb - a) - _gammaln(qb + 1.0 + a))
     return out
 
 
@@ -277,35 +316,57 @@ def element_periodic_images(
 ) -> float:
     """Profile of a finite ring as a sum of infinite chain images.
 
+    The one offset view of elements_periodic_images.
+    """
+    return elements_periodic_images(order, chain, [p], tol)[0]
+
+
+def elements_periodic_images(
+    order: FractionalOrder, chain: ChainSpec, offsets, tol: float = 1e-12
+) -> list:
+    """Profile of a finite ring at each offset, as a sum of infinite chain images.
+
     f_N(p) = sum_{s in Z} f(p + s N).  For integer half orders the profile has
     finite support and the sum is exact.  Otherwise the images are summed
     explicitly up to a cutoff S and the remainder is replaced by its power law
     limit, which resums to Hurwitz zeta functions; the deviation of the last
-    summed image from that limit bounds the error of the replacement.
+    summed image from that limit bounds the error of the replacement.  The
+    direct terms f(p) of all offsets come from one elements_infinite_closed
+    call; each value is bit-identical to a one offset request.
     """
     if chain.is_infinite:
         raise ValueError("image sum requires a finite chain")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     n = chain.size
-    p = int(p)
-    if not 0 <= p <= n - 1:
-        raise ValueError(f"offset must satisfy 0 <= p <= {n - 1}, got {p}")
+    ps = [int(p) for p in offsets]
+    for p in ps:
+        if not 0 <= p <= n - 1:
+            raise ValueError(f"offset must satisfy 0 <= p <= {n - 1}, got {p}")
+    direct = elements_infinite_closed(order, ps)
 
     if order.is_integer_half:
         m = round(0.5 * order.alpha)
-        total = element_infinite_closed(order, p)
-        s = 1
-        while s * n - p <= m:
-            total += element_infinite_closed(order, s * n + p)
-            total += element_infinite_closed(order, s * n - p)
-            s += 1
-        return total
+        values = []
+        for p, total in zip(ps, direct):
+            s = 1
+            while s * n - p <= m:
+                total += element_infinite_closed(order, s * n + p)
+                total += element_infinite_closed(order, s * n - p)
+                s += 1
+            values.append(total)
+        return values
 
+    amp = order.omega_sq * riesz_amplitude(order.alpha)
+    return [_resummed_images(order, n, p, total, amp, tol) for p, total in zip(ps, direct)]
+
+
+def _resummed_images(
+    order: FractionalOrder, n: int, p: int, total: float, amp: float, tol: float
+) -> float:
+    # adds the images s = 1 .. S to the direct term `total`, doubling S until
+    # the power law remainder past S is known to within tol / 2
     alpha = order.alpha
-    a = 0.5 * alpha
-    amp = order.omega_sq * riesz_amplitude(alpha)
-    total = element_infinite_closed(order, p)
     s_done = 0
     s_target = 8
     err_est = math.inf

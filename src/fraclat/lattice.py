@@ -16,7 +16,9 @@ the two leading exponents of that mixture rather than for plain powers.  The
 three dampings are sampled in one pass: their uniform panel grids are
 prefixes of the smallest damping's grid, so the damping independent factor
 trig(2 n xi) prod_j J_{|p_j|}(2 xi) is evaluated once per node and only the
-damped kernel is evaluated per damping.
+damped kernel is evaluated per damping.  The Bessel functions come from
+scipy.special, which is imported on the route's first jv call, so importing
+this module does not load scipy.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 # unused here, but bench/spans.py wraps lattice.leggauss to count Gauss orders
 from numpy.polynomial.legendre import leggauss  # noqa: F401
-from scipy.special import jv
 
 from .chain import INFINITE, FractionalOrder, is_integer_half
 from .special import (
@@ -57,6 +58,18 @@ __all__ = [
 SPECTRAL_POINT_CAP = 10**7
 
 _MAX_DIM = 4
+
+
+def jv(order, x):
+    """Bessel function of the first kind J_order(x), from scipy.special.
+
+    scipy.special takes about 0.3 s to import and only the Bessel route
+    needs it, so it is imported on the first call.  The route calls jv by
+    this module level name, which bench/spans.py wraps to count evaluations.
+    """
+    from scipy.special import jv as scipy_jv
+
+    return scipy_jv(order, x)
 
 
 class SizeLimitError(ValueError):

@@ -16,8 +16,11 @@ from fraclat.chain import (
     element_infinite_quadrature,
     element_periodic_bloch,
     element_periodic_images,
+    elements_infinite_closed,
+    elements_periodic_images,
+    riesz_amplitude,
 )
-from fraclat.chain import _elements_closed_array
+from fraclat.chain import _binomial_element, _elements_closed_array
 from fraclat.special import QuadratureSpec, log_gamma
 
 
@@ -90,6 +93,78 @@ class TestClosedForm:
             got = _elements_closed_array(order, q)
             expected = [element_infinite_closed(order, int(qi)) for qi in q]
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-300)
+
+
+def reference_closed(order, p):
+    # the one offset product loop the batch replaced, kept as the bit level
+    # reference: s = 0 .. p-1 walked from the start for every offset
+    p = abs(int(p))
+    alpha = order.alpha
+    a = 0.5 * alpha
+    if order.is_integer_half:
+        return order.omega_sq * _binomial_element(round(a), p)
+    log_ratio = log_gamma(alpha + 1.0) - log_gamma(a + 1.0) - log_gamma(a + p + 1.0)
+    log_prod = 0.0
+    sign = 1.0
+    for s in range(p):
+        term = s - a
+        if term < 0.0:
+            sign = -sign
+        log_prod += math.log(abs(term))
+    return order.omega_sq * sign * math.exp(log_ratio + log_prod)
+
+
+# the benchmark's alpha grid 0.1 .. 3.9, plus a tiny, a large and a near
+# overflow order
+BATCH_ALPHAS = [round(0.1 * k, 1) for k in range(1, 40)] + [0.01, 30.5, 171.5]
+# unsorted, repeated, zero, below alpha / 2 for the large orders, and up to 1e4
+BATCH_OFFSETS = [10_000, 3, 0, 17, 3, 1, 9_999, 0, 14, 85, 86, 87, 250, 2, 10_000, 1]
+
+
+class TestClosedFormBatch:
+    @pytest.mark.parametrize("alpha", BATCH_ALPHAS)
+    def test_batch_is_bit_identical_to_the_product_loop(self, alpha):
+        order = FractionalOrder(alpha=alpha, omega_sq=1.3)
+        got = elements_infinite_closed(order, BATCH_OFFSETS)
+        assert got == [reference_closed(order, p) for p in BATCH_OFFSETS]
+        assert [element_infinite_closed(order, p) for p in BATCH_OFFSETS] == got
+        assert all(math.isfinite(v) for v in got)
+
+    def test_integer_half_orders(self):
+        for alpha in (2.0, 4.0, 6.0):
+            order = FractionalOrder(alpha=alpha, omega_sq=0.7)
+            offsets = [5, 0, 2, 2, 1, 4, 3, 9_999]
+            expected = [reference_closed(order, p) for p in offsets]
+            assert elements_infinite_closed(order, offsets) == expected
+
+    def test_negative_offsets_and_empty_request(self):
+        order = FractionalOrder(alpha=1.3)
+        assert elements_infinite_closed(order, [-4, 4, -1]) == [
+            reference_closed(order, 4), reference_closed(order, 4), reference_closed(order, 1)
+        ]
+        assert elements_infinite_closed(order, []) == []
+
+
+class TestImagesBatch:
+    @pytest.mark.parametrize("alpha", [0.3, 1.5, 2.0, 3.9, 4.0])
+    def test_batch_equals_one_offset_calls(self, alpha):
+        order = FractionalOrder(alpha=alpha, omega_sq=1.3)
+        for n in (2, 3, 7, 64, 1000, 4096):
+            offsets = list(range(n)) if n <= 64 else [n - 1, 0, 17, n // 2, 17, 1, n // 2 + 1, 0]
+            chain = ChainSpec(size=n)
+            got = elements_periodic_images(order, chain, offsets)
+            assert got == [element_periodic_images(order, chain, p) for p in offsets]
+
+    def test_argument_checks(self):
+        order = FractionalOrder(alpha=0.8)
+        chain = ChainSpec(size=10)
+        with pytest.raises(ValueError, match="got 10"):
+            elements_periodic_images(order, chain, [0, 3, 10])
+        with pytest.raises(ValueError, match="tol must be positive"):
+            elements_periodic_images(order, chain, [1], tol=-1.0)
+        with pytest.raises(ValueError, match="finite chain"):
+            elements_periodic_images(order, ChainSpec(size=INFINITE), [1])
+        assert elements_periodic_images(order, chain, []) == []
 
 
 class TestQuadratureRoute:
@@ -165,6 +240,8 @@ class TestPeriodicRoutes:
             element_periodic_images(order, chain, -1)
         with pytest.raises(ValueError):
             element_periodic_images(order, chain, 1, tol=0.0)
+        with pytest.raises(ValueError, match="finite chain"):
+            element_periodic_images(order, ChainSpec(size=INFINITE), 1)
 
     def test_images_truncation_cap(self, monkeypatch):
         monkeypatch.setattr("fraclat.chain._IMAGE_SUM_CAP", 64)
@@ -268,6 +345,13 @@ class TestAsymptotics:
             order = FractionalOrder(alpha=alpha)
             for p in range(m + 1, m + 8):
                 assert element_infinite_closed(order, p) == 0.0
+
+
+class TestAmplitude:
+    def test_overflow_names_the_order(self):
+        assert math.isfinite(riesz_amplitude(170.5))
+        with pytest.raises(OverflowError, match=r"^riesz_amplitude\(alpha=171\.5\) exceeds the double range$"):
+            riesz_amplitude(171.5)
 
 
 class TestLaplacianMatrix:

@@ -1,4 +1,5 @@
 """End-to-end checks of the command line front end and its serialization."""
+import json
 import math
 import subprocess
 import sys
@@ -104,6 +105,12 @@ class TestElementsCommand:
         )
         assert code == 2
         assert "dim must be in 1..4" in err
+
+    def test_images_amplitude_overflow_is_reported_with_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "elements", "--alpha", "171.5", "--n", "8", "--route", "images")
+        assert code == 1
+        assert not out
+        assert err.strip() == "fraclat: riesz_amplitude(alpha=171.5) exceeds the double range"
 
     def test_route_lattice_mismatches_exit_2(self, capsys):
         bad_invocations = [
@@ -285,6 +292,15 @@ class TestKernelCommand:
         assert not out
         assert "exceeds the double range" in err
 
+    def test_periodic_kernel_amplitude_overflow_names_the_order(self, capsys):
+        code, out, err = run_cli(
+            capsys, "kernel", "--alpha", "171.5", "--length", "1", "--x-range", "0.1..0.5",
+            "--samples", "2",
+        )
+        assert code == 1
+        assert not out
+        assert err.strip() == "fraclat: riesz_amplitude(alpha=171.5) exceeds the double range"
+
     def test_infinite_kernel_overflow_names_the_call(self, capsys):
         code, out, err = run_cli(
             capsys, "kernel", "--alpha", "30.5", "--infinite", "--x-range", "1e-11..1",
@@ -417,3 +433,80 @@ class TestOutputContracts:
         )
         assert result.returncode == 0
         assert parse_csv(result.stdout)["rows"] == ((0, 2, "closed"), (1, -1, "closed"), (2, 0, "closed"))
+
+
+# Runs in a fresh interpreter: reports the scipy modules loaded by the
+# import of the CLI, then runs main(argv) and reports the output digest and
+# whether scipy.special was loaded by then.
+STARTUP_PROBE = """
+import contextlib, hashlib, io, json, sys
+import fraclat, fraclat.cli
+at_import = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = fraclat.cli.main(sys.argv[1:])
+print(json.dumps({
+    "at_import": at_import,
+    "code": code,
+    "sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+    "special_loaded": "scipy.special" in sys.modules,
+}))
+"""
+
+# eight threads make the first jv and gammaln calls of the process at once
+CONCURRENT_FIRST_USE = """
+import sys, threading
+import numpy as np
+from fraclat import chain, lattice
+x = np.linspace(0.5, 40.0, 101)
+results = [None] * 8
+def work(i):
+    results[i] = (lattice.jv(3, x).tolist(), chain._gammaln(x).tolist())
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+try:
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+finally:
+    sys.setswitchinterval(0.005)
+assert not any(t.is_alive() for t in threads)
+from scipy.special import gammaln, jv
+expected = (jv(3, x).tolist(), gammaln(x).tolist())
+assert all(r == expected for r in results), "a first-use call returned a different value"
+print("ok")
+"""
+
+
+class TestStartup:
+    # digest of this table recorded while the image route still summed one
+    # offset per call
+    IMAGES_ARGV = ("elements", "--alpha", "0.7", "--n", "9", "--route", "images", "--omega-sq", "1.3")
+    IMAGES_DIGEST = "d01b808e6e6aa239745bb7e48088d2850de3f3de7d4e0619665af275f2c783d2"
+
+    def probe(self, *argv):
+        result = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, *argv], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_import_loads_no_scipy(self):
+        report = self.probe("--version")
+        assert report["at_import"] == []
+        assert not report["special_loaded"]
+
+    def test_images_route_loads_scipy_on_use(self):
+        report = self.probe(*self.IMAGES_ARGV)
+        assert report["at_import"] == []
+        assert report["code"] == 0
+        assert report["special_loaded"]
+        assert report["sha256"] == self.IMAGES_DIGEST
+
+    def test_concurrent_first_use_is_safe(self):
+        result = subprocess.run(
+            [sys.executable, "-c", CONCURRENT_FIRST_USE], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"
