@@ -12,9 +12,10 @@ routes:
 * a sum over periodic images of the infinite chain profile.
 
 The routes share no code beyond scalar special functions, which makes
-cross-checking them a meaningful test of each.  The batch forms of the
-closed product and the image sum walk the product once per request, so a
-request for offsets up to P costs O(P) rather than O(sum of the offsets).
+cross-checking them a meaningful test of each.  The closed product resumes
+its last walk when offsets ascend, and the batch forms ask for them in
+ascending order, so a request for offsets up to P costs O(P) rather than
+O(sum of the offsets).
 scipy.special is imported on first use, by the image sum's tail (gammaln)
 only, so importing this module does not load scipy.
 """
@@ -202,53 +203,64 @@ def _binomial_element(m: int, q: int) -> float:
     return (-1.0) ** q * math.comb(2 * m, m + q)
 
 
+# Where the furthest product walk so far stopped, as (a, s, sign, log_prod)
+# with sign and log_prod those of prod_{t<s} (t - a).  A request at the same a
+# with p >= s continues from there, so ascending offsets walk the product once
+# in all.  The tuple is replaced whole: a thread that reads it sees one
+# consistent state, and a lost update only costs a longer walk.
+_closed_walk = (math.nan, 0, 1.0, 0.0)
+
+
 def element_infinite_closed(order: FractionalOrder, p: int) -> float:
     """Coupling profile f(p) of the infinite chain, by the product formula.
-
-    The one offset view of elements_infinite_closed.
-    """
-    return elements_infinite_closed(order, [p])[0]
-
-
-def elements_infinite_closed(order: FractionalOrder, offsets) -> list:
-    """Coupling profile f(p) of the infinite chain at each offset, in order.
 
     f(p) = omega_sq * gamma(alpha+1) / (gamma(a+1) gamma(a+p+1))
            * prod_{s=0}^{p-1} (s - a)      with a = alpha / 2.
 
-    The product keeps the expression finite for every integer p (f is even
-    in p), including integer a where the profile truncates exactly.  One walk
-    over s = 0 .. max |p| serves every offset: the partial product of each
-    offset is the same sequence of additions as a walk of its own, so each
-    value is bit-identical to a one offset request.
+    The product keeps the expression finite for every non negative integer p,
+    including integer a where the profile truncates exactly.  A call resumes
+    the last walk of the product at the same a when that walk stopped at or
+    below p; the additions are then the same, in the same order, as a walk
+    from s = 0, so the value does not depend on earlier calls.
     """
-    ps = [abs(int(p)) for p in offsets]
+    global _closed_walk
+    p = abs(int(p))
     alpha = order.alpha
     a = 0.5 * alpha
     if order.is_integer_half:
-        m = round(a)
-        return [order.omega_sq * _binomial_element(m, p) for p in ps]
+        return order.omega_sq * _binomial_element(round(a), p)
     # accumulate the product in log space: its magnitude grows like p! and
     # would overflow long before the gamma ratio rescales it
-    log_head = log_gamma(alpha + 1.0) - log_gamma(a + 1.0)
-    partial = {}
-    log_prod = 0.0
-    sign = 1.0
-    done = 0
-    for p in sorted(set(ps)):
-        for s in range(done, p):
-            term = s - a
-            if term < 0.0:
-                sign = -sign
-            log_prod += math.log(abs(term))
-        done = p
-        partial[p] = (sign, log_prod)
-    values = []
-    for p in ps:
-        sign, log_prod = partial[p]
-        log_ratio = log_head - log_gamma(a + p + 1.0)
-        values.append(order.omega_sq * sign * math.exp(log_ratio + log_prod))
-    return values
+    log_ratio = log_gamma(alpha + 1.0) - log_gamma(a + 1.0) - log_gamma(a + p + 1.0)
+    walk = _closed_walk
+    if walk[0] == a and walk[1] <= p:
+        _, start, sign, log_prod = walk
+    else:
+        start, sign, log_prod = 0, 1.0, 0.0
+    for s in range(start, p):
+        term = s - a
+        if term < 0.0:
+            sign = -sign
+        log_prod += math.log(abs(term))
+    if walk[0] != a or walk[1] <= p:
+        _closed_walk = (a, p, sign, log_prod)
+    try:
+        value = math.exp(log_ratio + log_prod)
+    except OverflowError:  # f(0) alone passes the double range near alpha = 1029
+        raise OverflowError(
+            f"element_infinite_closed(alpha={alpha!r}, p={p}) exceeds the double range"
+        ) from None
+    return order.omega_sq * sign * value
+
+
+def elements_infinite_closed(order: FractionalOrder, offsets) -> list:
+    """element_infinite_closed at each offset, in the order given.
+
+    The distinct offsets are computed in ascending order, so one walk of the
+    product serves the whole request: O(max |p|) rather than O(sum of |p|).
+    """
+    values = {p: element_infinite_closed(order, p) for p in sorted({abs(int(p)) for p in offsets})}
+    return [values[abs(int(p))] for p in offsets]
 
 
 def _elements_closed_array(order: FractionalOrder, q: np.ndarray) -> np.ndarray:
@@ -316,57 +328,34 @@ def element_periodic_images(
 ) -> float:
     """Profile of a finite ring as a sum of infinite chain images.
 
-    The one offset view of elements_periodic_images.
-    """
-    return elements_periodic_images(order, chain, [p], tol)[0]
-
-
-def elements_periodic_images(
-    order: FractionalOrder, chain: ChainSpec, offsets, tol: float = 1e-12
-) -> list:
-    """Profile of a finite ring at each offset, as a sum of infinite chain images.
-
     f_N(p) = sum_{s in Z} f(p + s N).  For integer half orders the profile has
     finite support and the sum is exact.  Otherwise the images are summed
     explicitly up to a cutoff S and the remainder is replaced by its power law
     limit, which resums to Hurwitz zeta functions; the deviation of the last
-    summed image from that limit bounds the error of the replacement.  The
-    direct terms f(p) of all offsets come from one elements_infinite_closed
-    call; each value is bit-identical to a one offset request.
+    summed image from that limit bounds the error of the replacement.
     """
     if chain.is_infinite:
         raise ValueError("image sum requires a finite chain")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     n = chain.size
-    ps = [int(p) for p in offsets]
-    for p in ps:
-        if not 0 <= p <= n - 1:
-            raise ValueError(f"offset must satisfy 0 <= p <= {n - 1}, got {p}")
-    direct = elements_infinite_closed(order, ps)
+    p = int(p)
+    if not 0 <= p <= n - 1:
+        raise ValueError(f"offset must satisfy 0 <= p <= {n - 1}, got {p}")
 
     if order.is_integer_half:
         m = round(0.5 * order.alpha)
-        values = []
-        for p, total in zip(ps, direct):
-            s = 1
-            while s * n - p <= m:
-                total += element_infinite_closed(order, s * n + p)
-                total += element_infinite_closed(order, s * n - p)
-                s += 1
-            values.append(total)
-        return values
+        total = element_infinite_closed(order, p)
+        s = 1
+        while s * n - p <= m:
+            total += element_infinite_closed(order, s * n + p)
+            total += element_infinite_closed(order, s * n - p)
+            s += 1
+        return total
 
-    amp = order.omega_sq * riesz_amplitude(order.alpha)
-    return [_resummed_images(order, n, p, total, amp, tol) for p, total in zip(ps, direct)]
-
-
-def _resummed_images(
-    order: FractionalOrder, n: int, p: int, total: float, amp: float, tol: float
-) -> float:
-    # adds the images s = 1 .. S to the direct term `total`, doubling S until
-    # the power law remainder past S is known to within tol / 2
     alpha = order.alpha
+    amp = order.omega_sq * riesz_amplitude(alpha)
+    total = element_infinite_closed(order, p)
     s_done = 0
     s_target = 8
     err_est = math.inf
@@ -398,6 +387,20 @@ def _resummed_images(
         if err_est <= 0.5 * tol:
             return total + correction
         s_target = 2 * s_target
+
+
+def elements_periodic_images(
+    order: FractionalOrder, chain: ChainSpec, offsets, tol: float = 1e-12
+) -> list:
+    """element_periodic_images at each offset, in the order given.
+
+    The distinct offsets are summed in ascending order, so their direct terms
+    f(p) share one walk of the closed product (see element_infinite_closed).
+    """
+    values = {
+        p: element_periodic_images(order, chain, p, tol) for p in sorted({int(p) for p in offsets})
+    }
+    return [values[int(p)] for p in offsets]
 
 
 def dispersion_1d(order: FractionalOrder, kappa):

@@ -23,11 +23,10 @@ from .chain import (
     FractionalOrder,
     TruncationError,
     build_laplacian_1d,
-    element_infinite_closed,  # noqa: F401  bench/test_bench.py checks spans.py rebinds it here
+    element_infinite_closed,
     element_infinite_quadrature,
     element_periodic_bloch,
-    elements_infinite_closed,
-    elements_periodic_images,
+    element_periodic_images,
     laplacian_eigenvalues_1d,
     normalized_dispersion_1d,
 )
@@ -171,7 +170,7 @@ def cmd_elements(args):
         parameters["p"] = args.p or ("0..10" if route in _ROUTES_1D_INFINITE else f"0..{args.n - 1}")
 
         if route == "closed":
-            values = elements_infinite_closed(order, p_list)
+            values = [element_infinite_closed(order, p) for p in p_list]
         elif route == "quadrature":
             spec = None
             if args.tol is not None:
@@ -183,7 +182,7 @@ def cmd_elements(args):
         else:
             tol = args.tol if args.tol is not None else 1e-12
             parameters["tol"] = tol
-            values = elements_periodic_images(order, chain, p_list, tol=tol)
+            values = [element_periodic_images(order, chain, p, tol=tol) for p in p_list]
         columns = ("p", "value", "route")
         rows = [(p, v, route) for p, v in zip(p_list, values)]
         return OutputRecord("elements", parameters, columns, rows, metadata), 0

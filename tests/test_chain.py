@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -96,7 +98,7 @@ class TestClosedForm:
 
 
 def reference_closed(order, p):
-    # the one offset product loop the batch replaced, kept as the bit level
+    # the product loop before walks were resumed, kept as the bit level
     # reference: s = 0 .. p-1 walked from the start for every offset
     p = abs(int(p))
     alpha = order.alpha
@@ -136,6 +138,45 @@ class TestClosedFormBatch:
             offsets = [5, 0, 2, 2, 1, 4, 3, 9_999]
             expected = [reference_closed(order, p) for p in offsets]
             assert elements_infinite_closed(order, offsets) == expected
+
+    def test_resumed_walks_do_not_depend_on_call_order(self):
+        # ascending, descending and repeated offsets, with orders interleaved
+        # so a walk at one alpha is abandoned and restarted mid request
+        orders = [FractionalOrder(alpha=alpha) for alpha in (0.7, 3.9, 30.5)]
+        calls = [(k % 3, p) for k, p in enumerate(list(range(0, 400, 7)) + list(range(400, 0, -13)))]
+        calls += [(0, 5_000), (0, 4_999), (0, 5_000), (1, 5_001), (0, 5_002), (2, 3)]
+        expected = [reference_closed(orders[i], p) for i, p in calls]
+        assert [element_infinite_closed(orders[i], p) for i, p in calls] == expected
+
+    def test_threads_sharing_the_walk_get_the_reference_values(self):
+        orders = [FractionalOrder(alpha=alpha) for alpha in (0.7, 1.3)]
+        calls = [(k % 2, (k * 37) % 900) for k in range(600)]
+        reference = {(i, p): reference_closed(orders[i], p) for i, p in calls}
+        results = [None] * 4
+
+        def work(t):
+            mine = calls[t::2] + calls[:t:-1]
+            results[t] = (mine, [element_infinite_closed(orders[i], p) for i, p in mine])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(switch)
+        for mine, values in results:
+            assert values == [reference[call] for call in mine]
+
+    def test_overflow_names_the_call(self):
+        # f(0) = gamma(alpha + 1) / gamma(alpha / 2 + 1)^2 passes the double
+        # range near alpha = 1029
+        assert math.isfinite(element_infinite_closed(FractionalOrder(alpha=1000.5), 0))
+        with pytest.raises(OverflowError, match=r"^element_infinite_closed\(alpha=1100\.5, p=3\) exceeds"):
+            element_infinite_closed(FractionalOrder(alpha=1100.5), 3)
 
     def test_negative_offsets_and_empty_request(self):
         order = FractionalOrder(alpha=1.3)

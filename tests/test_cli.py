@@ -112,6 +112,20 @@ class TestElementsCommand:
         assert not out
         assert err.strip() == "fraclat: riesz_amplitude(alpha=171.5) exceeds the double range"
 
+    def test_overflow_past_the_amplitude_range_is_named(self, capsys):
+        # at alpha = 1100.5 the direct term f(0) overflows too; the image
+        # route still reports the amplitude, which it computes first
+        code, out, err = run_cli(capsys, "elements", "--alpha", "1100.5", "--n", "8", "--route", "images")
+        assert code == 1
+        assert not out
+        assert err.strip() == "fraclat: riesz_amplitude(alpha=1100.5) exceeds the double range"
+        code, out, err = run_cli(
+            capsys, "elements", "--alpha", "1100.5", "--infinite", "--route", "closed", "--p", "0..3"
+        )
+        assert code == 1
+        assert not out
+        assert err.strip() == "fraclat: element_infinite_closed(alpha=1100.5, p=0) exceeds the double range"
+
     def test_route_lattice_mismatches_exit_2(self, capsys):
         bad_invocations = [
             ("elements", "--alpha", "1.5", "--n", "8", "--route", "closed"),
@@ -480,8 +494,8 @@ print("ok")
 
 
 class TestStartup:
-    # digest of this table recorded while the image route still summed one
-    # offset per call
+    # digest of this table recorded before the closed product resumed its
+    # walks and before scipy was imported on first use
     IMAGES_ARGV = ("elements", "--alpha", "0.7", "--n", "9", "--route", "images", "--omega-sq", "1.3")
     IMAGES_DIGEST = "d01b808e6e6aa239745bb7e48088d2850de3f3de7d4e0619665af275f2c783d2"
 
