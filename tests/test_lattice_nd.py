@@ -104,6 +104,12 @@ class TestSpectralSum:
         value = element_periodic_nd(order, lattice, OffsetVector((2, 1)))
         np.testing.assert_allclose(value, -0.014063814095614628, rtol=1e-12)
 
+    def test_returns_python_float(self):
+        order = FractionalOrder(alpha=1.3)
+        for sizes in ((6,), (6, 4), (6, 4, 2)):
+            offset = OffsetVector((1,) * len(sizes))
+            assert type(element_periodic_nd(order, LatticeSpec(len(sizes), sizes), offset)) is float
+
     def test_size_cap(self):
         order = FractionalOrder(alpha=1.0)
         lattice = LatticeSpec(dim=3, sizes=(300, 300, 300))
@@ -170,17 +176,95 @@ class TestBuildLaplacianNd:
             build_laplacian_nd(FractionalOrder(1.0), LatticeSpec(2, (INFINITE, INFINITE)))
 
 
+def reference_bz(order, comps, gauss_order):
+    """2D zone integral as the full tensor product of per axis panel rules.
+
+    The zone integral's earlier rule, kept as a reference: every axis is
+    refined geometrically toward kappa_j = 0 down to 1e-8, each panel capped
+    at pi / (2 (|p_j| + 1)), and the tensor product of the axis rules covers
+    [0, pi]^2.
+    """
+    a = 0.5 * order.alpha
+    t, w = np.polynomial.legendre.leggauss(gauss_order)
+    s2, cw = [], []
+    for p in comps:
+        cap = math.pi / (2.0 * (abs(p) + 1.0))
+        geometric = [math.pi]
+        while geometric[-1] / 2.0 > 1e-8:
+            geometric.append(geometric[-1] / 2.0)
+        geometric = [0.0] + geometric[::-1]
+        edges = [0.0]
+        for lo, hi in zip(geometric[:-1], geometric[1:]):
+            k = max(1, math.ceil((hi - lo) / cap))
+            edges.extend(lo + (hi - lo) * (j + 1) / k for j in range(k))
+        edges = np.array(edges)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        x = (0.5 * (edges[1:] + edges[:-1])[:, None] + np.outer(half, t)).ravel()
+        s2.append(4.0 * np.sin(0.5 * x) ** 2)
+        cw.append(np.cos(p * x) * np.outer(half, w).ravel())
+    total = 0.0
+    for i0 in range(0, len(s2[0]), 256):
+        lam = s2[0][i0 : i0 + 256, None] + s2[1][None, :]
+        total += float(cw[0][i0 : i0 + 256] @ (lam**a) @ cw[1])
+    return order.omega_sq * total / math.pi**2
+
+
+ZONE_ALPHAS = (0.1, 0.3, 0.5, 1.5, 3.1, 3.9)
+
+
 class TestZoneIntegral:
     def test_one_dimensional_reduction(self):
-        for alpha in (0.5, 1.5, 3.1):
+        for alpha in ZONE_ALPHAS:
             order = FractionalOrder(alpha=alpha)
-            for p in (0, 1, 5, 17):
+            for p in (0, 1, 5, 17, 200):
                 np.testing.assert_allclose(
                     element_infinite_nd_bz(order, 1, OffsetVector((p,))),
                     element_infinite_closed(order, p),
                     rtol=0.0,
+                    atol=1e-12,
+                )
+
+    def test_matches_tensor_product_reference_2d(self):
+        for alpha in ZONE_ALPHAS:
+            order = FractionalOrder(alpha=alpha, omega_sq=1.5)
+            for comps in ((0, 0), (3, 5), (8, 8), (40, 0)):
+                np.testing.assert_allclose(
+                    element_infinite_nd_bz(order, 2, OffsetVector(comps)),
+                    reference_bz(order, comps, 32),
+                    rtol=0.0,
+                    atol=1e-12,
+                )
+
+    def test_periodic_limit_3d(self):
+        # periodic sums at N and 2N, Richardson extrapolated in the leading
+        # image term N^-(3 + alpha)
+        for alpha in (0.1, 1.5, 3.9):
+            order = FractionalOrder(alpha=alpha)
+            gain = 2.0 ** (3.0 + alpha)
+            for comps in ((0, 0, 0), (2, 1, 2), (2, 2, 2)):
+                offset = OffsetVector(comps)
+                coarse = element_periodic_nd(order, LatticeSpec(3, (64,) * 3), offset)
+                fine = element_periodic_nd(order, LatticeSpec(3, (128,) * 3), offset)
+                np.testing.assert_allclose(
+                    element_infinite_nd_bz(order, 3, offset),
+                    (gain * fine - coarse) / (gain - 1.0),
+                    rtol=0.0,
                     atol=1e-9,
                 )
+
+    def test_work_of_a_3d_element(self, monkeypatch):
+        # the shells take about 1.6e7 power evaluations here, a tensor product of
+        # the per axis refined rules (reference_bz) about 1.4e9
+        evaluations = []
+        tensor_sum = lattice._tensor_sum
+
+        def counting_tensor_sum(a, axes):
+            evaluations.append(math.prod(len(s2) for s2, _ in axes))
+            return tensor_sum(a, axes)
+
+        monkeypatch.setattr(lattice, "_tensor_sum", counting_tensor_sum)
+        element_infinite_nd_bz(FractionalOrder(alpha=1.3), 3, OffsetVector((2, 1, 2)))
+        assert 0 < sum(evaluations) <= 2e7
 
     def test_classical_2d_diagonal(self):
         order = FractionalOrder(alpha=2.0)
@@ -207,6 +291,23 @@ class TestZoneIntegral:
         spec = QuadratureSpec(points=16, abs_tol=1e-30)
         with pytest.raises(ToleranceError):
             element_infinite_nd_bz(order, 2, OffsetVector((7, 3)), spec)
+
+    def test_tolerance_failure_reported_3d(self):
+        order = FractionalOrder(alpha=0.3)
+        spec = QuadratureSpec(points=16, abs_tol=1e-30)
+        with pytest.raises(ToleranceError) as failure:
+            element_infinite_nd_bz(order, 3, OffsetVector((2, 1, 2)), spec)
+        assert 0.0 < failure.value.achieved < math.inf
+
+    def test_estimate_not_below_last_place(self):
+        # both Gauss orders give the same double at the origin; a tolerance
+        # below the result's last place still cannot be met
+        order = FractionalOrder(alpha=0.3)
+        value = element_infinite_nd_bz(order, 2, OffsetVector((0, 0)))
+        spec = QuadratureSpec(points=16, abs_tol=1e-30)
+        with pytest.raises(ToleranceError) as failure:
+            element_infinite_nd_bz(order, 2, OffsetVector((0, 0)), spec)
+        assert failure.value.achieved >= math.ulp(value)
 
     def test_axis_decay_slope(self):
         # far field decay p^-(dim + alpha) along a lattice axis
