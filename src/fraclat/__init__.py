@@ -44,14 +44,11 @@ from .continuum import (
     riesz_kernel_periodic,
 )
 from .lattice import (
-    ExtrapolationError,
     LatticeSpec,
     OffsetVector,
     SizeLimitError,
     asymptotic_constant_nd,
-    bessel_element_extrapolated,
     build_laplacian_nd,
-    default_bessel_epsilon,
     dispersion_surface,
     eigenvalue_nd,
     element_infinite_nd_bessel,
@@ -87,14 +84,11 @@ __all__ = [
     "riesz_amplitude",
     "riesz_kernel_infinite",
     "riesz_kernel_periodic",
-    "ExtrapolationError",
     "LatticeSpec",
     "OffsetVector",
     "SizeLimitError",
     "asymptotic_constant_nd",
-    "bessel_element_extrapolated",
     "build_laplacian_nd",
-    "default_bessel_epsilon",
     "dispersion_surface",
     "eigenvalue_nd",
     "element_infinite_nd_bessel",

@@ -28,6 +28,7 @@ import numpy as np
 
 from .special import (
     QuadratureSpec,
+    ToleranceError,
     hurwitz_zeta,
     integrate_even_periodic,
     log_gamma,
@@ -298,14 +299,21 @@ def element_infinite_quadrature(
 
     f(p) = omega_sq / (2 pi) * int_{-pi}^{pi} cos(kappa p)
            (4 sin^2(kappa/2))^(alpha/2) dkappa.
+    spec.abs_tol bounds omega_sq times the integral's error estimate.
     """
+    spec = spec or QuadratureSpec()
     p = abs(int(p))
     a = 0.5 * order.alpha
 
     def integrand(kappa):
         return np.cos(kappa * p) * (4.0 * np.sin(0.5 * kappa) ** 2) ** a
 
-    value = integrate_even_periodic(integrand, spec)
+    # floored at the least double, which no estimate meets, rather than 0
+    scaled = QuadratureSpec(spec.points, max(spec.abs_tol / order.omega_sq, math.ulp(0.0)))
+    try:
+        value = integrate_even_periodic(integrand, scaled)
+    except ToleranceError as exc:
+        raise ToleranceError("adaptive_gauss tolerance not met", order.omega_sq * exc.achieved)
     return order.omega_sq * value / (2.0 * math.pi)
 
 

@@ -3,17 +3,14 @@
 Subcommands: elements, matrix, dispersion, kernel, verify.  Every command
 builds one OutputRecord and writes it as CSV (default) or JSON to stdout or
 a file.  Exit codes: 0 success, 1 verification or tolerance failure, 2 usage
-or parameter error (with a one line reason on stderr).  The environment
-variable FRACLAT_THREADS caps per-offset parallelism (0 means auto); output
-is byte identical for identical flags regardless of the thread count.
+or parameter error (with a one line reason on stderr).  Output is byte
+identical for identical flags.
 """
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,12 +29,11 @@ from .chain import (
 )
 from .continuum import KernelSpec, riesz_kernel_infinite, riesz_kernel_periodic
 from .lattice import (
-    OffsetVector,
-    ExtrapolationError,
     LatticeSpec,
-    bessel_element_extrapolated,
+    OffsetVector,
     build_laplacian_nd,
     dispersion_surface,
+    element_infinite_nd_bessel,
     element_infinite_nd_bz,
     normalized_dispersion_2d,
 )
@@ -114,29 +110,6 @@ def _single_alpha(args) -> float:
     return float(args.alpha[0])
 
 
-def thread_cap() -> int:
-    """Worker cap from FRACLAT_THREADS: unset or 0 means auto, else the value."""
-    raw = os.environ.get("FRACLAT_THREADS", "0").strip()
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"FRACLAT_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise UsageError(f"FRACLAT_THREADS must be >= 0, got {value}")
-    if value == 0:
-        return min(8, os.cpu_count() or 1)
-    return value
-
-
-def _parallel_values(func, items: list) -> list:
-    """Map func over items, preserving order; threads only when they help."""
-    workers = min(thread_cap(), len(items))
-    if workers <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -157,17 +130,18 @@ def cmd_elements(args):
         if route in _ROUTES_1D_INFINITE:
             if args.n is not None or args.dims is not None or not args.infinite:
                 raise UsageError(f"route {route} requires --infinite")
-            p_list = _parse_int_list(args.p or "0..10", "--p")
+            p_text = args.p or "0..10"
             parameters["size"] = "infinite"
         else:
             if args.infinite or args.dims is not None or args.n is None:
                 raise UsageError(f"route {route} requires a ring size --n")
             chain = ChainSpec(args.n)
-            p_list = _parse_int_list(args.p or f"0..{args.n - 1}", "--p")
+            p_text = args.p or f"0..{args.n - 1}"
             parameters["size"] = args.n
+        p_list = _parse_int_list(p_text, "--p")
         if any(p < 0 for p in p_list):
             raise UsageError("--p offsets must be >= 0")
-        parameters["p"] = args.p or ("0..10" if route in _ROUTES_1D_INFINITE else f"0..{args.n - 1}")
+        parameters["p"] = p_text
 
         if route == "closed":
             values = [element_infinite_closed(order, p) for p in p_list]
@@ -199,23 +173,12 @@ def cmd_elements(args):
     parameters["size"] = "infinite"
     parameters["dim"] = dim
 
-    if route == "nd_bz":
-        spec = None
-        if args.tol is not None:
-            spec = QuadratureSpec(points=24, abs_tol=args.tol)
-            parameters["tol"] = args.tol
-
-        def compute(offset):
-            return element_infinite_nd_bz(order, dim, OffsetVector(offset), spec)
-
-    else:
-        check_tol = args.tol if args.tol is not None else 1e-4
-        parameters["tol"] = check_tol
-
-        def compute(offset):
-            return bessel_element_extrapolated(order, dim, OffsetVector(offset), check_tol=check_tol)
-
-    values = _parallel_values(compute, offsets)
+    spec = None
+    if args.tol is not None:
+        spec = QuadratureSpec(points=24, abs_tol=args.tol)
+        parameters["tol"] = args.tol
+    compute = {"nd_bz": element_infinite_nd_bz, "nd_bessel": element_infinite_nd_bessel}[route]
+    values = [compute(order, dim, OffsetVector(offset), spec) for offset in offsets]
     columns = tuple(f"p{j + 1}" for j in range(dim)) + ("value", "route")
     rows = [offset + (value, route) for offset, value in zip(offsets, values)]
     return OutputRecord("elements", parameters, columns, rows, metadata), 0
@@ -458,7 +421,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         record, exit_code = args.func(args)
-    except (ToleranceError, TruncationError, ExtrapolationError, OverflowError) as exc:
+    except (ToleranceError, TruncationError, OverflowError) as exc:
         print(f"fraclat: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -6,9 +6,8 @@ offset vector p is reachable by three independent representations:
 * a spectral sum over the Bloch modes of a finite periodic lattice,
 * a Brillouin zone integral, evaluated by tensor Gauss rules on dyadic
   shells around the zone centre,
-* a damped oscillatory integral over a product of Bessel functions of the
-  first kind against the regularized power law kernel, extrapolated to zero
-  damping by a three point Richardson scheme.
+* a subordination integral over the lattice heat kernel, a product of
+  exponentially scaled modified Bessel functions e^(-2t) I_|p_j|(2t).
 
 The zone integrand lambda^(alpha/2) prod_j cos(kappa_j p_j) has its only
 kink at kappa = 0.  Refining toward it on every axis and taking the tensor
@@ -21,16 +20,13 @@ fixed order converges fast on each, and the nodes grow with the number of
 shells rather than with its n-th power (nested cubes as in M. G. Duffy,
 SIAM J. Numer. Anal. 19 (1982) 1260-1262).
 
-The Bessel route converges in the damping parameter with a mixture of integer
-powers and a band edge power (dim + alpha) / 2 coming from the kink of
-lambda^(alpha/2) at the zone centre, so the Richardson weights are built for
-the two leading exponents of that mixture rather than for plain powers.  The
-three dampings are sampled in one pass: their uniform panel grids are
-prefixes of the smallest damping's grid, so the damping independent factor
-trig(2 n xi) prod_j J_{|p_j|}(2 xi) is evaluated once per node and only the
-damped kernel is evaluated per damping.  The Bessel functions come from
-scipy.special, which is imported on the route's first jv call, so importing
-this module does not load scipy.
+The heat kernel route is Balakrishnan's subordination formula for lambda^a,
+a = alpha/2 (Pacific J. Math. 10 (1960) 419-437), over the lattice heat
+kernel, which factorises over the axes and is positive, so nothing oscillates
+and no damping or extrapolation is needed (the semigroup route of Ciaurri,
+Roncal, Stinga, Torrea and Varona, Adv. Math. 330 (2018) 688-738).  Its
+Bessel functions come from scipy.special, imported on the route's first call,
+so importing this module does not load scipy.
 """
 from __future__ import annotations
 
@@ -38,7 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# unused here, but bench/spans.py wraps lattice.leggauss to count Gauss orders
+# bench/spans.py wraps leggauss, jv and bessel_element_extrapolated here by
+# name to count Gauss orders and time the routes; no route calls leggauss or jv
 from numpy.polynomial.legendre import leggauss  # noqa: F401
 
 from .chain import INFINITE, FractionalOrder, is_integer_half
@@ -52,7 +49,6 @@ from .special import (
 
 __all__ = [
     "SizeLimitError",
-    "ExtrapolationError",
     "LatticeSpec",
     "OffsetVector",
     "eigenvalue_nd",
@@ -60,8 +56,6 @@ __all__ = [
     "build_laplacian_nd",
     "element_infinite_nd_bz",
     "element_infinite_nd_bessel",
-    "bessel_element_extrapolated",
-    "default_bessel_epsilon",
     "asymptotic_constant_nd",
     "normalized_dispersion_2d",
     "dispersion_surface",
@@ -72,32 +66,19 @@ SPECTRAL_POINT_CAP = 10**7
 _MAX_DIM = 4
 
 
+def _special(name: str):
+    # scipy.special takes about 0.3 s to import: load it on first use
+    import scipy.special
+
+    return getattr(scipy.special, name)
+
+
 def jv(order, x):
-    """Bessel function of the first kind J_order(x), from scipy.special.
-
-    scipy.special takes about 0.3 s to import and only the Bessel route
-    needs it, so it is imported on the first call.  The route calls jv by
-    this module level name, which bench/spans.py wraps to count evaluations.
-    """
-    from scipy.special import jv as scipy_jv
-
-    return scipy_jv(order, x)
+    return _special("jv")(order, x)
 
 
 class SizeLimitError(ValueError):
     """A periodic spectral sum would exceed the total point cap."""
-
-
-class ExtrapolationError(RuntimeError):
-    """Zero damping extrapolation failed its self consistency check."""
-
-    def __init__(self, message: str, epsilons: tuple[float, float, float], estimate: float):
-        super().__init__(
-            f"{message}: damping values {epsilons[0]:g}, {epsilons[1]:g}, {epsilons[2]:g} "
-            f"give consistency estimate {estimate:.3e}"
-        )
-        self.epsilons = epsilons
-        self.estimate = estimate
 
 
 @dataclass(frozen=True)
@@ -123,12 +104,10 @@ class LatticeSpec:
         if finite and len(finite) != self.dim:
             raise ValueError("sizes must be all finite or all INFINITE")
         if finite:
-            coerced = []
             for s in sizes:
                 if s != int(s) or int(s) < 2:
                     raise ValueError(f"finite sizes must be integers >= 2, got {s}")
-                coerced.append(int(s))
-            sizes = tuple(coerced)
+            sizes = tuple(int(s) for s in sizes)
         object.__setattr__(self, "sizes", sizes)
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
@@ -158,10 +137,6 @@ class OffsetVector:
     @property
     def dim(self) -> int:
         return len(self.components)
-
-    @property
-    def total_order(self) -> int:
-        return sum(abs(c) for c in self.components)
 
     def reduced(self, sizes) -> "OffsetVector":
         return OffsetVector(tuple(c % n for c, n in zip(self.components, sizes)))
@@ -297,6 +272,16 @@ def _bz_value(order: FractionalOrder, comps, gauss_order: int) -> float:
     return total / math.pi ** len(comps)
 
 
+def _checked(value: float, estimate: float, spec: QuadratureSpec, route: str) -> float:
+    """value, once its error estimate meets spec.abs_tol; the estimate is never taken
+    below the value's last place, where two Gauss orders often agree, nor finite for a
+    value that is not."""
+    estimate = max(estimate, math.ulp(value)) if math.isfinite(value + estimate) else math.inf
+    if estimate > spec.abs_tol or estimate == math.inf:
+        raise ToleranceError(f"{route} error estimate above bound {spec.abs_tol:.3e}", estimate)
+    return value
+
+
 def element_infinite_nd_bz(
     order: FractionalOrder, dim: int, offset: OffsetVector, spec: QuadratureSpec | None = None
 ) -> float:
@@ -309,225 +294,122 @@ def element_infinite_nd_bz(
     cube; each shell is a few boxes on which the integrand is analytic,
     integrated by a tensor Gauss rule whose panels are capped per axis so
     each sees under half an oscillation period.  Gauss orders spec.points
-    and spec.points + 8 give the error estimate |difference|, checked
-    against spec.abs_tol; it is never taken below one unit in the last place
-    of the result, since the two orders often agree to the last bit.
+    and spec.points + 8 give the error estimate omega_sq |difference|, checked
+    against spec.abs_tol.
     """
     if not (isinstance(dim, int) and 1 <= dim <= 3):
         raise ValueError(f"the zone integral supports dim 1..3, got {dim}")
     if offset.dim != dim:
         raise ValueError(f"offset has {offset.dim} components, expected {dim}")
-    if spec is None:
-        spec = QuadratureSpec(points=24, abs_tol=1e-9)
+    spec = spec or QuadratureSpec(points=24, abs_tol=1e-9)
     comps = offset.components
     coarse = _bz_value(order, comps, spec.points)
     fine = _bz_value(order, comps, spec.points + 8)
-    estimate = max(abs(fine - coarse), math.ulp(fine))
-    if estimate > spec.abs_tol:
-        raise ToleranceError(
-            f"zone integral error estimate above bound {spec.abs_tol:.3e}", achieved=estimate
-        )
-    return order.omega_sq * fine
+    value, estimate = order.omega_sq * fine, order.omega_sq * abs(fine - coarse)
+    return _checked(value, estimate, spec, "zone integral")
 
 
-_BESSEL_GAUSS_ORDER = 16
-_BESSEL_BLOCK_PANELS = 50000
+# the log t panels end at T = t0 e^U <= 2.5e8, so the Bessel argument 2t stays
+# below 5e8; scipy's ive returns NaN from 2^30 (about 1.07e9) on
+_HEAT_T_MAX = 2.5e8
+_HEAT_TAIL_TERMS = 12
+_HEAT_LOG_TOL = math.log(1e-18)  # series terms kept down to 1e-18 of their scale
+# above this the series' powers of t0 leave the double range (NaN from 400)
+_HEAT_MAX_ALPHA = 256.0
 
 
-def _damped_bessel_values(
-    order: FractionalOrder, dim: int, offset: OffsetVector, epsilons, xi_maxes
-) -> list[float]:
-    """Damped Bessel product integrals at several dampings, without the scale.
+def _series_product(axes, count: int) -> np.ndarray:
+    """First count coefficients of the product of per axis power series."""
+    total = np.eye(1, count)[0]
+    for axis in axes:
+        total = np.convolve(total, axis)[:count]
+    return total
 
-    Integrand on xi >= 0 (the negative half plane is its mirror):
-    2 sigma trig(2 n xi) prod_j J_{|p_j|}(2 xi) D(xi) exp(-2 n eps xi),
-    where D is the regularized power law kernel
-    gamma(s) / pi * Re (eps - i xi)^(-s) with s = alpha/2 + 1, and the
-    trig/sign pair comes from the phase factor (-i)^P of the Bessel bridge
-    I_p(-2 i xi) = (-i)^p J_p(2 xi) with P = sum |p_j|.
 
-    Returns one value per (epsilon, xi_max) pair, each bit-identical to a
-    call with that pair alone.  The factor trig(2 n xi) prod_j J does not
-    depend on the damping.  Each damping gets its own geometric start-up,
-    but dampings whose start-ups end at the same point share one uniform
-    panel grid, of which each uses a prefix; the shared factor is evaluated
-    once per node of the longest grid, with one J call per distinct |p_j|.
+def _heat_series(a: float, t0: float, comps, integral: float) -> float:
+    """sum_k c_k t0^(k-a) / (k-a): the heat kernel minus its Taylor terms of
+    degree <= a, integrated against t^(-1-a) over (0, t0) and continued in a.
+
+    Per axis c_k(p) = (-1)^(k+p) C(2k, k+p) / k!, zero below P = sum_j p_j,
+    and |c_k| t0^k <= x^k / k! with x = 4 dim t0: the sum runs from P to P + J,
+    J the first count with x^J / J! <= 1e-18 e^x.  For P > a nothing is
+    subtracted and, as ive(p, 2t) <= t^p / p!, the sum is below
+    t0^(P-a) / ((P-a) prod_j p_j!); it is dropped when that is under 1e-18 of
+    the integral beyond t0, which spares far offsets their factorials.
     """
-    s = 0.5 * order.alpha + 1.0
-    total_p = offset.total_order
-    width = math.pi / (2.0 * (2 * dim + 1))
-    kernel_scale = math.exp(log_gamma(s)) / math.pi
-    sign = -1.0 if (total_p // 2) % 2 else 1.0
-    use_cos = total_p % 2 == 0
-    abs_p = [abs(c) for c in offset.components]
-
-    def shared_factor(xi: np.ndarray) -> np.ndarray:
-        osc = np.cos(2.0 * dim * xi) if use_cos else np.sin(2.0 * dim * xi)
-        x2 = 2.0 * xi
-        bessel = {p: jv(p, x2) for p in dict.fromkeys(abs_p)}
-        prod = bessel[abs_p[0]]
-        for p in abs_p[1:]:
-            prod = prod * bessel[p]
-        return osc * prod
-
-    def damped_sum(epsilon: float, xi: np.ndarray, wts: np.ndarray, shared: np.ndarray) -> float:
-        r = np.hypot(epsilon, xi)
-        theta = np.arctan2(-xi, epsilon)
-        kernel = kernel_scale * r ** (-s) * np.cos(s * theta)
-        return float(np.dot(wts, shared * kernel * np.exp(-2.0 * dim * epsilon * xi)))
-
-    totals = []
-    grids = {}  # uniform grid origin -> (damping index, panel count) pairs
-    for i, (epsilon, xi_max) in enumerate(zip(epsilons, xi_maxes)):
-        # geometric panels resolve the eps scale spike of the kernel at xi = 0
-        # and its algebraic xi^(-s) shape; uniform panels track the oscillation.
-        # lo = eps/32 scales by exact powers of two, so the default ladder
-        # eps, eps/2, eps/4 ends its start-ups at one shared origin
-        lo = min(epsilon / 32.0, width / 1024.0)
-        geo = [0.0]
-        w_cur = lo
-        while w_cur < width:
-            geo.append(w_cur)
-            w_cur *= 2.0
-        xi, wts = gauss_panel_rule(geo, _BESSEL_GAUSS_ORDER)
-        totals.append(damped_sum(epsilon, xi, wts, shared_factor(xi)))
-        n_uniform = int(math.ceil((xi_max - geo[-1]) / width))
-        grids.setdefault(geo[-1], []).append((i, n_uniform))
-
-    def uniform_block(start: float, k0: int, k1: int, members) -> None:
-        # panels k0..k1-1 of one shared grid; a damping whose grid ends inside
-        # the block sums over the prefix of nodes it would have built itself
-        edges = start + width * np.arange(k0, k1 + 1)
-        xi, wts = gauss_panel_rule(edges, _BESSEL_GAUSS_ORDER)
-        shared = shared_factor(xi)
-        for i, n_uniform in members:
-            if n_uniform > k0:
-                m = _BESSEL_GAUSS_ORDER * (min(k1, n_uniform) - k0)
-                totals[i] += damped_sum(epsilons[i], xi[:m], wts[:m], shared[:m])
-
-    for start, members in grids.items():
-        n_max = max(n for _, n in members)
-        for k0 in range(0, n_max, _BESSEL_BLOCK_PANELS):
-            uniform_block(start, k0, min(k0 + _BESSEL_BLOCK_PANELS, n_max), members)
-    return [2.0 * sign * total for total in totals]
+    total = sum(comps)
+    log_bound = (total - a) * math.log(t0) - sum(math.lgamma(p + 1.0) for p in comps)
+    if total > a and log_bound - math.log(total - a) < _HEAT_LOG_TOL + math.log(integral + 1e-300):
+        return 0.0
+    x = 4.0 * len(comps) * t0
+    extra = 0
+    while extra <= x or extra * math.log(x) - math.lgamma(extra + 1.0) > _HEAT_LOG_TOL + x:
+        extra += 1
+    k = np.arange(total + extra + 1)
+    axes = ([(-1) ** (j + p) * math.comb(2 * j, j + p) / math.factorial(j) for j in range(k.size)]
+            for p in comps)
+    return float(np.sum(_series_product(axes, k.size) * t0 ** (k - a) / (k - a)))
 
 
-def _bessel_envelope(order: FractionalOrder, dim: int, epsilon: float, xi: float) -> float:
-    s = 0.5 * order.alpha + 1.0
-    return (
-        2.0
-        * math.exp(log_gamma(s))
-        / math.pi
-        * math.hypot(epsilon, xi) ** (-s)
-        * math.exp(-2.0 * dim * epsilon * xi)
-    )
+def _heat_integral(a: float, t0: float, comps, panels: int, gauss_order: int) -> float:
+    """int_t0^T t^(-1-a) prod_j ive(p_j, 2t) dt, T = t0 e^panels, on unit Gauss
+    panels in u = log(t / t0), where the integrand is smooth on the scale of one."""
+    u, w = gauss_panel_rule(np.arange(panels + 1.0), gauss_order)
+    bessel = {p: _special("ive")(p, 2.0 * t0 * np.exp(u)) for p in dict.fromkeys(comps)}
+    return t0 ** (-a) * float(w @ math.prod((bessel[p] for p in comps), start=np.exp(-a * u)))
 
 
-def _check_bessel_args(
-    order: FractionalOrder, dim: int, offset: OffsetVector, epsilon: float, xi_max=None
+def _heat_tail(a: float, upper: float, comps) -> tuple[float, float]:
+    """int_T^inf t^(-1-a) prod_j ive(p_j, 2t) dt and the size of its last term, from
+    the Hankel expansion ive(p, z) ~ (2 pi z)^(-1/2) sum_k (-1)^k a_k(p) / z^k
+    (DLMF 10.40.1) multiplied out over the axes and integrated term by term."""
+    i = np.arange(1, _HEAT_TAIL_TERMS)
+    axes = (np.append(1.0, np.cumprod(((2 * i - 1) ** 2 - 4.0 * p * p) / (8.0 * i))) for p in comps)
+    m = np.arange(_HEAT_TAIL_TERMS)
+    power = a + 0.5 * len(comps) + m
+    terms = _series_product(axes, m.size) * 2.0 ** (-m) * upper ** (-power) / power
+    terms *= (4.0 * math.pi) ** (-0.5 * len(comps))
+    return float(np.sum(terms)), abs(float(terms[-1]))
+
+
+def element_infinite_nd_bessel(
+    order: FractionalOrder, dim: int, offset: OffsetVector, spec: QuadratureSpec | None = None
 ) -> float:
-    # checks one damping and returns its xi_max, by default 36 / (2 dim epsilon)
+    """Infinite lattice profile as a subordination integral over the heat kernel.
+
+    With a = alpha/2 non integer and the heat kernel H(t) = prod_j ive(|p_j|, 2t)
+    = prod_j e^(-2t) I_|p_j|(2t), whose Taylor coefficients are c_k,
+    f(p) / omega_sq = Gamma(-a)^-1 [ sum_k c_k t0^(k-a) / (k-a) + int_t0^inf t^(-1-a) H dt ].
+    The split t0 = a / (4 dim) minimises the cancellation e^(4 dim t0) / (2 dim t0)^a
+    between the series and the integral, which runs on unit Gauss panels in
+    log t up to T <= 2.5e8 and then on the Hankel expansion of ive.  The
+    error estimate, omega_sq / |Gamma(-a)| times the difference of Gauss
+    orders spec.points and spec.points + 8 plus the tail's last term, is
+    checked against spec.abs_tol.
+    """
     if order.is_integer_half:
         raise ValueError("the Bessel representation requires non integer alpha/2")
+    if order.alpha > _HEAT_MAX_ALPHA:
+        raise ValueError(f"the Bessel route needs alpha <= {_HEAT_MAX_ALPHA:g}, got {order.alpha}")
     if not (isinstance(dim, int) and 1 <= dim <= _MAX_DIM):
         raise ValueError(f"dim must be in 1..{_MAX_DIM}, got {dim}")
     if offset.dim != dim:
         raise ValueError(f"offset has {offset.dim} components, expected {dim}")
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if xi_max is None:
-        xi_max = 36.0 / (2.0 * dim * epsilon)
-    if not xi_max > 0.0:
-        raise ValueError(f"xi_max must be positive, got {xi_max}")
-    if _bessel_envelope(order, dim, epsilon, xi_max) >= 1e-14:
-        raise ValueError(
-            f"xi_max {xi_max:g} leaves damped integrand envelope "
-            f"{_bessel_envelope(order, dim, epsilon, xi_max):.3e} >= 1e-14"
-        )
-    return xi_max
+    spec = spec or QuadratureSpec(points=24, abs_tol=1e-9)
+    a = 0.5 * order.alpha
+    # sorted, so permuted and sign flipped offsets multiply in one order
+    comps = sorted(abs(c) for c in offset.components)
+    t0 = a / (4.0 * dim)
+    panels = int(math.log(_HEAT_T_MAX / t0))
+    coarse, fine = (_heat_integral(a, t0, comps, panels, n) for n in (spec.points, spec.points + 8))
+    tail, last = _heat_tail(a, t0 * math.exp(panels), comps)
+    scale = order.omega_sq * float(_special("rgamma")(-a))
+    value = scale * (_heat_series(a, t0, comps, fine) + fine + tail)
+    return _checked(value, abs(scale) * (abs(fine - coarse) + last), spec, "heat kernel integral")
 
 
-def element_infinite_nd_bessel(
-    order: FractionalOrder, dim: int, offset: OffsetVector, epsilon: float, xi_max: float
-) -> float:
-    """Single damping evaluation of the Bessel product representation.
-
-    Returns the profile at damping epsilon; the limit of zero damping is the
-    infinite lattice element, reached by Richardson extrapolation over
-    epsilon, epsilon/2, epsilon/4 (see bessel_element_extrapolated).
-    """
-    _check_bessel_args(order, dim, offset, epsilon, xi_max)
-    return order.omega_sq * _damped_bessel_values(order, dim, offset, (epsilon,), (xi_max,))[0]
-
-
-_BESSEL_EPSILON = {1: 1.5e-4, 2: 2.5e-4, 3: 1.25e-3, 4: 2.5e-3}
-
-
-def default_bessel_epsilon(dim: int) -> float:
-    """Base damping of the Richardson ladder, calibrated for errors near 3e-7.
-
-    The 3e-7 target is not met everywhere.  Measured misses: in 3D at the
-    origin for alpha = 0.1, 0.3 (off by 1.9e-6) and 0.7, and at (1, 0, 0)
-    for alpha = 3.3 (2.3e-6); in 1D at p = 0 for alpha = 1.3 (7.5e-7) and
-    alpha = 2.2 (9.7e-5); in 4D at the origin for alpha = 0.5, where the
-    route gives 1.6580706787 and periodic sums at N = 24 and 48, Richardson
-    extrapolated in N^-4.5, give 1.6580534235 (off by 1.7e-5).  See
-    bench/NOTES.md; ROADMAP item 5 tracks the fix.
-    """
-    if dim not in _BESSEL_EPSILON:
-        raise ValueError(f"dim must be in 1..{_MAX_DIM}, got {dim}")
-    return _BESSEL_EPSILON[dim]
-
-
-def _extrapolation_exponents(dim: int, alpha: float) -> tuple[float, float]:
-    # error mixture: integer powers of the damping plus the band edge power
-    # (dim + alpha) / 2; eliminate the two leading exponents
-    beta = 0.5 * (dim + alpha)
-    if beta < 1.0:
-        return beta, 1.0
-    if abs(beta - round(beta)) < 1e-9:
-        return 1.0, 2.0
-    return 1.0, min(2.0, beta)
-
-
-def _richardson_weights(e1: float, e2: float) -> np.ndarray:
-    x = np.array([1.0, 0.5, 0.25])
-    system = np.vstack([np.ones(3), x**e1, x**e2])
-    return np.linalg.solve(system, np.array([1.0, 0.0, 0.0]))
-
-
-def bessel_element_extrapolated(
-    order: FractionalOrder,
-    dim: int,
-    offset: OffsetVector,
-    epsilon: float | None = None,
-    check_tol: float = 1e-4,
-) -> float:
-    """Zero damping limit of the Bessel route by three point Richardson.
-
-    Evaluates at epsilon, epsilon/2, epsilon/4 and combines with weights that
-    cancel the two leading error exponents.  The difference between the two
-    point and three point extrapolants measures the size of the last
-    eliminated term; it is a deliberately conservative consistency check, two
-    to three orders above the true error at the calibrated defaults.
-    """
-    if epsilon is None:
-        epsilon = default_bessel_epsilon(dim)
-    epsilons = (epsilon, 0.5 * epsilon, 0.25 * epsilon)
-    xi_maxes = tuple(_check_bessel_args(order, dim, offset, eps) for eps in epsilons)
-    values = [
-        order.omega_sq * value
-        for value in _damped_bessel_values(order, dim, offset, epsilons, xi_maxes)
-    ]
-    e1, e2 = _extrapolation_exponents(dim, order.alpha)
-    weights = _richardson_weights(e1, e2)
-    third = float(np.dot(weights, values))
-    gain = 2.0**e1
-    second = (gain * values[2] - values[1]) / (gain - 1.0)
-    estimate = abs(second - third)
-    if estimate > check_tol * max(1.0, abs(third)):
-        raise ExtrapolationError("extrapolation did not converge", epsilons, estimate)
-    return third
+# the name bench/spans.py times the route by
+bessel_element_extrapolated = element_infinite_nd_bessel
 
 
 def asymptotic_constant_nd(dim: int, alpha: float) -> float:

@@ -143,6 +143,9 @@ def geometric_panel_edges(upper: float, min_width: float = 1e-8) -> np.ndarray:
     return np.array(edges)
 
 
+_MAX_BISECTIONS = 400
+
+
 def integrate_even_periodic(f: Callable, spec: QuadratureSpec | None = None) -> float:
     """Integral of an even 2*pi-periodic function over [-pi, pi].
 
@@ -151,15 +154,7 @@ def integrate_even_periodic(f: Callable, spec: QuadratureSpec | None = None) -> 
     bisecting the worst panels until the two-order Gauss error estimate meets
     the tolerance.  f must map an array of nodes to an array of values.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    return _adaptive_gauss(f, spec)
-
-
-_MAX_BISECTIONS = 400
-
-
-def _adaptive_gauss(f: Callable, spec: QuadratureSpec) -> float:
+    spec = spec or QuadratureSpec()
     lo, hi = spec.points, spec.points + 8
 
     def panel_pair(a: float, b: float) -> tuple[float, float]:

@@ -32,6 +32,7 @@ from .lattice import (
     LatticeSpec,
     OffsetVector,
     asymptotic_constant_nd,
+    element_infinite_nd_bessel,
     element_infinite_nd_bz,
     element_periodic_nd,
 )
@@ -140,6 +141,39 @@ def _check_nd_bz_vs_chain(tol):
     return _result("nd_bz_vs_chain", "oracles", worst, tol)
 
 
+def _relative_gap(a: float, b: float) -> float:
+    return abs(a - b) / max(1.0, abs(b))
+
+
+def _check_nd_bessel_vs_chain(tol):
+    # heat kernel route in one dimension vs closed form
+    worst = max(
+        _relative_gap(element_infinite_nd_bessel(FractionalOrder(alpha), 1, OffsetVector((p,))),
+                      element_infinite_closed(FractionalOrder(alpha), p))
+        for alpha in (0.5, 1.5, 3.1) for p in (0, 1, 7)
+    )
+    return _result("nd_bessel_vs_chain", "oracles", worst, tol)
+
+
+def _check_nd_bessel_vs_nd_bz(tol):
+    # heat kernel route vs Brillouin zone integral on the square lattice
+    worst = max(
+        _relative_gap(element_infinite_nd_bessel(FractionalOrder(alpha), 2, OffsetVector(comps)),
+                      element_infinite_nd_bz(FractionalOrder(alpha), 2, OffsetVector(comps)))
+        for alpha, comps in ((0.3, (0, 0)), (1.3, (1, 4)), (2.7, (3, 1)))
+    )
+    return _result("nd_bessel_vs_nd_bz", "oracles", worst, tol)
+
+
+def _check_nd_bessel_vs_periodic_4d(tol):
+    # 4D, where no zone integral exists, vs a 16^4 periodic sum: its images
+    # are about 16^-13.9 at alpha = 9.9
+    order, offset = FractionalOrder(9.9), OffsetVector((1, 0, 0, 0))
+    gap = _relative_gap(element_infinite_nd_bessel(order, 4, offset),
+                        element_periodic_nd(order, LatticeSpec(4, (16,) * 4), offset))
+    return _result("nd_bessel_vs_periodic_4d", "oracles", gap, tol)
+
+
 # ------------------------------------------------------------ asymptotics
 
 
@@ -244,6 +278,9 @@ _CHECKS = (
     ("laplacian_spectrum", "oracles", _check_laplacian_spectrum, 1e-10),
     ("nd_spectral_vs_chain", "oracles", _check_nd_spectral_vs_chain, 1e-12),
     ("nd_bz_vs_chain", "oracles", _check_nd_bz_vs_chain, 1e-9),
+    ("nd_bessel_vs_chain", "oracles", _check_nd_bessel_vs_chain, 1e-12),
+    ("nd_bessel_vs_nd_bz", "oracles", _check_nd_bessel_vs_nd_bz, 1e-12),
+    ("nd_bessel_vs_periodic_4d", "oracles", _check_nd_bessel_vs_periodic_4d, 1e-12),
     ("chain_tail_amplitude", "asymptotics", _check_chain_tail_amplitude, 2e-2),
     ("chain_tail_slope", "asymptotics", _check_chain_tail_slope, 2e-2),
     ("amplitude_identity", "asymptotics", _check_amplitude_identity, 1e-10),

@@ -23,7 +23,7 @@ from fraclat.chain import (
     riesz_amplitude,
 )
 from fraclat.chain import _binomial_element, _elements_closed_array
-from fraclat.special import QuadratureSpec, log_gamma
+from fraclat.special import QuadratureSpec, ToleranceError, log_gamma
 
 
 class TestValidation:
@@ -236,6 +236,23 @@ class TestQuadratureRoute:
                     rtol=1e-10,
                     atol=1e-12,
                 )
+
+    def test_tolerance_bounds_the_scaled_value(self):
+        # abs_tol bounds omega_sq times the integral's estimate: 1e-12 is met
+        # at omega_sq = 1 but not at 1e8, where the value carries the scale
+        spec = QuadratureSpec(abs_tol=1e-12)
+        unscaled = element_infinite_quadrature(FractionalOrder(alpha=1.5), 5, spec)
+        with pytest.raises(ToleranceError, match="tolerance not met") as failure:
+            element_infinite_quadrature(FractionalOrder(alpha=1.5, omega_sq=1e8), 5, spec)
+        assert failure.value.achieved > 1e-12
+        # the scaled bound, 1e-330, is below the least double
+        huge = FractionalOrder(alpha=1.5, omega_sq=1e300)
+        with pytest.raises(ToleranceError):
+            element_infinite_quadrature(huge, 5, QuadratureSpec(abs_tol=1e-30))
+        loose = QuadratureSpec(abs_tol=1e-4)
+        assert element_infinite_quadrature(FractionalOrder(alpha=1.5, omega_sq=1e8), 5, loose) == (
+            pytest.approx(1e8 * unscaled, rel=1e-12)
+        )
 
 
 class TestPeriodicRoutes:

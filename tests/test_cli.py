@@ -80,16 +80,33 @@ class TestElementsCommand:
             np.testing.assert_allclose(value, expected, rtol=1e-12)
 
     def test_nd_bessel_one_dimension(self, capsys):
-        # slowest CLI path: three damping rungs on the 1D lattice
         code, out, _ = run_cli(
             capsys,
             "elements", "--alpha", "0.5", "--infinite", "--route", "nd_bessel", "--offset", "1",
         )
         assert code == 0
-        value = parse_csv(out)["rows"][0][1]
+        record = parse_csv(out)
+        assert "tol" not in record["parameters"]
+        value = record["rows"][0][1]
         order = FractionalOrder(0.5)
         expected = element_infinite_nd_bz(order, 1, OffsetVector((1,)))
-        np.testing.assert_allclose(value, expected, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(value, expected, rtol=0, atol=1e-12)
+
+    def test_nd_bessel_honors_tol(self, capsys):
+        argv = ("elements", "--alpha", "1.3", "--infinite", "--route", "nd_bessel",
+                "--offset", "2,1,0", "--offset", "0,0,0")
+        code, out, _ = run_cli(capsys, *argv, "--tol", "1e-11")
+        assert code == 0
+        record = parse_csv(out)
+        assert record["parameters"]["tol"] == 1e-11
+        order = FractionalOrder(1.3)
+        for p1, p2, p3, value, route in record["rows"]:
+            assert route == "nd_bessel"
+            expected = element_infinite_nd_bz(order, 3, OffsetVector((p1, p2, p3)))
+            np.testing.assert_allclose(value, expected, rtol=0, atol=1e-12)
+        code, out, err = run_cli(capsys, *argv, "--tol", "1e-30")
+        assert code == 1 and not out
+        assert "heat kernel integral error estimate above bound" in err
 
     def test_nd_bessel_rejects_integer_half(self, capsys):
         code, _, err = run_cli(
@@ -404,14 +421,12 @@ class TestOutputContracts:
         _, out_json, _ = run_cli(capsys, "matrix", "--alpha", "1.7", "--n", "9", "--format", "json")
         assert parse_csv(out_csv)["rows"] == parse_json(out_json)["rows"]
 
-    def test_reruns_are_byte_identical(self, capsys, monkeypatch):
+    def test_reruns_are_byte_identical(self, capsys):
         argv = ("elements", "--alpha", "1.5", "--infinite", "--route", "nd_bz",
                 "--offset", "0,0", "--offset", "1,0", "--offset", "1,1")
-        monkeypatch.setenv("FRACLAT_THREADS", "1")
-        _, serial, _ = run_cli(capsys, *argv)
-        monkeypatch.setenv("FRACLAT_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, *argv)
-        assert serial == threaded
+        _, first, _ = run_cli(capsys, *argv)
+        _, again, _ = run_cli(capsys, *argv)
+        assert first == again
 
     def test_output_file_destination(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
@@ -427,13 +442,6 @@ class TestOutputContracts:
 
         _, out, _ = run_cli(capsys, "dispersion", "--alpha", "1", "--grid", "2")
         assert parse_csv(out)["metadata"]["version"] == __version__
-
-    def test_bad_thread_env_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("FRACLAT_THREADS", "many")
-        code, _, err = run_cli(
-            capsys, "elements", "--alpha", "1.5", "--infinite", "--route", "nd_bz", "--offset", "0,0"
-        )
-        assert code == 2 and "FRACLAT_THREADS" in err
 
     def test_missing_subcommand_is_a_usage_error(self, capsys):
         assert main([]) == 2
@@ -467,7 +475,7 @@ print(json.dumps({
 }))
 """
 
-# eight threads make the first jv and gammaln calls of the process at once
+# eight threads make the first ive, rgamma and gammaln calls of the process at once
 CONCURRENT_FIRST_USE = """
 import sys, threading
 import numpy as np
@@ -475,7 +483,8 @@ from fraclat import chain, lattice
 x = np.linspace(0.5, 40.0, 101)
 results = [None] * 8
 def work(i):
-    results[i] = (lattice.jv(3, x).tolist(), chain._gammaln(x).tolist())
+    results[i] = (lattice._special("ive")(3, x).tolist(), lattice._special("rgamma")(-x).tolist(),
+                  chain._gammaln(x).tolist())
 sys.setswitchinterval(1e-6)
 threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
 try:
@@ -486,8 +495,8 @@ try:
 finally:
     sys.setswitchinterval(0.005)
 assert not any(t.is_alive() for t in threads)
-from scipy.special import gammaln, jv
-expected = (jv(3, x).tolist(), gammaln(x).tolist())
+from scipy.special import gammaln, ive, rgamma
+expected = (ive(3, x).tolist(), rgamma(-x).tolist(), gammaln(x).tolist())
 assert all(r == expected for r in results), "a first-use call returned a different value"
 print("ok")
 """

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 
 from fraclat.chain import (
     INFINITE,
@@ -13,12 +12,10 @@ from fraclat.chain import (
 )
 import fraclat.lattice as lattice
 from fraclat.lattice import (
-    ExtrapolationError,
     LatticeSpec,
     OffsetVector,
     SizeLimitError,
     asymptotic_constant_nd,
-    bessel_element_extrapolated,
     build_laplacian_nd,
     dispersion_surface,
     eigenvalue_nd,
@@ -53,7 +50,6 @@ class TestLatticeValidation:
     def test_offset_vector(self):
         off = OffsetVector((3, -2))
         assert off.dim == 2
-        assert off.total_order == 5
         assert off.reduced((8, 8)).components == (3, 6)
         with pytest.raises(ValueError):
             OffsetVector((1.5, 0))
@@ -299,6 +295,17 @@ class TestZoneIntegral:
             element_infinite_nd_bz(order, 3, OffsetVector((2, 1, 2)), spec)
         assert 0.0 < failure.value.achieved < math.inf
 
+    def test_tolerance_bounds_the_scaled_value(self):
+        # the orders differ by 1.1e-7 here once scaled by omega_sq; the
+        # unscaled difference, 1.1e-19, used to pass a 1e-9 bound
+        order = FractionalOrder(alpha=0.3, omega_sq=1e12)
+        value = element_infinite_nd_bz(order, 2, OffsetVector((8, 8)), QuadratureSpec(24, 1e-6))
+        with pytest.raises(ToleranceError) as failure:
+            element_infinite_nd_bz(order, 2, OffsetVector((8, 8)), QuadratureSpec(24, 1e-9))
+        assert 1e-9 < failure.value.achieved < 1e-6
+        unscaled = element_infinite_nd_bz(FractionalOrder(alpha=0.3), 2, OffsetVector((8, 8)))
+        assert value == 1e12 * unscaled
+
     def test_estimate_not_below_last_place(self):
         # both Gauss orders give the same double at the origin; a tolerance
         # below the result's last place still cannot be met
@@ -320,157 +327,136 @@ class TestZoneIntegral:
         assert abs(f40 / predicted - 1.0) < 0.05
 
 
+ODD_ALPHAS = tuple(round(0.1 + 0.2 * i, 1) for i in range(20))  # 0.1, 0.3, ..., 3.9
+
+
 class TestBesselRoute:
     def test_matches_closed_form_1d(self):
-        order = FractionalOrder(alpha=0.5)
-        value = bessel_element_extrapolated(order, 1, OffsetVector((1,)), epsilon=3e-4)
-        np.testing.assert_allclose(value, element_infinite_closed(order, 1), rtol=0.0, atol=1e-6)
+        for alpha in ODD_ALPHAS + (7.7, 15.5, 30.5):
+            order = FractionalOrder(alpha=alpha)
+            for p in (0, 1, 5, 17, 200, 2000):
+                expected = element_infinite_closed(order, p)
+                value = element_infinite_nd_bessel(
+                    order, 1, OffsetVector((p,)), QuadratureSpec(24, 1e-12 * max(1.0, abs(expected)))
+                )
+                assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected)), (alpha, p)
 
     def test_matches_zone_integral_2d(self):
-        order = FractionalOrder(alpha=1.0)
-        value = bessel_element_extrapolated(order, 2, OffsetVector((0, 0)))
-        reference = element_infinite_nd_bz(order, 2, OffsetVector((0, 0)))
-        np.testing.assert_allclose(value, reference, rtol=0.0, atol=1e-6)
+        for alpha in ODD_ALPHAS:
+            order = FractionalOrder(alpha=alpha, omega_sq=1.5)
+            for comps in ((0, 0), (3, 5), (8, 8), (40, 0)):
+                np.testing.assert_allclose(
+                    element_infinite_nd_bessel(order, 2, OffsetVector(comps)),
+                    element_infinite_nd_bz(order, 2, OffsetVector(comps)),
+                    rtol=0.0,
+                    atol=1e-12,
+                )
+
+    def test_matches_zone_integral_3d(self):
+        # one 3D zone integral per order keeps this under a few seconds
+        offsets = ((0, 0, 0), (1, 0, 0), (1, 1, 1), (2, 1, 0))
+        for i, alpha in enumerate(ODD_ALPHAS):
+            order = FractionalOrder(alpha=alpha)
+            offset = OffsetVector(offsets[i % len(offsets)])
+            np.testing.assert_allclose(
+                element_infinite_nd_bessel(order, 3, offset),
+                element_infinite_nd_bz(order, 3, offset),
+                rtol=0.0,
+                atol=1e-12,
+            )
+
+    def test_periodic_limit_4d(self):
+        # periodic sums at N = 24 and 48, Richardson extrapolated in the
+        # leading image term N^-(4 + alpha), give 1.6580534235 at the origin
+        value = element_infinite_nd_bessel(FractionalOrder(alpha=0.5), 4, OffsetVector((0,) * 4))
+        assert abs(value - 1.6580534235) <= 1e-9
+        order = FractionalOrder(alpha=3.7)
+        offset = OffsetVector((1, 1, 0, 0))
+        gain = 2.0 ** (4.0 + 3.7)
+        coarse = element_periodic_nd(order, LatticeSpec(4, (16,) * 4), offset)
+        fine = element_periodic_nd(order, LatticeSpec(4, (32,) * 4), offset)
+        np.testing.assert_allclose(
+            element_infinite_nd_bessel(order, 4, offset),
+            (gain * fine - coarse) / (gain - 1.0),
+            rtol=0.0,
+            atol=1e-9,
+        )
+
+    def test_near_integer_orders(self):
+        # 1/Gamma(-a) comes from rgamma, which keeps its digits next to the poles
+        for alpha, p in ((1.9999999, 1), (2.0000002, 0), (3.9999999, 2), (4.0000001, 3), (0.001, 0)):
+            order = FractionalOrder(alpha=alpha)
+            np.testing.assert_allclose(
+                element_infinite_nd_bessel(order, 1, OffsetVector((p,))),
+                element_infinite_closed(order, p),
+                rtol=1e-13,
+                atol=1e-15,
+            )
+
+    def test_series_runs_past_the_offset(self):
+        # near p = alpha/2 the element is 1e-12 of f(0): a Taylor series cut
+        # after the J terms the split point needs, instead of P + J, misses by
+        # 1e-12 here (references: the binomial form in 30 digit mpmath)
+        for alpha, expected in ((39.0, 0.08948540395106883), (39.05, 0.10285096553851869)):
+            spec = QuadratureSpec(24, 1e-13)
+            value = element_infinite_nd_bessel(FractionalOrder(alpha), 1, OffsetVector((20,)), spec)
+            assert abs(value - expected) <= 1e-13
 
     def test_integer_half_rejected(self):
         order = FractionalOrder(alpha=2.0)
-        with pytest.raises(ValueError):
-            element_infinite_nd_bessel(order, 1, OffsetVector((0,)), 0.1, 200.0)
+        with pytest.raises(ValueError, match="non integer alpha/2"):
+            element_infinite_nd_bessel(order, 1, OffsetVector((0,)))
 
     def test_parameter_validation(self):
         order = FractionalOrder(alpha=0.5)
-        with pytest.raises(ValueError):
-            element_infinite_nd_bessel(order, 1, OffsetVector((0,)), -0.1, 200.0)
-        with pytest.raises(ValueError):
-            # damped envelope at this cutoff is far above 1e-14
-            element_infinite_nd_bessel(order, 1, OffsetVector((0,)), 0.1, 5.0)
-
-    def test_extrapolated_argument_checks_run_first(self):
-        # the checks run before epsilon divides into xi_max or dim picks a default
-        order = FractionalOrder(alpha=0.5)
-        for epsilon in (0.0, -0.1):
-            with pytest.raises(ValueError, match="epsilon must be positive"):
-                bessel_element_extrapolated(order, 1, OffsetVector((0,)), epsilon=epsilon)
         with pytest.raises(ValueError, match="dim must be in 1..4"):
-            bessel_element_extrapolated(order, 5, OffsetVector((0, 0, 0, 0, 0)))
+            element_infinite_nd_bessel(order, 5, OffsetVector((0, 0, 0, 0, 0)))
+        with pytest.raises(ValueError, match="offset has 1 components"):
+            element_infinite_nd_bessel(order, 2, OffsetVector((1,)))
 
-    def test_extrapolation_failure_carries_ladder(self):
+    def test_tolerance_failure_reported(self):
         order = FractionalOrder(alpha=0.5)
-        with pytest.raises(ExtrapolationError) as info:
-            bessel_element_extrapolated(
-                order, 1, OffsetVector((1,)), epsilon=0.0125, check_tol=1e-9
-            )
-        assert info.value.epsilons == (0.0125, 0.00625, 0.003125)
-        assert info.value.estimate > 1e-9
+        with pytest.raises(ToleranceError) as failure:
+            element_infinite_nd_bessel(order, 1, OffsetVector((1,)), QuadratureSpec(16, 1e-30))
+        value = element_infinite_nd_bessel(order, 1, OffsetVector((1,)))
+        assert math.ulp(value) <= failure.value.achieved < math.inf
+
+    def test_tolerance_bounds_the_scaled_value(self):
+        # the estimate carries omega_sq, like the value it bounds
+        order = FractionalOrder(alpha=0.3, omega_sq=1e12)
+        value = element_infinite_nd_bessel(order, 2, OffsetVector((8, 8)), QuadratureSpec(24, 1.0))
+        with pytest.raises(ToleranceError) as failure:
+            element_infinite_nd_bessel(order, 2, OffsetVector((8, 8)), QuadratureSpec(24, 1e-9))
+        assert failure.value.achieved >= math.ulp(value) > 1e-9
+
+    def test_far_offsets_raise_instead_of_nan(self):
+        # past p ~ 1e4 the heat kernel lives beyond the last panel, where its
+        # Hankel expansion diverges: the route reports that, never a NaN
+        order = FractionalOrder(alpha=1.3)
+        for comps in ((10**5,), (10**6, 0), (10**9, 1, 0)):
+            with pytest.raises(ToleranceError) as failure:
+                element_infinite_nd_bessel(order, len(comps), OffsetVector(comps))
+            assert not math.isnan(failure.value.achieved)
+
+    def test_values_out_of_range_raise_instead_of_nan(self):
+        # even an infinite tolerance does not pass an overflowed value
+        order = FractionalOrder(alpha=31.5, omega_sq=1e300)
+        with pytest.raises(ToleranceError) as failure:
+            element_infinite_nd_bessel(order, 2, OffsetVector((0, 0)), QuadratureSpec(24, math.inf))
+        assert failure.value.achieved == math.inf
+        # past alpha = 256 the series' powers of t0 leave the double range
+        value = element_infinite_nd_bessel(
+            FractionalOrder(alpha=255.5), 1, OffsetVector((3,)), QuadratureSpec(24, math.inf)
+        )
+        assert math.isfinite(value)
+        with pytest.raises(ValueError, match="alpha <= 256"):
+            element_infinite_nd_bessel(FractionalOrder(alpha=400.5), 1, OffsetVector((0,)))
 
     def test_component_symmetry(self):
         order = FractionalOrder(alpha=1.5)
-        base = element_infinite_nd_bessel(order, 2, OffsetVector((2, 1)), 0.0125, 36.0 / 0.05)
-        for comps in ((1, 2), (-2, 1), (2, -1)):
-            got = element_infinite_nd_bessel(order, 2, OffsetVector(comps), 0.0125, 36.0 / 0.05)
-            np.testing.assert_allclose(got, base, rtol=1e-13)
-
-
-def reference_damped_value(order, dim, comps, epsilon, xi_max):
-    """One damping of the Bessel route as a plain loop over panel blocks.
-
-    Spells out the panel grid and the integrand separately from the library,
-    which shares the damping independent factor between dampings.
-    """
-    s = 0.5 * order.alpha + 1.0
-    total_p = sum(abs(c) for c in comps)
-    width = math.pi / (2.0 * (2 * dim + 1))
-    lo = min(epsilon / 32.0, width / 1024.0)
-    geo = [0.0]
-    while lo < width:
-        geo.append(lo)
-        lo *= 2.0
-    n_uniform = int(math.ceil((xi_max - geo[-1]) / width))
-    t, w = np.polynomial.legendre.leggauss(16)
-    kernel_scale = math.exp(math.lgamma(s)) / math.pi
-    trig = np.cos if total_p % 2 == 0 else np.sin
-
-    def block(edges):
-        a, b = edges[:-1], edges[1:]
-        half = 0.5 * (b - a)
-        xi = (0.5 * (a + b)[:, None] + np.outer(half, t)).ravel()
-        r = np.hypot(epsilon, xi)
-        kernel = kernel_scale * r ** (-s) * np.cos(s * np.arctan2(-xi, epsilon))
-        prod = scipy.special.jv(abs(comps[0]), 2.0 * xi)
-        for p in comps[1:]:
-            prod = prod * scipy.special.jv(abs(p), 2.0 * xi)
-        values = trig(2.0 * dim * xi) * prod * kernel * np.exp(-2.0 * dim * epsilon * xi)
-        return float(np.dot(np.outer(half, w).ravel(), values))
-
-    total = block(np.asarray(geo))
-    for k0 in range(0, n_uniform, 50000):
-        k1 = min(k0 + 50000, n_uniform)
-        total += block(geo[-1] + width * np.arange(k0, k1 + 1))
-    sign = -1.0 if (total_p // 2) % 2 else 1.0
-    return order.omega_sq * (2.0 * sign * total)
-
-
-# (alpha, offset, epsilon): repeated orders, the sin branch of an odd total
-# order and negative components on one shared grid origin, then user dampings
-# large enough that lo = min(eps/32, width/1024) gives the ladder two origins:
-# in 3D eps/32 > width/1024 = 2.19e-4 > eps/64 at eps = 1e-2, in 2D
-# eps/64 > width/1024 = 3.07e-4 > eps/128 at eps = 2e-2
-LADDER_CASES = [
-    (1.1, (1, 1, 0), 6e-3),
-    (0.3, (0, 0, 0), 6e-3),
-    (0.5, (1,), 1e-2),
-    (1.5, (2, -1), 9e-3),
-    (2.5, (-1, 2, 1), 6e-3),
-    (0.9, (0, 0, 0), 1e-2),
-    (0.5, (1, 1), 2e-2),
-]
-
-
-class TestBesselSharedLadder:
-    @pytest.mark.parametrize("alpha, comps, epsilon", LADDER_CASES)
-    def test_ladder_equals_single_dampings(self, alpha, comps, epsilon):
-        order = FractionalOrder(alpha=alpha)
-        dim = len(comps)
-        offset = OffsetVector(comps)
-        epsilons = (epsilon, 0.5 * epsilon, 0.25 * epsilon)
-        values = []
-        for eps in epsilons:
-            xi_max = 36.0 / (2.0 * dim * eps)
-            value = element_infinite_nd_bessel(order, dim, offset, eps, xi_max)
-            assert value == reference_damped_value(order, dim, comps, eps, xi_max)
-            values.append(value)
-        weights = lattice._richardson_weights(*lattice._extrapolation_exponents(dim, alpha))
-        expected = float(np.dot(weights, values))
-        got = bessel_element_extrapolated(order, dim, offset, epsilon=epsilon, check_tol=math.inf)
-        assert got == expected
-
-    def test_one_bessel_call_per_node_of_the_longest_grid(self, monkeypatch):
-        calls = []
-
-        def counting_jv(p, x):
-            calls.append(x.size)
-            return scipy.special.jv(p, x)
-
-        monkeypatch.setattr(lattice, "jv", counting_jv)
-        dim, epsilon = 3, 6e-3
-        bessel_element_extrapolated(
-            FractionalOrder(alpha=0.7), dim, OffsetVector((0, 0, 0)), epsilon=epsilon,
-            check_tol=math.inf,
-        )
-        width = math.pi / (2.0 * (2 * dim + 1))
-        expected = 0
-        for eps in (epsilon, 0.5 * epsilon, 0.25 * epsilon):
-            edge = eps / 32.0
-            assert edge < width / 1024.0
-            startup_panels = 0
-            while edge < width:
-                startup_panels += 1
-                edge *= 2.0
-            expected += 16 * startup_panels
-        last_edge = edge / 2.0
-        xi_max = 36.0 / (2.0 * dim * 0.25 * epsilon)
-        expected += 16 * math.ceil((xi_max - last_edge) / width)
-        assert sum(calls) == expected
+        base = element_infinite_nd_bessel(order, 3, OffsetVector((2, 1, 0)))
+        for comps in ((1, 2, 0), (-2, 1, 0), (0, 2, -1), (0, -1, -2)):
+            assert element_infinite_nd_bessel(order, 3, OffsetVector(comps)) == base
 
 
 class TestAsymptoticConstant:
