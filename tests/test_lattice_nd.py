@@ -414,6 +414,24 @@ class TestBesselRoute:
         with pytest.raises(ValueError, match="offset has 1 components"):
             element_infinite_nd_bessel(order, 2, OffsetVector((1,)))
 
+    def test_extrapolated_argument_checks_run_first(self, monkeypatch):
+        # every argument check fires before a special function is evaluated,
+        # also under the older name the benchmark times the route by
+        def no_special(name):
+            raise AssertionError(f"{name} evaluated before the argument checks")
+
+        monkeypatch.setattr(lattice, "_special", no_special)
+        route = lattice.bessel_element_extrapolated
+        cases = (
+            (FractionalOrder(alpha=2.0), 1, (0,), "non integer alpha/2"),
+            (FractionalOrder(alpha=400.5), 1, (0,), "alpha <= 256"),
+            (FractionalOrder(alpha=0.5), 5, (0, 0, 0, 0, 0), "dim must be in 1..4"),
+            (FractionalOrder(alpha=0.5), 2, (1,), "offset has 1 components"),
+        )
+        for order, dim, comps, message in cases:
+            with pytest.raises(ValueError, match=message):
+                route(order, dim, OffsetVector(comps))
+
     def test_tolerance_failure_reported(self):
         order = FractionalOrder(alpha=0.5)
         with pytest.raises(ToleranceError) as failure:
