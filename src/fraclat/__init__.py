@@ -30,8 +30,6 @@ from .chain import (
     element_infinite_quadrature,
     element_periodic_bloch,
     element_periodic_images,
-    elements_infinite_closed,
-    elements_periodic_images,
     laplacian_eigenvalues_1d,
     normalized_dispersion_1d,
 )
@@ -74,8 +72,6 @@ __all__ = [
     "element_infinite_quadrature",
     "element_periodic_bloch",
     "element_periodic_images",
-    "elements_infinite_closed",
-    "elements_periodic_images",
     "laplacian_eigenvalues_1d",
     "normalized_dispersion_1d",
     "ConvergenceReport",

@@ -13,9 +13,9 @@ routes:
 
 The routes share no code beyond scalar special functions, which makes
 cross-checking them a meaningful test of each.  The closed product resumes
-its last walk when offsets ascend, and the batch forms ask for them in
-ascending order, so a request for offsets up to P costs O(P) rather than
-O(sum of the offsets).
+its last walk when offsets ascend, so a request for offsets up to P, asked
+in ascending order as the CLI ranges and the image sum do, costs O(P)
+rather than O(sum of the offsets).
 scipy.special is imported on first use, by the image sum's tail (gammaln)
 only, so importing this module does not load scipy.
 """
@@ -41,11 +41,9 @@ __all__ = [
     "ChainSpec",
     "CirculantMatrix",
     "element_infinite_closed",
-    "elements_infinite_closed",
     "element_infinite_quadrature",
     "element_periodic_bloch",
     "element_periodic_images",
-    "elements_periodic_images",
     "element_asymptotic",
     "dispersion_1d",
     "normalized_dispersion_1d",
@@ -254,20 +252,11 @@ def element_infinite_closed(order: FractionalOrder, p: int) -> float:
     return order.omega_sq * sign * value
 
 
-def elements_infinite_closed(order: FractionalOrder, offsets) -> list:
-    """element_infinite_closed at each offset, in the order given.
-
-    The distinct offsets are computed in ascending order, so one walk of the
-    product serves the whole request: O(max |p|) rather than O(sum of |p|).
-    """
-    values = {p: element_infinite_closed(order, p) for p in sorted({abs(int(p)) for p in offsets})}
-    return [values[abs(int(p))] for p in offsets]
-
-
 def _elements_closed_array(order: FractionalOrder, q: np.ndarray) -> np.ndarray:
     """Vectorised infinite chain profile at non negative integer offsets q.
 
-    Small offsets (q <= a + 1) go through the product formula; beyond that an
+    Small offsets (q <= a + 1) go through the product formula, each distinct
+    one once and in ascending order so one walk serves them all; beyond that an
     equivalent reflection form with two log gamma calls avoids the O(q) loop:
     f(q) = -omega_sq * A * gamma(q - a) / gamma(q + 1 + a) with
     A = gamma(alpha + 1) sin(alpha pi / 2) / pi.
@@ -284,7 +273,8 @@ def _elements_closed_array(order: FractionalOrder, q: np.ndarray) -> np.ndarray:
     amp = riesz_amplitude(alpha)
     small = q <= a + 1.0
     if np.any(small):
-        out[small] = elements_infinite_closed(order, q[small].tolist())
+        offsets, where = np.unique(q[small], return_inverse=True)
+        out[small] = np.array([element_infinite_closed(order, int(p)) for p in offsets])[where]
     big = ~small
     if np.any(big):
         qb = q[big].astype(float)
@@ -298,8 +288,12 @@ def element_infinite_quadrature(
     """Infinite chain profile as a Brillouin zone integral.
 
     f(p) = omega_sq / (2 pi) * int_{-pi}^{pi} cos(kappa p)
-           (4 sin^2(kappa/2))^(alpha/2) dkappa.
-    spec.abs_tol bounds omega_sq times the integral's error estimate.
+           (4 sin^2(kappa/2))^(alpha/2) dkappa,
+    by integrate_even_periodic, whose panels halve in width until they
+    resolve cos(kappa p): about 2000 panels at p = 10^4.  spec.abs_tol bounds
+    omega_sq times the integral's error estimate, which is never below the
+    integral's last place: from alpha about 12.6, where 2 pi f(0) passes 2^13,
+    the default 1e-12 cannot be met at small offsets.
     """
     spec = spec or QuadratureSpec()
     p = abs(int(p))
@@ -395,20 +389,6 @@ def element_periodic_images(
         if err_est <= 0.5 * tol:
             return total + correction
         s_target = 2 * s_target
-
-
-def elements_periodic_images(
-    order: FractionalOrder, chain: ChainSpec, offsets, tol: float = 1e-12
-) -> list:
-    """element_periodic_images at each offset, in the order given.
-
-    The distinct offsets are summed in ascending order, so their direct terms
-    f(p) share one walk of the closed product (see element_infinite_closed).
-    """
-    values = {
-        p: element_periodic_images(order, chain, p, tol) for p in sorted({int(p) for p in offsets})
-    }
-    return [values[int(p)] for p in offsets]
 
 
 def dispersion_1d(order: FractionalOrder, kappa):

@@ -35,22 +35,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel parameters: order, period (INFINITE for the whole line), and
-    the density and coupling scale entering the continuum force balance."""
+    """Kernel parameters: order and period (INFINITE for the whole line)."""
 
     alpha: float
     period: float = INFINITE
-    rho0: float = 1.0
-    a_alpha: float = 1.0
 
     def __post_init__(self):
         require_non_integer_half(self.alpha)
         if self.period != INFINITE and not (self.period > 0.0 and math.isfinite(self.period)):
             raise ValueError(f"period must be positive or INFINITE, got {self.period}")
-        if not (self.rho0 > 0.0 and math.isfinite(self.rho0)):
-            raise ValueError(f"rho0 must be positive, got {self.rho0}")
-        if not (self.a_alpha > 0.0 and math.isfinite(self.a_alpha)):
-            raise ValueError(f"a_alpha must be positive, got {self.a_alpha}")
 
     @property
     def is_periodic(self) -> bool:

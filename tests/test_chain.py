@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,8 +19,6 @@ from fraclat.chain import (
     element_infinite_quadrature,
     element_periodic_bloch,
     element_periodic_images,
-    elements_infinite_closed,
-    elements_periodic_images,
     riesz_amplitude,
 )
 from fraclat.chain import _binomial_element, _elements_closed_array
@@ -124,20 +123,24 @@ BATCH_OFFSETS = [10_000, 3, 0, 17, 3, 1, 9_999, 0, 14, 85, 86, 87, 250, 2, 10_00
 
 
 class TestClosedFormBatch:
+    """The closed form over batches of offsets, whose resumed walks must not
+    change a bit against walking each product from the start."""
+
     @pytest.mark.parametrize("alpha", BATCH_ALPHAS)
     def test_batch_is_bit_identical_to_the_product_loop(self, alpha):
         order = FractionalOrder(alpha=alpha, omega_sq=1.3)
-        got = elements_infinite_closed(order, BATCH_OFFSETS)
-        assert got == [reference_closed(order, p) for p in BATCH_OFFSETS]
-        assert [element_infinite_closed(order, p) for p in BATCH_OFFSETS] == got
-        assert all(math.isfinite(v) for v in got)
+        # in the order given, and ascending, where each call resumes the last walk
+        for offsets in (BATCH_OFFSETS, sorted(BATCH_OFFSETS)):
+            got = [element_infinite_closed(order, p) for p in offsets]
+            assert got == [reference_closed(order, p) for p in offsets]
+            assert all(math.isfinite(v) for v in got)
 
     def test_integer_half_orders(self):
         for alpha in (2.0, 4.0, 6.0):
             order = FractionalOrder(alpha=alpha, omega_sq=0.7)
             offsets = [5, 0, 2, 2, 1, 4, 3, 9_999]
             expected = [reference_closed(order, p) for p in offsets]
-            assert elements_infinite_closed(order, offsets) == expected
+            assert [element_infinite_closed(order, p) for p in offsets] == expected
 
     def test_resumed_walks_do_not_depend_on_call_order(self):
         # ascending, descending and repeated offsets, with orders interleaved
@@ -180,32 +183,15 @@ class TestClosedFormBatch:
 
     def test_negative_offsets_and_empty_request(self):
         order = FractionalOrder(alpha=1.3)
-        assert elements_infinite_closed(order, [-4, 4, -1]) == [
+        assert [element_infinite_closed(order, p) for p in (-4, 4, -1)] == [
             reference_closed(order, 4), reference_closed(order, 4), reference_closed(order, 1)
         ]
-        assert elements_infinite_closed(order, []) == []
-
-
-class TestImagesBatch:
-    @pytest.mark.parametrize("alpha", [0.3, 1.5, 2.0, 3.9, 4.0])
-    def test_batch_equals_one_offset_calls(self, alpha):
-        order = FractionalOrder(alpha=alpha, omega_sq=1.3)
-        for n in (2, 3, 7, 64, 1000, 4096):
-            offsets = list(range(n)) if n <= 64 else [n - 1, 0, 17, n // 2, 17, 1, n // 2 + 1, 0]
-            chain = ChainSpec(size=n)
-            got = elements_periodic_images(order, chain, offsets)
-            assert got == [element_periodic_images(order, chain, p) for p in offsets]
-
-    def test_argument_checks(self):
-        order = FractionalOrder(alpha=0.8)
-        chain = ChainSpec(size=10)
-        with pytest.raises(ValueError, match="got 10"):
-            elements_periodic_images(order, chain, [0, 3, 10])
-        with pytest.raises(ValueError, match="tol must be positive"):
-            elements_periodic_images(order, chain, [1], tol=-1.0)
-        with pytest.raises(ValueError, match="finite chain"):
-            elements_periodic_images(order, ChainSpec(size=INFINITE), [1])
-        assert elements_periodic_images(order, chain, []) == []
+        # the array form walks each distinct small offset once, ascending, and
+        # hands the values back in the order asked, empty requests included
+        order = FractionalOrder(alpha=30.5)
+        for q in ([], [16, 3, 0, 3, 16, 1], [2]):
+            got = _elements_closed_array(order, np.array(q, dtype=np.int64))
+            assert got.tolist() == [reference_closed(order, p) for p in q]
 
 
 class TestQuadratureRoute:
@@ -254,6 +240,28 @@ class TestQuadratureRoute:
             pytest.approx(1e8 * unscaled, rel=1e-12)
         )
 
+    @pytest.mark.parametrize("alpha", [0.1, 1.3, 2.1, 3.9])
+    def test_far_offsets_meet_the_default_tolerance(self, alpha):
+        # the panels must resolve thousands of oscillations of cos(kappa p)
+        order = FractionalOrder(alpha=alpha)
+        for p in (1700, 2000, 5000, 9999):
+            expected = element_infinite_closed(order, p)
+            value = element_infinite_quadrature(order, p)
+            assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    def test_unreachable_tolerance_raises_in_bounded_time(self):
+        # 1e-300 lies below any estimate; at alpha = 15.5 the integral 2 pi f(0)
+        # is about 5.8e4, whose last place 7.3e-12 exceeds the default 1e-12
+        cases = [(FractionalOrder(alpha=1.3), 7, QuadratureSpec(abs_tol=1e-300)),
+                 (FractionalOrder(alpha=15.5), 0, None)]
+        for order, p, spec in cases:
+            start = time.perf_counter()
+            with pytest.raises(ToleranceError, match="tolerance not met") as failure:
+                element_infinite_quadrature(order, p, spec)
+            assert time.perf_counter() - start < 1.0
+            assert math.isfinite(failure.value.achieved)
+            assert failure.value.achieved > (spec or QuadratureSpec()).abs_tol
+
 
 class TestPeriodicRoutes:
     def test_bloch_reduces_offset(self):
@@ -292,12 +300,14 @@ class TestPeriodicRoutes:
     def test_images_offset_range(self):
         order = FractionalOrder(alpha=0.8)
         chain = ChainSpec(size=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got 10"):
             element_periodic_images(order, chain, 10)
         with pytest.raises(ValueError):
             element_periodic_images(order, chain, -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tol must be positive"):
             element_periodic_images(order, chain, 1, tol=0.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            element_periodic_images(order, chain, 1, tol=-1.0)
         with pytest.raises(ValueError, match="finite chain"):
             element_periodic_images(order, ChainSpec(size=INFINITE), 1)
 

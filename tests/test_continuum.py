@@ -36,10 +36,6 @@ class TestKernelSpec:
             KernelSpec(alpha=-1.0)
         with pytest.raises(ValueError):
             KernelSpec(alpha=0.5, period=-3.0)
-        with pytest.raises(ValueError):
-            KernelSpec(alpha=0.5, rho0=0.0)
-        with pytest.raises(ValueError):
-            KernelSpec(alpha=0.5, a_alpha=-2.0)
 
 
 class TestInfiniteKernel:

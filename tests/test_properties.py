@@ -1,4 +1,5 @@
-"""Property tests of the heat kernel Bessel route over orders, dimensions and offsets.
+"""Property tests of the heat kernel Bessel route over orders, dimensions and offsets,
+and of the 1D zone quadrature over orders and offsets up to 10^4.
 
 Derandomised, so every run draws the same examples.
 """
@@ -6,7 +7,7 @@ import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclat.chain import FractionalOrder, is_integer_half
+from fraclat.chain import FractionalOrder, element_infinite_quadrature, is_integer_half
 from fraclat.lattice import OffsetVector, element_infinite_nd_bessel, element_infinite_nd_bz
 from fraclat.special import QuadratureSpec
 
@@ -61,3 +62,14 @@ def test_value_is_invariant_under_lattice_symmetries(alpha, comps, data):
     dim = len(comps)
     base = element_infinite_nd_bessel(order, dim, OffsetVector(comps), spec)
     assert element_infinite_nd_bessel(order, dim, OffsetVector(image), spec) == base
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    alpha=orders.filter(lambda alpha: alpha <= 3.9),
+    p=st.integers(min_value=0, max_value=10_000),
+)
+def test_zone_quadrature_matches_binomial_form(alpha, p):
+    expected = binomial_element(alpha, p)
+    value = element_infinite_quadrature(FractionalOrder(alpha), p)
+    assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))

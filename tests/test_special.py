@@ -121,7 +121,8 @@ class TestIntegrateEvenPeriodic:
         assert val == pytest.approx(-2.0 * math.pi, rel=1e-12)
 
     def test_tolerance_error(self):
-        # the bisection budget cannot bring the estimate anywhere near 1e-300
+        # the estimate is floored at the integral's last place, so the width
+        # halves until the panel cap and then gives up
         f = lambda k: (4.0 * np.sin(k / 2.0) ** 2) ** 0.25
         with pytest.raises(ToleranceError) as info:
             integrate_even_periodic(f, QuadratureSpec(abs_tol=1e-300))
