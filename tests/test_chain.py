@@ -194,6 +194,20 @@ class TestClosedFormBatch:
             assert got.tolist() == [reference_closed(order, p) for p in q]
 
 
+class TestImagesBatch:
+    # a list of offsets is evaluated one call per offset, as the CLI does
+    def test_argument_checks(self):
+        order = FractionalOrder(alpha=0.8)
+        chain = ChainSpec(size=10)
+        with pytest.raises(ValueError, match="got 10"):
+            [element_periodic_images(order, chain, p) for p in [0, 3, 10]]
+        with pytest.raises(ValueError, match="tol must be positive"):
+            [element_periodic_images(order, chain, p, tol=-1.0) for p in [1]]
+        with pytest.raises(ValueError, match="finite chain"):
+            [element_periodic_images(order, ChainSpec(size=INFINITE), p) for p in [1]]
+        assert [element_periodic_images(order, chain, p) for p in []] == []
+
+
 class TestQuadratureRoute:
     def test_classical_neighbour(self):
         order = FractionalOrder(alpha=2.0)
