@@ -338,8 +338,8 @@ def element_periodic_images(
     """
     if chain.is_infinite:
         raise ValueError("image sum requires a finite chain")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     n = chain.size
     p = int(p)
     if not 0 <= p <= n - 1:
@@ -409,7 +409,11 @@ def normalized_dispersion_1d(order: FractionalOrder, kappa) -> np.ndarray:
     equals one.
     """
     kappa = np.asarray(kappa, dtype=float)
-    return (4.0 * np.sin(0.5 * kappa) ** 2) ** (0.25 * order.alpha) / 2.0
+    with np.errstate(over="ignore"):
+        value = (4.0 * np.sin(0.5 * kappa) ** 2) ** (0.25 * order.alpha) / 2.0
+    if not np.isfinite(value).all():  # 4^(alpha/4) passes the double range near alpha = 2048
+        raise OverflowError(f"normalized_dispersion_1d(alpha={order.alpha!r}) exceeds the double range")
+    return value
 
 
 def element_asymptotic(order: FractionalOrder, p: int) -> float:

@@ -446,7 +446,14 @@ def normalized_dispersion_2d(order: FractionalOrder, kappa1, kappa2):
     kappa1 = np.asarray(kappa1, dtype=float)
     kappa2 = np.asarray(kappa2, dtype=float)
     base = np.sin(0.5 * kappa1) ** 2 + np.sin(0.5 * kappa2) ** 2
-    value = 2.0 ** (0.5 * (order.alpha - 3.0)) * base ** (0.25 * order.alpha)
+    try:
+        scale = 2.0 ** (0.5 * (order.alpha - 3.0))
+    except OverflowError:  # raised by the float power itself, near alpha = 2051
+        scale = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 gives NaN at the origin
+        value = scale * base ** (0.25 * order.alpha)
+    if not np.isfinite(value).all():
+        raise OverflowError(f"normalized_dispersion_2d(alpha={order.alpha!r}) exceeds the double range")
     return float(value) if value.ndim == 0 else value
 
 

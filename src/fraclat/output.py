@@ -6,12 +6,21 @@ and metadata as comment lines, then a header row and data rows) and JSON (a
 single object).  Real cells are always written through the same fixed format
 so identical inputs give byte identical payloads and parsing recovers every
 float bit exactly.
+
+Data rows are encoded by runs: consecutive rows with one tuple of cell types,
+at most _RUN_ROWS of them, go through a single % operation whose format is
+the row's format repeated once per row.  A float cell's slot is %.17g (as
+format_real), every other cell's is %s (as str); JSON quotes string cells
+beforehand and encodes a run holding NaN or an infinity cell by cell, since %
+spells those nan and inf.  The bytes equal a per-cell encoding; header and
+comment lines are encoded per cell.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, groupby, islice
 
 __all__ = [
     "OutputRecord",
@@ -21,6 +30,9 @@ __all__ = [
     "parse_csv",
     "parse_json",
 ]
+
+# rows formatted by one % operation: a bound on the size of each format string
+_RUN_ROWS = 4096
 
 
 def format_real(value: float) -> str:
@@ -39,6 +51,8 @@ def _format_cell(value) -> str:
 
 
 def _parse_cell(text: str):
+    if text == "-0":  # only the float -0.0 is written so; int() would drop its sign
+        return -0.0
     try:
         return int(text)
     except ValueError:
@@ -75,6 +89,23 @@ class OutputRecord:
         object.__setattr__(self, "rows", rows)
 
 
+def _row_runs(rows):
+    """Consecutive rows with one tuple of cell types, cut into runs of at most _RUN_ROWS.
+
+    Yields (types, run); a boolean cell type raises TypeError.
+    """
+    for types, group in groupby(rows, key=lambda row: tuple(map(type, row))):
+        if bool in types:
+            raise TypeError("boolean cells are not part of the table contract")
+        while run := list(islice(group, _RUN_ROWS)):
+            yield types, run
+
+
+def _slots(types) -> list:
+    """One % conversion per cell: format_real for floats, str for the rest."""
+    return ["%.17g" if issubclass(t, float) else "%s" for t in types]
+
+
 def record_to_csv(record: OutputRecord) -> str:
     lines = [f"# command: {record.command}"]
     for key, value in record.parameters.items():
@@ -82,9 +113,11 @@ def record_to_csv(record: OutputRecord) -> str:
     for key, value in record.metadata.items():
         lines.append(f"# metadata {key}: {_format_cell(value)}")
     lines.append(",".join(record.columns))
-    for row in record.rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+    pieces = ["\n".join(lines) + "\n"]
+    for types, run in _row_runs(record.rows):
+        row = ",".join(_slots(types)) + "\n"
+        pieces.append((row * len(run)) % tuple(chain.from_iterable(run)))
+    return "".join(pieces)
 
 
 def _json_scalar(value) -> str:
@@ -101,6 +134,38 @@ def _json_scalar(value) -> str:
     return json.dumps(str(value))
 
 
+def _all_finite(values) -> bool:
+    try:
+        return math.isfinite(math.fsum(values))
+    except (OverflowError, ValueError):  # partial sums overflowed, or inf + -inf
+        return False
+
+
+def _json_rows(rows):
+    """JSON row arrays, one text per run; every text after the first starts with ", "."""
+    sep = ""
+    for types, run in _row_runs(rows):
+        width = len(types)
+        cells = list(chain.from_iterable(run))
+        floats = [j for j, t in enumerate(types) if issubclass(t, float)]
+        if not all(_all_finite(cells[j::width]) for j in floats):
+            # NaN and the infinities have no %-conversion in JSON's spelling
+            yield sep + ", ".join("[" + ", ".join(map(_json_scalar, row)) + "]" for row in run)
+        else:
+            for j, t in enumerate(types):
+                if issubclass(t, (int, float)):
+                    continue
+                column = cells[j::width]
+                if t is str:  # equal strings quote equally: quote each distinct one once
+                    quoted = {s: json.dumps(s) for s in set(column)}
+                    cells[j::width] = map(quoted.__getitem__, column)
+                else:
+                    cells[j::width] = [json.dumps(str(v)) for v in column]
+            row = "[" + ", ".join(_slots(types)) + "]"
+            yield (sep + ", ".join([row] * len(run))) % tuple(cells)
+        sep = ", "
+
+
 def record_to_json(record: OutputRecord) -> str:
     # hand assembled so float cells go through the same 17 digit format as
     # the CSV encoder
@@ -108,17 +173,15 @@ def record_to_json(record: OutputRecord) -> str:
         inner = ", ".join(f"{json.dumps(str(k))}: {_json_scalar(v)}" for k, v in mapping.items())
         return "{" + inner + "}"
 
-    rows = ", ".join(
-        "[" + ", ".join(_json_scalar(cell) for cell in row) + "]" for row in record.rows
+    head = (
+        f'{{"command": {json.dumps(record.command)}, '
+        f'"parameters": {obj(record.parameters)}, '
+        f'"columns": {json.dumps(list(record.columns))}, '
+        '"rows": ['
     )
-    parts = [
-        f'"command": {json.dumps(record.command)}',
-        f'"parameters": {obj(record.parameters)}',
-        f'"columns": {json.dumps(list(record.columns))}',
-        f'"rows": [{rows}]',
-        f'"metadata": {obj(record.metadata)}',
-    ]
-    return "{" + ", ".join(parts) + "}\n"
+    rows = list(_json_rows(record.rows))
+    tail = f'], "metadata": {obj(record.metadata)}}}\n'
+    return "".join([head, *rows, tail])
 
 
 def parse_csv(text: str) -> dict:
@@ -158,7 +221,7 @@ def parse_csv(text: str) -> dict:
 
 
 def parse_json(text: str) -> dict:
-    data = json.loads(text)
+    data = json.loads(text, parse_int=_parse_cell)
     data["columns"] = tuple(data["columns"])
     data["rows"] = tuple(tuple(row) for row in data["rows"])
     return data

@@ -60,8 +60,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.points < 16:
             raise ValueError("points must be >= 16")
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be > 0")
+        if not 0 < self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
 
 
 def log_gamma(x: float) -> float:

@@ -322,6 +322,8 @@ class TestPeriodicRoutes:
             element_periodic_images(order, chain, 1, tol=0.0)
         with pytest.raises(ValueError, match="tol must be positive"):
             element_periodic_images(order, chain, 1, tol=-1.0)
+        with pytest.raises(ValueError, match="tol must be positive and finite, got inf"):
+            element_periodic_images(order, chain, 1, tol=math.inf)
         with pytest.raises(ValueError, match="finite chain"):
             element_periodic_images(order, ChainSpec(size=INFINITE), 1)
 

@@ -143,6 +143,18 @@ class TestElementsCommand:
         assert not out
         assert err.strip() == "fraclat: element_infinite_closed(alpha=1100.5, p=0) exceeds the double range"
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--n", "4", "--route", "images"), "tol must be positive and finite, got inf"),
+        (("--infinite", "--p", "0", "--route", "quadrature"), "abs_tol must be positive and finite"),
+        (("--infinite", "--offset", "0,0", "--route", "nd_bz"), "abs_tol must be positive and finite"),
+    ])
+    def test_infinite_tol_is_a_usage_error(self, capsys, argv, message):
+        # an infinite bound would accept the route's first estimate
+        code, out, err = run_cli(capsys, "elements", "--alpha", "1.3", *argv, "--tol", "inf")
+        assert code == 2
+        assert not out
+        assert message in err
+
     def test_route_lattice_mismatches_exit_2(self, capsys):
         bad_invocations = [
             ("elements", "--alpha", "1.5", "--n", "8", "--route", "closed"),
@@ -276,6 +288,20 @@ class TestDispersionCommand:
     def test_grid_validation(self, capsys):
         code, _, err = run_cli(capsys, "dispersion", "--alpha", "1", "--grid", "1")
         assert code == 2 and err.strip()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv,call", [
+        (("--dim", "1", "--alpha", "5000"), "normalized_dispersion_1d(alpha=5000.0)"),
+        (("--dim", "1", "--alpha", "1e308", "--format", "json"), "normalized_dispersion_1d(alpha=1e+308)"),
+        (("--dim", "2", "--alpha", "5000", "--cut", "full"), "normalized_dispersion_2d(alpha=5000.0)"),
+        (("--dim", "2", "--alpha", "5000", "--cut", "plane_010"), "normalized_dispersion_2d(alpha=5000.0)"),
+        (("--dim", "2", "--alpha", "5000", "--cut", "plane_110"), "normalized_dispersion_2d(alpha=5000.0)"),
+    ])
+    def test_overflow_names_the_call(self, capsys, argv, call):
+        code, out, err = run_cli(capsys, "dispersion", "--grid", "3", *argv)
+        assert code == 1
+        assert not out
+        assert err.strip() == f"fraclat: {call} exceeds the double range"
 
 
 class TestKernelCommand:

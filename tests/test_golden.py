@@ -1,4 +1,4 @@
-"""Golden bytes of small CLI tables.
+"""Golden bytes of CLI tables, small ones and a few longer than one encoder run.
 
 The sha256 digests were recorded from the CLI before the matrix and
 dispersion tables moved into library builders; any change in a single
@@ -65,6 +65,26 @@ GOLDEN = [
         ("elements", "--alpha", "1.5", "--infinite", "--p", "0..12", "--route", "closed",
          "--omega-sq", "1.3"),
         "b7d1e11b15ffbdd09e39167e42a2f9e01eb896a37011febc7a4cff1a6f42c5ce",
+    ),
+    # tables longer than one run of the row encoder, recorded from the
+    # per-cell encoder; the periodic kernel's 1001 singular rows carry NaN
+    (
+        ("matrix", "--n", "5000", "--alpha", "1.3"),
+        "cda674a149fba5714a4a2a97af66459a95ebdb2eebe27de95db81d55d8559b89",
+    ),
+    (
+        ("matrix", "--n", "5000", "--alpha", "1.3", "--format", "json"),
+        "6c4e37997452e81e0e78b2ece7ede34f85c35df3b141171f798ef8ab70723fe8",
+    ),
+    (
+        ("kernel", "--alpha", "1.3", "--length", "2", "--x-range=0..4000", "--samples", "5001",
+         "--format", "json"),
+        "ac2d0001fe53551c363b8d0fed167aae2e2167eef66ca2340565ff8125fe355c",
+    ),
+    (
+        ("dispersion", "--alpha", "0.7", "--dim", "2", "--grid", "70", "--cut", "full",
+         "--format", "json"),
+        "cb43c96aa5481f8d987e953700c6508707d839e1a7a378de05e2a1c744883508",
     ),
 ]
 

@@ -96,6 +96,9 @@ class TestQuadratureSpec:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=-1e-9)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="abs_tol must be positive and finite"):
+                QuadratureSpec(abs_tol=bad)
         QuadratureSpec(points=64, abs_tol=1e-6)
 
 
