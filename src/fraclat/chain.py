@@ -22,6 +22,7 @@ only, so importing this module does not load scipy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,8 +303,10 @@ def element_infinite_quadrature(
     def integrand(kappa):
         return np.cos(kappa * p) * (4.0 * np.sin(0.5 * kappa) ** 2) ** a
 
-    # floored at the least double, which no estimate meets, rather than 0
-    scaled = QuadratureSpec(spec.points, max(spec.abs_tol / order.omega_sq, math.ulp(0.0)))
+    # floored at the least double, which no estimate meets, rather than 0, and
+    # capped at the greatest, as a tiny omega_sq would overflow the quotient
+    scaled_tol = min(max(spec.abs_tol / order.omega_sq, math.ulp(0.0)), sys.float_info.max)
+    scaled = QuadratureSpec(spec.points, scaled_tol)
     try:
         value = integrate_even_periodic(integrand, scaled)
     except ToleranceError as exc:

@@ -11,8 +11,8 @@ Data rows are encoded by runs: consecutive rows with one tuple of cell types,
 at most _RUN_ROWS of them, go through a single % operation whose format is
 the row's format repeated once per row.  A float cell's slot is %.17g (as
 format_real), every other cell's is %s (as str); JSON quotes string cells
-beforehand and encodes a run holding NaN or an infinity cell by cell, since %
-spells those nan and inf.  The bytes equal a per-cell encoding; header and
+beforehand and gives a float column holding NaN or an infinity a %s slot over
+cells spelled by _json_scalar, since % spells those nan and inf.  The bytes equal a per-cell encoding; header and
 comment lines are encoded per cell.
 """
 from __future__ import annotations
@@ -147,22 +147,22 @@ def _json_rows(rows):
     for types, run in _row_runs(rows):
         width = len(types)
         cells = list(chain.from_iterable(run))
-        floats = [j for j, t in enumerate(types) if issubclass(t, float)]
-        if not all(_all_finite(cells[j::width]) for j in floats):
-            # NaN and the infinities have no %-conversion in JSON's spelling
-            yield sep + ", ".join("[" + ", ".join(map(_json_scalar, row)) + "]" for row in run)
-        else:
-            for j, t in enumerate(types):
-                if issubclass(t, (int, float)):
-                    continue
+        slots = _slots(types)
+        for j, t in enumerate(types):
+            if issubclass(t, float):
                 column = cells[j::width]
-                if t is str:  # equal strings quote equally: quote each distinct one once
-                    quoted = {s: json.dumps(s) for s in set(column)}
-                    cells[j::width] = map(quoted.__getitem__, column)
-                else:
-                    cells[j::width] = [json.dumps(str(v)) for v in column]
-            row = "[" + ", ".join(_slots(types)) + "]"
-            yield (sep + ", ".join([row] * len(run))) % tuple(cells)
+                if not _all_finite(column):
+                    # NaN and the infinities have no %-conversion in JSON's spelling
+                    slots[j] = "%s"
+                    cells[j::width] = map(_json_scalar, column)
+            elif t is str:  # equal strings quote equally: quote each distinct one once
+                column = cells[j::width]
+                quoted = {s: json.dumps(s) for s in set(column)}
+                cells[j::width] = map(quoted.__getitem__, column)
+            elif not issubclass(t, int):
+                cells[j::width] = [json.dumps(str(v)) for v in cells[j::width]]
+        row = "[" + ", ".join(slots) + "]"
+        yield (sep + ", ".join([row] * len(run))) % tuple(cells)
         sep = ", "
 
 
