@@ -10,10 +10,11 @@ float bit exactly.
 Data rows are encoded by runs: consecutive rows with one tuple of cell types,
 at most _RUN_ROWS of them, go through a single % operation whose format is
 the row's format repeated once per row.  A float cell's slot is %.17g (as
-format_real), every other cell's is %s (as str); JSON quotes string cells
-beforehand and gives a float column holding NaN or an infinity a %s slot over
-cells spelled by _json_scalar, since % spells those nan and inf.  The bytes equal a per-cell encoding; header and
-comment lines are encoded per cell.
+format_real), every other cell's is %s (as str).  JSON quotes string cells
+beforehand, and a float column of a run that holds NaN or an infinity gets a
+%s slot over cells spelled by _json_scalar, since % spells those nan and inf.
+The bytes equal a per-cell encoding; header and comment lines are encoded
+per cell.
 """
 from __future__ import annotations
 

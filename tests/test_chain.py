@@ -253,11 +253,14 @@ class TestQuadratureRoute:
         assert element_infinite_quadrature(FractionalOrder(alpha=1.5, omega_sq=1e8), 5, loose) == (
             pytest.approx(1e8 * unscaled, rel=1e-12)
         )
-        # the scaled bound 1e10 / 1e-300 overflows: it is capped at the greatest double
+        # scaled bounds that overflow (1e10 / 1e-300, 1e-12 / 1e-321) are capped
+        # at the greatest double
         tiny = FractionalOrder(alpha=1.5, omega_sq=1e-300)
         assert element_infinite_quadrature(tiny, 5, QuadratureSpec(abs_tol=1e10)) == (
             pytest.approx(1e-300 * unscaled, rel=1e-12)
         )
+        subnormal = FractionalOrder(alpha=1.5, omega_sq=1e-321)
+        assert element_infinite_quadrature(subnormal, 5, spec) == pytest.approx(1e-321 * unscaled, rel=1e-2)
 
     @pytest.mark.parametrize("alpha", [0.1, 1.3, 2.1, 3.9])
     def test_far_offsets_meet_the_default_tolerance(self, alpha):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from fraclat.chain import ChainSpec, FractionalOrder, element_infinite_closed, element_periodic_bloch
+from fraclat.chain import ChainSpec, FractionalOrder, element_periodic_bloch
 from fraclat.cli import main
 from fraclat.lattice import LatticeSpec, OffsetVector, element_infinite_nd_bz, element_periodic_nd
 from fraclat.output import parse_csv, parse_json
@@ -154,17 +154,6 @@ class TestElementsCommand:
         assert code == 2
         assert not out
         assert message in err
-
-    def test_subnormal_omega_sq_on_the_quadrature_route(self, capsys):
-        # the route's own bound, tol / omega_sq, overflows; the user set no infinite tolerance
-        code, out, err = run_cli(
-            capsys, "elements", "--alpha", "1.3", "--infinite", "--p", "0",
-            "--route", "quadrature", "--omega-sq", "1e-321",
-        )
-        assert code == 0, err
-        (row,) = parse_csv(out)["rows"]
-        closed = 1e-321 * element_infinite_closed(FractionalOrder(alpha=1.3), 0)
-        assert row[1] == pytest.approx(closed, rel=1e-2)
 
     def test_route_lattice_mismatches_exit_2(self, capsys):
         bad_invocations = [
