@@ -55,7 +55,7 @@ from .lattice import (
     normalized_dispersion_2d,
 )
 from .output import OutputRecord, parse_csv, parse_json, record_to_csv, record_to_json
-from .special import QuadratureSpec, ToleranceError
+from .special import ToleranceError
 from .verify import CheckResult, run_suite
 
 __all__ = [
@@ -96,7 +96,6 @@ __all__ = [
     "parse_json",
     "record_to_csv",
     "record_to_json",
-    "QuadratureSpec",
     "ToleranceError",
     "CheckResult",
     "run_suite",

@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .special import (
-    QuadratureSpec,
     ToleranceError,
     hurwitz_zeta,
     integrate_even_periodic,
     log_gamma,
+    require_positive_finite,
 )
 
 __all__ = [
@@ -77,8 +77,7 @@ def is_integer_half(alpha: float) -> bool:
 
 def require_non_integer_half(alpha: float) -> None:
     """Reject alpha unless it is positive, finite and alpha/2 is not an integer."""
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    require_positive_finite("alpha", alpha)
     if is_integer_half(alpha):
         raise ValueError(f"alpha/2 must not be an integer, got alpha = {alpha}")
 
@@ -97,12 +96,8 @@ def riesz_amplitude(alpha: float) -> float:
     return scale * math.sin(0.5 * math.pi * alpha) / math.pi
 
 
-class TruncationError(RuntimeError):
+class TruncationError(ToleranceError):
     """An image sum could not reach the requested tolerance within the cap."""
-
-    def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved error estimate {achieved:.3e})")
-        self.achieved = achieved
 
 
 @dataclass(frozen=True)
@@ -117,10 +112,8 @@ class FractionalOrder:
     omega_sq: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not (self.omega_sq > 0.0 and math.isfinite(self.omega_sq)):
-            raise ValueError(f"omega_sq must be positive and finite, got {self.omega_sq}")
+        require_positive_finite("alpha", self.alpha)
+        require_positive_finite("omega_sq", self.omega_sq)
 
     @property
     def is_integer_half(self) -> bool:
@@ -139,8 +132,7 @@ class ChainSpec:
             if self.size != int(self.size) or int(self.size) < 2:
                 raise ValueError(f"size must be an integer >= 2 or INFINITE, got {self.size}")
             object.__setattr__(self, "size", int(self.size))
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        require_positive_finite("mass", self.mass)
 
     @property
     def is_infinite(self) -> bool:
@@ -260,17 +252,13 @@ def _elements_closed_array(order: FractionalOrder, q: np.ndarray) -> np.ndarray:
     one once and in ascending order so one walk serves them all; beyond that an
     equivalent reflection form with two log gamma calls avoids the O(q) loop:
     f(q) = -omega_sq * A * gamma(q - a) / gamma(q + 1 + a) with
-    A = gamma(alpha + 1) sin(alpha pi / 2) / pi.
+    A = gamma(alpha + 1) sin(alpha pi / 2) / pi, which raises at integer
+    alpha/2, where the image sum needs no tail.
     """
     q = np.asarray(q, dtype=np.int64)
     alpha = order.alpha
     a = 0.5 * alpha
     out = np.empty(q.shape, dtype=float)
-    if order.is_integer_half:
-        m = round(a)
-        for i, qi in np.ndenumerate(q):
-            out[i] = order.omega_sq * _binomial_element(m, int(abs(qi)))
-        return out
     amp = riesz_amplitude(alpha)
     small = q <= a + 1.0
     if np.any(small):
@@ -283,20 +271,18 @@ def _elements_closed_array(order: FractionalOrder, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def element_infinite_quadrature(
-    order: FractionalOrder, p: int, spec: QuadratureSpec | None = None
-) -> float:
+def element_infinite_quadrature(order: FractionalOrder, p: int, tol: float = 1e-12) -> float:
     """Infinite chain profile as a Brillouin zone integral.
 
     f(p) = omega_sq / (2 pi) * int_{-pi}^{pi} cos(kappa p)
            (4 sin^2(kappa/2))^(alpha/2) dkappa,
     by integrate_even_periodic, whose panels halve in width until they
-    resolve cos(kappa p): about 2000 panels at p = 10^4.  spec.abs_tol bounds
+    resolve cos(kappa p): about 2000 panels at p = 10^4.  tol bounds
     omega_sq times the integral's error estimate, which is never below the
     integral's last place: from alpha about 12.6, where 2 pi f(0) passes 2^13,
     the default 1e-12 cannot be met at small offsets.
     """
-    spec = spec or QuadratureSpec()
+    require_positive_finite("tol", tol)
     p = abs(int(p))
     a = 0.5 * order.alpha
 
@@ -305,10 +291,9 @@ def element_infinite_quadrature(
 
     # floored at the least double, which no estimate meets, rather than 0, and
     # capped at the greatest, as a tiny omega_sq would overflow the quotient
-    scaled_tol = min(max(spec.abs_tol / order.omega_sq, math.ulp(0.0)), sys.float_info.max)
-    scaled = QuadratureSpec(spec.points, scaled_tol)
+    scaled_tol = min(max(tol / order.omega_sq, math.ulp(0.0)), sys.float_info.max)
     try:
-        value = integrate_even_periodic(integrand, scaled)
+        value = integrate_even_periodic(integrand, scaled_tol)
     except ToleranceError as exc:
         raise ToleranceError("adaptive_gauss tolerance not met", order.omega_sq * exc.achieved)
     return order.omega_sq * value / (2.0 * math.pi)
@@ -341,8 +326,7 @@ def element_periodic_images(
     """
     if chain.is_infinite:
         raise ValueError("image sum requires a finite chain")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    require_positive_finite("tol", tol)
     n = chain.size
     p = int(p)
     if not 0 <= p <= n - 1:

@@ -18,7 +18,6 @@ from . import __version__
 from .chain import (
     ChainSpec,
     FractionalOrder,
-    TruncationError,
     build_laplacian_1d,
     element_infinite_closed,
     element_infinite_quadrature,
@@ -38,7 +37,7 @@ from .lattice import (
     normalized_dispersion_2d,
 )
 from .output import OutputRecord, record_to_csv, record_to_json
-from .special import QuadratureSpec, ToleranceError
+from .special import ToleranceError, require_positive_finite
 from .verify import SUITES, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -123,6 +122,9 @@ def cmd_elements(args):
     route = args.route
     parameters = {"alpha": alpha, "route": route, "omega_sq": args.omega_sq}
     metadata = _metadata()
+    # the quadrature and nD routes get --tol only when it is given, so their
+    # own defaults apply otherwise, and record it only then
+    tol = {} if args.tol is None else {"tol": args.tol}
 
     if route in _ROUTES_1D_INFINITE + _ROUTES_1D_PERIODIC:
         if args.offset:
@@ -146,17 +148,14 @@ def cmd_elements(args):
         if route == "closed":
             values = [element_infinite_closed(order, p) for p in p_list]
         elif route == "quadrature":
-            spec = None
-            if args.tol is not None:
-                spec = QuadratureSpec(abs_tol=args.tol)
-                parameters["tol"] = args.tol
-            values = [element_infinite_quadrature(order, p, spec) for p in p_list]
+            parameters.update(tol)
+            values = [element_infinite_quadrature(order, p, **tol) for p in p_list]
         elif route == "bloch":
             values = [element_periodic_bloch(order, chain, p) for p in p_list]
         else:
-            tol = args.tol if args.tol is not None else 1e-12
-            parameters["tol"] = tol
-            values = [element_periodic_images(order, chain, p, tol=tol) for p in p_list]
+            # the image sum records its bound also when it is the default
+            parameters["tol"] = args.tol if args.tol is not None else 1e-12
+            values = [element_periodic_images(order, chain, p, parameters["tol"]) for p in p_list]
         columns = ("p", "value", "route")
         rows = [(p, v, route) for p, v in zip(p_list, values)]
         return OutputRecord("elements", parameters, columns, rows, metadata), 0
@@ -173,12 +172,9 @@ def cmd_elements(args):
     parameters["size"] = "infinite"
     parameters["dim"] = dim
 
-    spec = None
-    if args.tol is not None:
-        spec = QuadratureSpec(points=24, abs_tol=args.tol)
-        parameters["tol"] = args.tol
+    parameters.update(tol)
     compute = {"nd_bz": element_infinite_nd_bz, "nd_bessel": element_infinite_nd_bessel}[route]
-    values = [compute(order, dim, OffsetVector(offset), spec) for offset in offsets]
+    values = [compute(order, dim, OffsetVector(offset), **tol) for offset in offsets]
     columns = tuple(f"p{j + 1}" for j in range(dim)) + ("value", "route")
     rows = [offset + (value, route) for offset, value in zip(offsets, values)]
     return OutputRecord("elements", parameters, columns, rows, metadata), 0
@@ -220,8 +216,7 @@ def cmd_matrix(args):
 def cmd_dispersion(args):
     alphas = [float(a) for a in args.alpha]
     for alpha in alphas:
-        if not (alpha > 0.0 and math.isfinite(alpha)):
-            raise UsageError(f"--alpha must be positive and finite, got {alpha}")
+        require_positive_finite("--alpha", alpha)
     if args.grid < 2:
         raise UsageError(f"--grid must be >= 2, got {args.grid}")
     parameters = {
@@ -283,8 +278,7 @@ def cmd_kernel(args):
         rows = [row(x) for x in points]
     else:
         length = float(args.length)
-        if not (length > 0.0 and math.isfinite(length)):
-            raise UsageError(f"--length must be positive and finite, got {args.length}")
+        require_positive_finite("--length", length)
         periodic = KernelSpec(alpha, period=length)
         whole_line = KernelSpec(alpha)
         singular_gap = 1e-12 * length
@@ -421,7 +415,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         record, exit_code = args.func(args)
-    except (ToleranceError, TruncationError, OverflowError) as exc:
+    except (ToleranceError, OverflowError) as exc:
         print(f"fraclat: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

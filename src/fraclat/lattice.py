@@ -40,11 +40,11 @@ from numpy.polynomial.legendre import leggauss  # noqa: F401
 
 from .chain import INFINITE, FractionalOrder, is_integer_half
 from .special import (
-    QuadratureSpec,
-    ToleranceError,
+    accept_estimate,
     gauss_panel_rule,
     geometric_panel_edges,
     log_gamma,
+    require_positive_finite,
 )
 
 __all__ = [
@@ -64,6 +64,11 @@ __all__ = [
 SPECTRAL_POINT_CAP = 10**7
 
 _MAX_DIM = 4
+
+# default error bound of the zone and heat kernel integrals, and their Gauss
+# order per panel; the error estimate compares it with order + 8
+_ND_TOL = 1e-9
+_GAUSS_ORDER = 24
 
 
 def _special(name: str):
@@ -109,8 +114,7 @@ class LatticeSpec:
                     raise ValueError(f"finite sizes must be integers >= 2, got {s}")
             sizes = tuple(int(s) for s in sizes)
         object.__setattr__(self, "sizes", sizes)
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        require_positive_finite("mass", self.mass)
 
     @property
     def is_infinite(self) -> bool:
@@ -272,18 +276,8 @@ def _bz_value(order: FractionalOrder, comps, gauss_order: int) -> float:
     return total / math.pi ** len(comps)
 
 
-def _checked(value: float, estimate: float, spec: QuadratureSpec, route: str) -> float:
-    """value, once its error estimate meets spec.abs_tol; the estimate is never taken
-    below the value's last place, where two Gauss orders often agree, nor finite for a
-    value that is not."""
-    estimate = max(estimate, math.ulp(value)) if math.isfinite(value + estimate) else math.inf
-    if estimate > spec.abs_tol or estimate == math.inf:
-        raise ToleranceError(f"{route} error estimate above bound {spec.abs_tol:.3e}", estimate)
-    return value
-
-
 def element_infinite_nd_bz(
-    order: FractionalOrder, dim: int, offset: OffsetVector, spec: QuadratureSpec | None = None
+    order: FractionalOrder, dim: int, offset: OffsetVector, tol: float = _ND_TOL
 ) -> float:
     """Infinite lattice profile as a Brillouin zone integral.
 
@@ -293,20 +287,25 @@ def element_infinite_nd_bz(
     at the zone centre, h = pi, pi/2, ... down to 1e-8, plus the innermost
     cube; each shell is a few boxes on which the integrand is analytic,
     integrated by a tensor Gauss rule whose panels are capped per axis so
-    each sees under half an oscillation period.  Gauss orders spec.points
-    and spec.points + 8 give the error estimate omega_sq |difference|, checked
-    against spec.abs_tol.
+    each sees under half an oscillation period.  Gauss orders n and n + 8,
+    n = _GAUSS_ORDER, give the error estimate omega_sq |difference|, floored
+    at the value's last place and checked against tol.  The default tol is
+    absolute: once |f| reaches 2^23 (about 8.4e6) its last place exceeds it
+    and an explicit tol is needed, which at the origin happens from alpha
+    about 17.86 in 2D and 15.26 in 3D.  Where the two orders differ by two
+    last places, the default already fails at some orders from about 17.1
+    in 2D and 14.9 in 3D.
     """
+    require_positive_finite("tol", tol)
     if not (isinstance(dim, int) and 1 <= dim <= 3):
         raise ValueError(f"the zone integral supports dim 1..3, got {dim}")
     if offset.dim != dim:
         raise ValueError(f"offset has {offset.dim} components, expected {dim}")
-    spec = spec or QuadratureSpec(points=24, abs_tol=1e-9)
     comps = offset.components
-    coarse = _bz_value(order, comps, spec.points)
-    fine = _bz_value(order, comps, spec.points + 8)
+    coarse = _bz_value(order, comps, _GAUSS_ORDER)
+    fine = _bz_value(order, comps, _GAUSS_ORDER + 8)
     value, estimate = order.omega_sq * fine, order.omega_sq * abs(fine - coarse)
-    return _checked(value, estimate, spec, "zone integral")
+    return accept_estimate(value, estimate, tol, "zone integral")
 
 
 # the log t panels end at T = t0 e^U <= 2.5e8, so the Bessel argument 2t stays
@@ -373,7 +372,7 @@ def _heat_tail(a: float, upper: float, comps) -> tuple[float, float]:
 
 
 def element_infinite_nd_bessel(
-    order: FractionalOrder, dim: int, offset: OffsetVector, spec: QuadratureSpec | None = None
+    order: FractionalOrder, dim: int, offset: OffsetVector, tol: float = _ND_TOL
 ) -> float:
     """Infinite lattice profile as a subordination integral over the heat kernel.
 
@@ -384,9 +383,12 @@ def element_infinite_nd_bessel(
     between the series and the integral, which runs on unit Gauss panels in
     log t up to T <= 2.5e8 and then on the Hankel expansion of ive.  The
     error estimate, omega_sq / |Gamma(-a)| times the difference of Gauss
-    orders spec.points and spec.points + 8 plus the tail's last term, is
-    checked against spec.abs_tol.
+    orders n = _GAUSS_ORDER and n + 8 plus the tail's last term, floored at
+    the value's last place, is checked against tol.  As for the zone
+    integral, the default tol cannot be met once |f| reaches 2^23: at the
+    origin from alpha about 17.86 in 2D and 15.26 in 3D.
     """
+    require_positive_finite("tol", tol)
     if order.is_integer_half:
         raise ValueError("the Bessel representation requires non integer alpha/2")
     if order.alpha > _HEAT_MAX_ALPHA:
@@ -395,17 +397,16 @@ def element_infinite_nd_bessel(
         raise ValueError(f"dim must be in 1..{_MAX_DIM}, got {dim}")
     if offset.dim != dim:
         raise ValueError(f"offset has {offset.dim} components, expected {dim}")
-    spec = spec or QuadratureSpec(points=24, abs_tol=1e-9)
     a = 0.5 * order.alpha
     # sorted, so permuted and sign flipped offsets multiply in one order
     comps = sorted(abs(c) for c in offset.components)
     t0 = a / (4.0 * dim)
     panels = int(math.log(_HEAT_T_MAX / t0))
-    coarse, fine = (_heat_integral(a, t0, comps, panels, n) for n in (spec.points, spec.points + 8))
+    coarse, fine = (_heat_integral(a, t0, comps, panels, n) for n in (_GAUSS_ORDER, _GAUSS_ORDER + 8))
     tail, last = _heat_tail(a, t0 * math.exp(panels), comps)
     scale = order.omega_sq * float(_special("rgamma")(-a))
     value = scale * (_heat_series(a, t0, comps, fine) + fine + tail)
-    return _checked(value, abs(scale) * (abs(fine - coarse) + last), spec, "heat kernel integral")
+    return accept_estimate(value, abs(scale) * (abs(fine - coarse) + last), tol, "heat kernel integral")
 
 
 # the name bench/spans.py times the route by

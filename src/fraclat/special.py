@@ -8,21 +8,26 @@ point is an algebraic cusp |kappa|^a at kappa = 0, which is exactly the
 shape of the power-law dispersion integrands evaluated elsewhere in the
 package: geometric panels toward the cusp, panel widths halved until an
 oscillating factor cos(kappa p) is resolved.
+
+The routes that take an error bound share its contract from here: a plain
+positive finite tol (require_positive_finite), an estimate never below the
+value's last place, and ToleranceError carrying that estimate when it does
+not meet the bound (accept_estimate).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
-    "QuadratureSpec",
     "ToleranceError",
+    "require_positive_finite",
+    "accept_estimate",
     "log_gamma",
     "hurwitz_zeta",
     "integrate_even_periodic",
@@ -32,7 +37,7 @@ __all__ = [
 
 
 class ToleranceError(RuntimeError):
-    """Raised when a quadrature cannot meet its requested tolerance.
+    """Raised when a route cannot meet its requested tolerance.
 
     The achieved error estimate is stored in ``achieved``.
     """
@@ -42,26 +47,25 @@ class ToleranceError(RuntimeError):
         self.achieved = achieved
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Configuration of the panel-refined Gauss quadrature.
+def require_positive_finite(name: str, value: float) -> None:
+    """Raise ValueError unless value is positive and finite (NaN is neither)."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
-    Parameters
-    ----------
-    points : int
-        Gauss order per panel; the error estimate compares it with points + 8.
-    abs_tol : float
-        Acceptance threshold for that absolute error estimate.
-    """
 
-    points: int = 16
-    abs_tol: float = 1e-12
+def _last_place_floor(value: float, estimate: float) -> float:
+    """An error estimate of value, never below value's last place, where two
+    Gauss orders often agree, nor finite when value or estimate is not."""
+    return max(estimate, math.ulp(value)) if math.isfinite(value + estimate) else math.inf
 
-    def __post_init__(self):
-        if self.points < 16:
-            raise ValueError("points must be >= 16")
-        if not 0 < self.abs_tol < math.inf:
-            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
+
+def accept_estimate(value: float, estimate: float, tol: float, route: str) -> float:
+    """value, once its error estimate, floored at its last place, meets tol;
+    ToleranceError with that estimate otherwise (tol is positive and finite)."""
+    estimate = _last_place_floor(value, estimate)
+    if estimate > tol:
+        raise ToleranceError(f"{route} error estimate above bound {tol:.3e}", estimate)
+    return value
 
 
 def log_gamma(x: float) -> float:
@@ -150,32 +154,34 @@ def geometric_panel_edges(upper: float, min_width: float = 1e-8) -> np.ndarray:
 # panels at which the refinement gives up: at width pi / 2^14 the nodes
 # resolve cos(kappa p) for p up to about 10^5, and the last rounds stay cheap
 _MAX_PANELS = 2**14
+# Gauss order per panel; the error estimate compares it with order + 8
+_GAUSS_ORDER = 16
 
 
-def integrate_even_periodic(f: Callable, spec: QuadratureSpec | None = None) -> float:
+def integrate_even_periodic(f: Callable, tol: float = 1e-12) -> float:
     """Integral of an even 2*pi-periodic function over [-pi, pi].
 
     Computed as 2 * integral over [0, pi] on the geometric panels of
     geometric_panel_edges(pi), which shrink toward kappa = 0 where integrands
     of the form |kappa|^a are not smooth, each split into equal panels no
     wider than one common width.  The width halves until the estimate
-    |Q(points + 8) - Q(points)| of the whole integral, floored at its last
-    place, meets spec.abs_tol; per panel differences would add up the
-    rounding of oscillating factors that cancels in the whole.  f must map an
-    array of nodes to an array of values.
+    |Q(n + 8) - Q(n)| of the whole integral, n the Gauss order per panel,
+    floored at its last place, meets tol; per panel differences would add up
+    the rounding of oscillating factors that cancels in the whole.  f must
+    map an array of nodes to an array of values.
     """
-    spec = spec or QuadratureSpec()
+    require_positive_finite("tol", tol)
     geometric = geometric_panel_edges(math.pi)
     width = math.pi
     while True:
         # the geometric edges are pi / 2^j, so they lie on the grid of width pi / 2^k
         edges = np.union1d(geometric, np.arange(0.0, math.pi, width))
-        x, w = gauss_panel_rule(edges, spec.points)
+        x, w = gauss_panel_rule(edges, _GAUSS_ORDER)
         coarse = 2.0 * float(w @ f(x))
-        x, w = gauss_panel_rule(edges, spec.points + 8)
+        x, w = gauss_panel_rule(edges, _GAUSS_ORDER + 8)
         fine = 2.0 * float(w @ f(x))
-        estimate = max(abs(fine - coarse), math.ulp(fine)) if math.isfinite(fine + coarse) else math.inf
-        if estimate <= spec.abs_tol:
+        estimate = _last_place_floor(fine, abs(fine - coarse))
+        if estimate <= tol:
             return fine
         if estimate == math.inf or len(edges) > _MAX_PANELS:
             raise ToleranceError("adaptive_gauss tolerance not met", estimate)

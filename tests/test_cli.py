@@ -108,6 +108,15 @@ class TestElementsCommand:
         assert code == 1 and not out
         assert "heat kernel integral error estimate above bound" in err
 
+    def test_image_truncation_exits_1(self, capsys, monkeypatch):
+        # TruncationError is a ToleranceError, the one failure class main catches
+        monkeypatch.setattr("fraclat.chain._IMAGE_SUM_CAP", 64)
+        code, out, err = run_cli(
+            capsys, "elements", "--alpha", "0.4", "--n", "4", "--p", "1", "--route", "images", "--tol", "1e-300"
+        )
+        assert code == 1 and not out
+        assert err.startswith("fraclat: image sum needs more than 64 terms")
+
     def test_nd_bessel_rejects_integer_half(self, capsys):
         code, _, err = run_cli(
             capsys, "elements", "--alpha", "2.0", "--infinite", "--route", "nd_bessel", "--offset", "0,0"
@@ -145,15 +154,16 @@ class TestElementsCommand:
 
     @pytest.mark.parametrize("argv,message", [
         (("--n", "4", "--route", "images"), "tol must be positive and finite, got inf"),
-        (("--infinite", "--p", "0", "--route", "quadrature"), "abs_tol must be positive and finite"),
-        (("--infinite", "--offset", "0,0", "--route", "nd_bz"), "abs_tol must be positive and finite"),
+        (("--infinite", "--p", "0", "--route", "quadrature"), "tol must be positive and finite, got inf"),
+        (("--infinite", "--offset", "0,0", "--route", "nd_bz"), "tol must be positive and finite, got inf"),
+        (("--infinite", "--offset", "0,0", "--route", "nd_bessel"), "tol must be positive and finite, got inf"),
     ])
     def test_infinite_tol_is_a_usage_error(self, capsys, argv, message):
         # an infinite bound would accept the route's first estimate
         code, out, err = run_cli(capsys, "elements", "--alpha", "1.3", *argv, "--tol", "inf")
         assert code == 2
         assert not out
-        assert message in err
+        assert err == f"fraclat: {message}\n"
 
     def test_route_lattice_mismatches_exit_2(self, capsys):
         bad_invocations = [

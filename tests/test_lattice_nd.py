@@ -25,7 +25,7 @@ from fraclat.lattice import (
     element_periodic_nd,
     normalized_dispersion_2d,
 )
-from fraclat.special import QuadratureSpec, ToleranceError
+from fraclat.special import ToleranceError
 
 
 class TestLatticeValidation:
@@ -285,24 +285,22 @@ class TestZoneIntegral:
 
     def test_tolerance_failure_reported(self):
         order = FractionalOrder(alpha=0.3)
-        spec = QuadratureSpec(points=16, abs_tol=1e-30)
         with pytest.raises(ToleranceError):
-            element_infinite_nd_bz(order, 2, OffsetVector((7, 3)), spec)
+            element_infinite_nd_bz(order, 2, OffsetVector((7, 3)), tol=1e-30)
 
     def test_tolerance_failure_reported_3d(self):
         order = FractionalOrder(alpha=0.3)
-        spec = QuadratureSpec(points=16, abs_tol=1e-30)
         with pytest.raises(ToleranceError) as failure:
-            element_infinite_nd_bz(order, 3, OffsetVector((2, 1, 2)), spec)
+            element_infinite_nd_bz(order, 3, OffsetVector((2, 1, 2)), tol=1e-30)
         assert 0.0 < failure.value.achieved < math.inf
 
     def test_tolerance_bounds_the_scaled_value(self):
         # the orders differ by 1.1e-7 here once scaled by omega_sq; the
         # unscaled difference, 1.1e-19, used to pass a 1e-9 bound
         order = FractionalOrder(alpha=0.3, omega_sq=1e12)
-        value = element_infinite_nd_bz(order, 2, OffsetVector((8, 8)), QuadratureSpec(24, 1e-6))
+        value = element_infinite_nd_bz(order, 2, OffsetVector((8, 8)), tol=1e-6)
         with pytest.raises(ToleranceError) as failure:
-            element_infinite_nd_bz(order, 2, OffsetVector((8, 8)), QuadratureSpec(24, 1e-9))
+            element_infinite_nd_bz(order, 2, OffsetVector((8, 8)), tol=1e-9)
         assert 1e-9 < failure.value.achieved < 1e-6
         unscaled = element_infinite_nd_bz(FractionalOrder(alpha=0.3), 2, OffsetVector((8, 8)))
         assert value == 1e12 * unscaled
@@ -312,9 +310,8 @@ class TestZoneIntegral:
         # below the result's last place still cannot be met
         order = FractionalOrder(alpha=0.3)
         value = element_infinite_nd_bz(order, 2, OffsetVector((0, 0)))
-        spec = QuadratureSpec(points=16, abs_tol=1e-30)
         with pytest.raises(ToleranceError) as failure:
-            element_infinite_nd_bz(order, 2, OffsetVector((0, 0)), spec)
+            element_infinite_nd_bz(order, 2, OffsetVector((0, 0)), tol=1e-30)
         assert failure.value.achieved >= math.ulp(value)
 
     def test_axis_decay_slope(self):
@@ -338,7 +335,7 @@ class TestBesselRoute:
             for p in (0, 1, 5, 17, 200, 2000):
                 expected = element_infinite_closed(order, p)
                 value = element_infinite_nd_bessel(
-                    order, 1, OffsetVector((p,)), QuadratureSpec(24, 1e-12 * max(1.0, abs(expected)))
+                    order, 1, OffsetVector((p,)), tol=1e-12 * max(1.0, abs(expected))
                 )
                 assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected)), (alpha, p)
 
@@ -399,8 +396,7 @@ class TestBesselRoute:
         # after the J terms the split point needs, instead of P + J, misses by
         # 1e-12 here (references: the binomial form in 30 digit mpmath)
         for alpha, expected in ((39.0, 0.08948540395106883), (39.05, 0.10285096553851869)):
-            spec = QuadratureSpec(24, 1e-13)
-            value = element_infinite_nd_bessel(FractionalOrder(alpha), 1, OffsetVector((20,)), spec)
+            value = element_infinite_nd_bessel(FractionalOrder(alpha), 1, OffsetVector((20,)), tol=1e-13)
             assert abs(value - expected) <= 1e-13
 
     def test_integer_half_rejected(self):
@@ -436,16 +432,16 @@ class TestBesselRoute:
     def test_tolerance_failure_reported(self):
         order = FractionalOrder(alpha=0.5)
         with pytest.raises(ToleranceError) as failure:
-            element_infinite_nd_bessel(order, 1, OffsetVector((1,)), QuadratureSpec(16, 1e-30))
+            element_infinite_nd_bessel(order, 1, OffsetVector((1,)), tol=1e-30)
         value = element_infinite_nd_bessel(order, 1, OffsetVector((1,)))
         assert math.ulp(value) <= failure.value.achieved < math.inf
 
     def test_tolerance_bounds_the_scaled_value(self):
         # the estimate carries omega_sq, like the value it bounds
         order = FractionalOrder(alpha=0.3, omega_sq=1e12)
-        value = element_infinite_nd_bessel(order, 2, OffsetVector((8, 8)), QuadratureSpec(24, 1.0))
+        value = element_infinite_nd_bessel(order, 2, OffsetVector((8, 8)), tol=1.0)
         with pytest.raises(ToleranceError) as failure:
-            element_infinite_nd_bessel(order, 2, OffsetVector((8, 8)), QuadratureSpec(24, 1e-9))
+            element_infinite_nd_bessel(order, 2, OffsetVector((8, 8)), tol=1e-9)
         assert failure.value.achieved >= math.ulp(value) > 1e-9
 
     def test_far_offsets_raise_instead_of_nan(self):
@@ -459,7 +455,7 @@ class TestBesselRoute:
 
     def test_values_out_of_range_raise_instead_of_nan(self):
         # even the largest tolerance does not pass an overflowed value
-        loose = QuadratureSpec(24, sys.float_info.max)
+        loose = sys.float_info.max
         order = FractionalOrder(alpha=31.5, omega_sq=1e300)
         with pytest.raises(ToleranceError) as failure:
             element_infinite_nd_bessel(order, 2, OffsetVector((0, 0)), loose)

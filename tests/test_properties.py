@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fraclat.chain import FractionalOrder, element_infinite_quadrature, is_integer_half
 from fraclat.lattice import OffsetVector, element_infinite_nd_bessel, element_infinite_nd_bz
-from fraclat.special import QuadratureSpec
 
 orders = st.floats(min_value=0.0, max_value=40.0, exclude_min=True).filter(
     lambda alpha: not is_integer_half(alpha)
@@ -31,9 +30,7 @@ def binomial_element(alpha: float, p: int) -> float:
 def test_one_dimension_matches_binomial_form(alpha, p):
     expected = binomial_element(alpha, p)
     bound = 1e-12 * max(1.0, abs(expected))
-    value = element_infinite_nd_bessel(
-        FractionalOrder(alpha), 1, OffsetVector((p,)), QuadratureSpec(24, bound)
-    )
+    value = element_infinite_nd_bessel(FractionalOrder(alpha), 1, OffsetVector((p,)), tol=bound)
     assert abs(value - expected) <= bound
 
 
@@ -57,13 +54,13 @@ def test_square_lattice_matches_zone_integral(alpha, comps):
 )
 def test_value_is_invariant_under_lattice_symmetries(alpha, comps, data):
     order = FractionalOrder(alpha)
-    spec = QuadratureSpec(24, sys.float_info.max)  # any finite estimate passes
+    tol = sys.float_info.max  # any finite estimate passes
     image = data.draw(st.permutations(comps))
     signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=len(comps), max_size=len(comps)))
     image = tuple(s * c for s, c in zip(signs, image))
     dim = len(comps)
-    base = element_infinite_nd_bessel(order, dim, OffsetVector(comps), spec)
-    assert element_infinite_nd_bessel(order, dim, OffsetVector(image), spec) == base
+    base = element_infinite_nd_bessel(order, dim, OffsetVector(comps), tol=tol)
+    assert element_infinite_nd_bessel(order, dim, OffsetVector(image), tol=tol) == base
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.special
 
+from fraclat.chain import FractionalOrder, element_infinite_quadrature
+from fraclat.lattice import OffsetVector, element_infinite_nd_bessel, element_infinite_nd_bz
 from fraclat.special import (
-    QuadratureSpec,
     ToleranceError,
     hurwitz_zeta,
     integrate_even_periodic,
@@ -88,39 +89,43 @@ class TestHurwitzZeta:
             hurwitz_zeta(2.0, -3.0)
 
 
-class TestQuadratureSpec:
+class TestTolContract:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(points=8)
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=-1e-9)
-        for bad in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="abs_tol must be positive and finite"):
-                QuadratureSpec(abs_tol=bad)
-        QuadratureSpec(points=64, abs_tol=1e-6)
+        # every route that takes an error bound rejects one that is not
+        # positive and finite before it computes anything
+        order = FractionalOrder(alpha=1.3)
+        routes = (
+            lambda tol: integrate_even_periodic(np.cos, tol),
+            lambda tol: element_infinite_quadrature(order, 1, tol),
+            lambda tol: element_infinite_nd_bz(order, 2, OffsetVector((1, 0)), tol),
+            lambda tol: element_infinite_nd_bessel(order, 2, OffsetVector((1, 0)), tol),
+        )
+        for route in routes:
+            for bad in (0.0, -1e-9, math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"tol must be positive and finite, got {bad}"):
+                    route(bad)
+            assert math.isfinite(route(1e-6))
 
 
 class TestIntegrateEvenPeriodic:
     def test_cosine_vanishes(self):
-        val = integrate_even_periodic(np.cos, QuadratureSpec())
+        val = integrate_even_periodic(np.cos)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_constant(self):
-        val = integrate_even_periodic(lambda k: np.ones_like(k), QuadratureSpec())
+        val = integrate_even_periodic(lambda k: np.ones_like(k))
         assert val == pytest.approx(2.0 * math.pi, rel=1e-13)
 
     def test_half_power_dispersion(self):
         # integrand 2|sin(kappa/2)| integrates to 8 over the full period
         f = lambda k: (4.0 * np.sin(k / 2.0) ** 2) ** 0.5
-        val = integrate_even_periodic(f, QuadratureSpec())
+        val = integrate_even_periodic(f)
         assert val == pytest.approx(8.0, abs=1e-11)
 
     def test_oscillatory_factor(self):
         # cos(kappa p) against the smooth alpha = 2 dispersion: exact value -pi at p = 1
         f = lambda k: np.cos(k) * 4.0 * np.sin(k / 2.0) ** 2
-        val = integrate_even_periodic(f, QuadratureSpec())
+        val = integrate_even_periodic(f)
         assert val == pytest.approx(-2.0 * math.pi, rel=1e-12)
 
     def test_tolerance_error(self):
@@ -128,5 +133,5 @@ class TestIntegrateEvenPeriodic:
         # halves until the panel cap and then gives up
         f = lambda k: (4.0 * np.sin(k / 2.0) ** 2) ** 0.25
         with pytest.raises(ToleranceError) as info:
-            integrate_even_periodic(f, QuadratureSpec(abs_tol=1e-300))
+            integrate_even_periodic(f, 1e-300)
         assert 1e-300 < info.value.achieved < 1e-6
