@@ -3,7 +3,6 @@
 Run:  python3 demos/riesz_kernel.py
 """
 from fraclat import (
-    KernelSpec,
     continuum_convergence_check,
     riesz_kernel_infinite,
     riesz_kernel_periodic,
@@ -13,13 +12,11 @@ from fraclat import (
 def main():
     alpha = 0.8
     print(f"Kernel K(x) at alpha={alpha}: periodized (period L) vs whole line")
-    whole = KernelSpec(alpha)
     for length in (2.0, 10.0, 100.0):
-        periodic = KernelSpec(alpha, period=length)
         print(f"  L={length:>5}:")
         for x in (0.25, 0.5, 1.0):
-            k_l = riesz_kernel_periodic(periodic, x)
-            k_inf = riesz_kernel_infinite(whole, x)
+            k_l = riesz_kernel_periodic(alpha, length, x)
+            k_inf = riesz_kernel_infinite(alpha, x)
             print(f"    x={x:<5} K_L {k_l:.8f}   K_inf {k_inf:.8f}   excess {k_l - k_inf:.2e}")
     print("(the excess is the wrapped image contribution; it dies as L^-(alpha+1))")
 

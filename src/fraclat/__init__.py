@@ -18,7 +18,6 @@ cli        command line front end (`fraclat`)
 __version__ = "1.0.0"
 
 from .chain import (
-    INFINITE,
     ChainSpec,
     CirculantMatrix,
     FractionalOrder,
@@ -35,7 +34,6 @@ from .chain import (
 )
 from .continuum import (
     ConvergenceReport,
-    KernelSpec,
     continuum_convergence_check,
     riesz_amplitude,
     riesz_kernel_infinite,
@@ -60,7 +58,6 @@ from .verify import CheckResult, run_suite
 
 __all__ = [
     "__version__",
-    "INFINITE",
     "ChainSpec",
     "CirculantMatrix",
     "FractionalOrder",
@@ -75,7 +72,6 @@ __all__ = [
     "laplacian_eigenvalues_1d",
     "normalized_dispersion_1d",
     "ConvergenceReport",
-    "KernelSpec",
     "continuum_convergence_check",
     "riesz_amplitude",
     "riesz_kernel_infinite",

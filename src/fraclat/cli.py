@@ -25,8 +25,9 @@ from .chain import (
     element_periodic_images,
     laplacian_eigenvalues_1d,
     normalized_dispersion_1d,
+    require_non_integer_half,
 )
-from .continuum import KernelSpec, riesz_kernel_infinite, riesz_kernel_periodic
+from .continuum import riesz_kernel_infinite, riesz_kernel_periodic
 from .lattice import (
     LatticeSpec,
     OffsetVector,
@@ -130,12 +131,12 @@ def cmd_elements(args):
         if args.offset:
             raise UsageError(f"route {route} is one dimensional; use --p, not --offset")
         if route in _ROUTES_1D_INFINITE:
-            if args.n is not None or args.dims is not None or not args.infinite:
+            if args.n is not None or not args.infinite:
                 raise UsageError(f"route {route} requires --infinite")
             p_text = args.p or "0..10"
             parameters["size"] = "infinite"
         else:
-            if args.infinite or args.dims is not None or args.n is None:
+            if args.infinite or args.n is None:
                 raise UsageError(f"route {route} requires a ring size --n")
             chain = ChainSpec(args.n)
             p_text = args.p or f"0..{args.n - 1}"
@@ -161,7 +162,7 @@ def cmd_elements(args):
         return OutputRecord("elements", parameters, columns, rows, metadata), 0
 
     # nD routes act on the infinite lattice and take explicit offset vectors
-    if not args.infinite or args.n is not None or args.dims is not None:
+    if not args.infinite or args.n is not None:
         raise UsageError(f"route {route} requires --infinite")
     if not args.offset:
         raise UsageError(f"route {route} requires at least one --offset p1,p2[,p3]")
@@ -182,8 +183,6 @@ def cmd_elements(args):
 
 def cmd_matrix(args):
     alpha = _single_alpha(args)
-    if args.infinite:
-        raise UsageError("matrix export requires a finite lattice (--n or --dims)")
     if (args.n is None) == (args.dims is None):
         raise UsageError("matrix export needs exactly one of --n or --dims")
     if args.n is not None:
@@ -250,13 +249,15 @@ def cmd_dispersion(args):
 
 def cmd_kernel(args):
     alpha = _single_alpha(args)
-    if args.n is not None or args.dims is not None:
-        raise UsageError("kernel sampling takes --length or --infinite, not --n/--dims")
     if (args.length is None) == (not args.infinite):
         raise UsageError("kernel sampling needs exactly one of --length or --infinite")
     lo, hi = _parse_real_range(args.x_range, "--x-range")
     if args.samples < 2:
         raise UsageError(f"--samples must be >= 2, got {args.samples}")
+    if not args.infinite:
+        require_positive_finite("--length", args.length)
+    # checked here, not by the kernels, as every sample may be singular
+    require_non_integer_half(alpha)
     points = np.linspace(lo, hi, args.samples)
     parameters = {
         "alpha": alpha,
@@ -266,21 +267,17 @@ def cmd_kernel(args):
     }
 
     if args.infinite:
-        spec = KernelSpec(alpha)
         singular_gap = 1e-12
 
         def row(x):
             if abs(x) <= singular_gap:
                 return (float(x), math.nan, "singular")
-            return (float(x), riesz_kernel_infinite(spec, float(x)), "ok")
+            return (float(x), riesz_kernel_infinite(alpha, float(x)), "ok")
 
         columns = ("x", "kernel", "flag")
         rows = [row(x) for x in points]
     else:
-        length = float(args.length)
-        require_positive_finite("--length", length)
-        periodic = KernelSpec(alpha, period=length)
-        whole_line = KernelSpec(alpha)
+        length = args.length
         singular_gap = 1e-12 * length
 
         def row(x):
@@ -288,7 +285,7 @@ def cmd_kernel(args):
             nearest = round(x / length) * length
             if abs(x - nearest) <= singular_gap:
                 return (x, math.nan, math.nan, "singular")
-            return (x, riesz_kernel_periodic(periodic, x), riesz_kernel_infinite(whole_line, x), "ok")
+            return (x, riesz_kernel_periodic(alpha, length, x), riesz_kernel_infinite(alpha, x), "ok")
 
         columns = ("x", "kernel", "kernel_infinite", "flag")
         rows = [row(x) for x in points]
@@ -330,14 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
         sub.add_argument("--output", default="-", metavar="PATH|-")
 
-    def add_size_flags(sub):
-        sub.add_argument("--n", type=int, metavar="INT", help="ring size (1D periodic)")
-        sub.add_argument("--dims", metavar="N1xN2[xN3]", help="finite lattice sizes per axis")
-        sub.add_argument("--infinite", action="store_true", help="infinite lattice")
-
     sub = subparsers.add_parser("elements", help="coupling profile values by any route")
     sub.add_argument("--alpha", type=float, action="append", required=True)
-    add_size_flags(sub)
+    sub.add_argument("--n", type=int, metavar="INT", help="ring size (1D periodic)")
+    sub.add_argument("--infinite", action="store_true", help="infinite lattice")
     sub.add_argument("--p", metavar="a..b", help="1D offsets: range, value, or comma list")
     sub.add_argument(
         "--offset",
@@ -357,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("matrix", help="finite Laplacian table plus eigenvalues")
     sub.add_argument("--alpha", type=float, action="append", required=True)
-    add_size_flags(sub)
+    sub.add_argument("--n", type=int, metavar="INT", help="ring size (1D periodic)")
+    sub.add_argument("--dims", metavar="N1xN2[xN3]", help="finite lattice sizes per axis")
     sub.add_argument("--mu", type=float, default=1.0, help="mass prefactor of the Laplacian")
     sub.add_argument("--omega-sq", type=float, default=1.0, dest="omega_sq")
     add_output_flags(sub)
@@ -378,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("kernel", help="continuum kernel samples")
     sub.add_argument("--alpha", type=float, action="append", required=True)
-    add_size_flags(sub)
+    sub.add_argument("--infinite", action="store_true", help="infinite lattice")
     sub.add_argument("--length", type=float, metavar="L", help="period of the periodic kernel")
     sub.add_argument("--x-range", default="0..10", metavar="a..b", dest="x_range")
     sub.add_argument("--samples", type=int, default=21)

@@ -2,9 +2,11 @@
 
 The infinite space kernel is the power law that the chain couplings approach
 under the continuum scaling, and the periodic kernel is its image sum over
-one period, resummed in closed form through Hurwitz zeta functions.  The
-module also provides the discrete-to-continuum convergence scan that drives
-the matrix element against the kernel as the lattice spacing shrinks.
+one period, resummed in closed form through Hurwitz zeta functions.  Each
+kernel takes the order alpha, the periodic one also its period, and the
+point x.  The module also provides the discrete-to-continuum convergence
+scan that drives the matrix element against the kernel as the lattice
+spacing shrinks.
 
 Only non integer half orders are covered: at integer alpha/2 the continuum
 kernel degenerates to derivatives of delta distributions with no pointwise
@@ -16,16 +18,14 @@ import math
 from dataclasses import dataclass
 
 from .chain import (
-    INFINITE,
     FractionalOrder,
     element_infinite_closed,
     require_non_integer_half,
     riesz_amplitude,
 )
-from .special import hurwitz_zeta
+from .special import hurwitz_zeta, require_positive_finite
 
 __all__ = [
-    "KernelSpec",
     "ConvergenceReport",
     "riesz_amplitude",
     "riesz_kernel_infinite",
@@ -33,53 +33,35 @@ __all__ = [
     "continuum_convergence_check",
 ]
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel parameters: order and period (INFINITE for the whole line)."""
-
-    alpha: float
-    period: float = INFINITE
-
-    def __post_init__(self):
-        require_non_integer_half(self.alpha)
-        if self.period != INFINITE and not (self.period > 0.0 and math.isfinite(self.period)):
-            raise ValueError(f"period must be positive or INFINITE, got {self.period}")
-
-    @property
-    def is_periodic(self) -> bool:
-        return self.period != INFINITE
-
-
-def riesz_kernel_infinite(spec: KernelSpec, x: float) -> float:
+def riesz_kernel_infinite(alpha: float, x: float) -> float:
     """Whole line kernel: amplitude times |x|^(-alpha-1), singular at x = 0."""
-    if spec.is_periodic:
-        raise ValueError("infinite space kernel requires period = INFINITE")
     if x == 0.0:
         raise ValueError("kernel is singular at x = 0")
     try:
-        value = riesz_amplitude(spec.alpha) * abs(x) ** (-spec.alpha - 1.0)
+        value = riesz_amplitude(alpha) * abs(x) ** (-alpha - 1.0)
     except OverflowError:  # raised by the float power itself
         value = math.inf
     if not math.isfinite(value):
-        raise OverflowError(f"riesz_kernel_infinite({spec.alpha!r}, {x!r}) exceeds the double range")
+        raise OverflowError(f"riesz_kernel_infinite({alpha!r}, {x!r}) exceeds the double range")
     return value
 
 
-def riesz_kernel_periodic(spec: KernelSpec, x: float) -> float:
+def riesz_kernel_periodic(alpha: float, period: float, x: float) -> float:
     """Periodic kernel: image sum of the whole line kernel over the period.
 
     With xi = x / period folded into (0, 1) the sum over all images resums to
     amplitude / period^(alpha+1) * (zeta(alpha+1, xi) + zeta(alpha+1, 1-xi)).
     """
-    if not spec.is_periodic:
-        raise ValueError("periodic kernel requires a finite period")
-    length = spec.period
-    xi = (x / length) % 1.0
+    # alpha before the zeta sums, which would see an invalid order first; a
+    # negative period would make period^(-alpha-1) complex
+    require_non_integer_half(alpha)
+    require_positive_finite("period", period)
+    xi = (x / period) % 1.0
     if xi == 0.0:
-        raise ValueError(f"kernel is singular on the lattice x in {length} * integers")
-    beta = spec.alpha + 1.0
+        raise ValueError(f"kernel is singular on the lattice x in {period} * integers")
+    beta = alpha + 1.0
     bracket = hurwitz_zeta(beta, xi) + hurwitz_zeta(beta, 1.0 - xi)
-    return riesz_amplitude(spec.alpha) * length ** (-beta) * bracket
+    return riesz_amplitude(alpha) * period ** (-beta) * bracket
 
 
 @dataclass(frozen=True)
@@ -117,14 +99,12 @@ def continuum_convergence_check(alpha: float, x: float, h_values) -> Convergence
     error, so the scan runs in dimensionless mode.
     """
     require_non_integer_half(alpha)
-    if not x > 0.0:
-        raise ValueError(f"probe point must be positive, got {x}")
+    require_positive_finite("probe point", x)
     order = FractionalOrder(alpha=alpha, omega_sq=1.0)
-    kernel = riesz_kernel_infinite(KernelSpec(alpha), x)
+    kernel = riesz_kernel_infinite(alpha, x)
     entries = []
     for h in h_values:
-        if not (0.0 < h and math.isfinite(h)):
-            raise ValueError(f"spacings must be positive, got {h}")
+        require_positive_finite("spacing", h)
         p = round(x / h)
         if p < 1:
             raise ValueError(f"spacing {h} is too coarse for probe point {x}")

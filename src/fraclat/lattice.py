@@ -38,9 +38,10 @@ import numpy as np
 # name to count Gauss orders and time the routes; no route calls leggauss or jv
 from numpy.polynomial.legendre import leggauss  # noqa: F401
 
-from .chain import INFINITE, FractionalOrder, is_integer_half
+from .chain import FractionalOrder, is_integer_half
 from .special import (
     accept_estimate,
+    as_integer,
     gauss_panel_rule,
     geometric_panel_edges,
     log_gamma,
@@ -88,11 +89,11 @@ class SizeLimitError(ValueError):
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Cubic lattice geometry: dimension, per axis sizes and mass.
+    """Periodic cubic lattice geometry: dimension, per axis sizes and mass.
 
-    sizes is a tuple with one entry per axis, each an integer >= 2, or every
-    entry INFINITE for the infinite lattice.  The frequency scale lives on
-    the FractionalOrder.
+    sizes is a tuple with one entry per axis, each an integer >= 2; the
+    infinite lattice routes take a dimension instead.  The frequency scale
+    lives on the FractionalOrder.
     """
 
     dim: int
@@ -105,24 +106,16 @@ class LatticeSpec:
         sizes = tuple(self.sizes)
         if len(sizes) != self.dim:
             raise ValueError(f"sizes must have {self.dim} entries, got {len(sizes)}")
-        finite = [s for s in sizes if s != INFINITE]
-        if finite and len(finite) != self.dim:
-            raise ValueError("sizes must be all finite or all INFINITE")
-        if finite:
-            for s in sizes:
-                if s != int(s) or int(s) < 2:
-                    raise ValueError(f"finite sizes must be integers >= 2, got {s}")
-            sizes = tuple(int(s) for s in sizes)
-        object.__setattr__(self, "sizes", sizes)
+        for s in sizes:
+            size = as_integer(s)
+            if size is None or size < 2:
+                raise ValueError(f"sizes must be integers >= 2, got {s}")
+        object.__setattr__(self, "sizes", tuple(int(s) for s in sizes))
         require_positive_finite("mass", self.mass)
 
     @property
-    def is_infinite(self) -> bool:
-        return self.sizes[0] == INFINITE
-
-    @property
-    def n_points(self) -> float:
-        return INFINITE if self.is_infinite else float(math.prod(self.sizes))
+    def n_points(self) -> int:
+        return math.prod(self.sizes)
 
 
 @dataclass(frozen=True)
@@ -134,7 +127,7 @@ class OffsetVector:
     def __post_init__(self):
         comps = tuple(self.components)
         for c in comps:
-            if c != int(c):
+            if as_integer(c) is None:
                 raise ValueError(f"offset components must be integers, got {c}")
         object.__setattr__(self, "components", tuple(int(c) for c in comps))
 
@@ -161,13 +154,11 @@ def element_periodic_nd(
     f(p) = omega_sq / N_total * sum over all Bloch vectors of
     cos(kappa . p) * lambda(kappa)^(alpha/2).
     """
-    if lattice.is_infinite:
-        raise ValueError("spectral sum requires a finite lattice")
     if offset.dim != lattice.dim:
         raise ValueError(f"offset has {offset.dim} components, lattice has {lattice.dim}")
     if lattice.n_points > SPECTRAL_POINT_CAP:
         raise SizeLimitError(
-            f"spectral sum over {lattice.n_points:.0f} points exceeds the cap {SPECTRAL_POINT_CAP}"
+            f"spectral sum over {lattice.n_points} points exceeds the cap {SPECTRAL_POINT_CAP}"
         )
     a = 0.5 * order.alpha
     offset = offset.reduced(lattice.sizes)
@@ -207,8 +198,6 @@ def build_laplacian_nd(order: FractionalOrder, lattice: LatticeSpec):
     omega_sq * lambda(kappa)^(alpha/2), and eigenvalues[l] is -mass times
     the mode at Bloch vector kappa_j = 2 pi l_j / N_j.
     """
-    if lattice.is_infinite:
-        raise ValueError("matrix construction requires a finite lattice")
     axes = [2.0 * np.pi * np.arange(n) / n for n in lattice.sizes]
     kappa = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     modes = order.omega_sq * eigenvalue_nd(kappa) ** (0.5 * order.alpha)
@@ -423,8 +412,7 @@ def asymptotic_constant_nd(dim: int, alpha: float) -> float:
     """
     if not (isinstance(dim, int) and 1 <= dim <= _MAX_DIM):
         raise ValueError(f"dim must be in 1..{_MAX_DIM}, got {dim}")
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    require_positive_finite("alpha", alpha)
     if is_integer_half(alpha):
         return 0.0
     log_mag = (

@@ -27,6 +27,7 @@ from numpy.polynomial.legendre import leggauss
 __all__ = [
     "ToleranceError",
     "require_positive_finite",
+    "as_integer",
     "accept_estimate",
     "log_gamma",
     "hurwitz_zeta",
@@ -51,6 +52,15 @@ def require_positive_finite(name: str, value: float) -> None:
     """Raise ValueError unless value is positive and finite (NaN is neither)."""
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def as_integer(value):
+    """value as an int when it is a finite integer (2.0 counts), else None."""
+    try:
+        integer = int(value)
+    except (OverflowError, TypeError, ValueError):  # inf, None, NaN
+        return None
+    return integer if integer == value else None
 
 
 def _last_place_floor(value: float, estimate: float) -> float:

@@ -22,7 +22,6 @@ from .chain import (
     element_periodic_images,
 )
 from .continuum import (
-    KernelSpec,
     continuum_convergence_check,
     riesz_amplitude,
     riesz_kernel_infinite,
@@ -229,13 +228,12 @@ def _check_kernel_zeta_vs_images(tol):
     for alpha in (0.4, 1.0, 1.7, 2.5):
         amp = riesz_amplitude(alpha)
         beta = alpha + 1.0
-        spec = KernelSpec(alpha, period=1.0)
         for xi in (0.1, 0.25, 0.5):
             direct = xi**-beta + float(np.sum((s + xi) ** -beta + (s - xi) ** -beta))
             # midpoint tail estimate for both image directions
             tail = ((m + xi - 0.5) ** -alpha + (m - xi - 0.5) ** -alpha) / alpha
             reference = amp * (direct + tail)
-            got = riesz_kernel_periodic(spec, xi)
+            got = riesz_kernel_periodic(alpha, 1.0, xi)
             worst = max(worst, abs(got - reference) / max(1.0, abs(got)))
     return _result("kernel_zeta_vs_images", "continuum", worst, tol)
 
@@ -262,9 +260,9 @@ def _check_kernel_periodization_decay(tol):
     worst = 0.0
     for alpha in (0.6, 1.8):
         x = 0.3
-        k_inf = riesz_kernel_infinite(KernelSpec(alpha), x)
+        k_inf = riesz_kernel_infinite(alpha, x)
         gaps = [
-            riesz_kernel_periodic(KernelSpec(alpha, period=length), x) - k_inf
+            riesz_kernel_periodic(alpha, length, x) - k_inf
             for length in (1e2, 1e3, 1e4)
         ]
         for a, b in zip(gaps, gaps[1:]):

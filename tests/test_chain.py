@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fraclat.chain import (
-    INFINITE,
     ChainSpec,
     CirculantMatrix,
     FractionalOrder,
@@ -41,8 +40,9 @@ class TestValidation:
         assert not FractionalOrder(alpha=2.0 + 1e-9).is_integer_half
 
     def test_chain_spec(self):
-        assert ChainSpec(size=INFINITE).is_infinite
-        assert not ChainSpec(size=8).is_infinite
+        assert ChainSpec(size=8.0).size == 8
+        with pytest.raises(ValueError, match="size must be an integer >= 2, got inf"):
+            ChainSpec(size=math.inf)
         with pytest.raises(ValueError):
             ChainSpec(size=1)
         with pytest.raises(ValueError):
@@ -203,8 +203,8 @@ class TestImagesBatch:
             [element_periodic_images(order, chain, p) for p in [0, 3, 10]]
         with pytest.raises(ValueError, match="tol must be positive"):
             [element_periodic_images(order, chain, p, tol=-1.0) for p in [1]]
-        with pytest.raises(ValueError, match="finite chain"):
-            [element_periodic_images(order, ChainSpec(size=INFINITE), p) for p in [1]]
+        with pytest.raises(ValueError, match="size must be an integer >= 2"):
+            [element_periodic_images(order, ChainSpec(size=math.inf), p) for p in [1]]
         assert [element_periodic_images(order, chain, p) for p in []] == []
 
 
@@ -329,8 +329,8 @@ class TestPeriodicRoutes:
             element_periodic_images(order, chain, 1, tol=-1.0)
         with pytest.raises(ValueError, match="tol must be positive and finite, got inf"):
             element_periodic_images(order, chain, 1, tol=math.inf)
-        with pytest.raises(ValueError, match="finite chain"):
-            element_periodic_images(order, ChainSpec(size=INFINITE), 1)
+        with pytest.raises(ValueError, match="size must be an integer >= 2"):
+            element_periodic_images(order, ChainSpec(size=math.inf), 1)
 
     def test_images_truncation_cap(self, monkeypatch):
         monkeypatch.setattr("fraclat.chain._IMAGE_SUM_CAP", 64)

@@ -177,6 +177,7 @@ class TestElementsCommand:
             ("elements", "--alpha", "1.5", "--alpha", "2.5", "--infinite", "--route", "closed"),
             ("elements", "--alpha", "1.5", "--infinite", "--route", "nd_bz",
              "--offset", "1,2", "--offset", "1,2,3"),
+            ("elements", "--alpha", "1.5", "--dims", "8x8", "--route", "bloch"),
         ]
         for argv in bad_invocations:
             code, _, err = run_cli(capsys, *argv)
@@ -344,10 +345,18 @@ class TestKernelCommand:
             assert periodic > infinite
 
     def test_integer_half_orders_rejected(self, capsys):
-        for alpha in ("2", "4.0"):
-            code, _, err = run_cli(capsys, "kernel", "--alpha", alpha, "--infinite")
-            assert code == 2
-            assert err.strip()
+        bad_invocations = [
+            ("--alpha", "2", "--infinite"),
+            ("--alpha", "4.0", "--infinite"),
+            # every sample is singular, so no kernel function sees alpha
+            ("--alpha", "2", "--infinite", "--x-range=-1e-13..1e-13", "--samples", "2"),
+            ("--alpha", "2", "--length", "1", "--x-range", "0..1", "--samples", "2"),
+        ]
+        for argv in bad_invocations:
+            code, out, err = run_cli(capsys, "kernel", *argv)
+            assert code == 2, argv
+            assert not out, argv
+            assert err.startswith("fraclat: alpha/2 must not be an integer"), argv
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_is_reported_with_exit_1(self, capsys):
@@ -385,6 +394,7 @@ class TestKernelCommand:
             ("kernel", "--alpha", "0.5", "--infinite", "--samples", "1"),
             ("kernel", "--alpha", "0.5", "--length", "-3"),
             ("kernel", "--alpha", "0.5", "--n", "8"),
+            ("kernel", "--alpha", "0.5", "--dims", "8x8"),
         ]
         for argv in bad_invocations:
             code, _, err = run_cli(capsys, *argv)

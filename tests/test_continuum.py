@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fraclat.chain import INFINITE
 from fraclat.continuum import (
     ConvergenceReport,
-    KernelSpec,
     continuum_convergence_check,
     riesz_amplitude,
     riesz_kernel_infinite,
@@ -26,76 +24,72 @@ def periodic_kernel_image_oracle(alpha, length, x, images=10**6):
     return amp * length ** (-beta) * (total + tail)
 
 
-class TestKernelSpec:
+class TestKernelArguments:
     def test_validation(self):
-        KernelSpec(alpha=0.5)
-        KernelSpec(alpha=1.7, period=2.0)
-        with pytest.raises(ValueError):
-            KernelSpec(alpha=2.0)
-        with pytest.raises(ValueError):
-            KernelSpec(alpha=-1.0)
-        with pytest.raises(ValueError):
-            KernelSpec(alpha=0.5, period=-3.0)
+        riesz_kernel_infinite(0.5, 1.0)
+        riesz_kernel_periodic(1.7, 2.0, 1.0)
+        for alpha in (2.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                riesz_kernel_infinite(alpha, 1.0)
+            with pytest.raises(ValueError, match="alpha"):
+                riesz_kernel_periodic(alpha, 2.0, 1.0)
+        for period in (-3.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="period must be positive and finite"):
+                riesz_kernel_periodic(0.5, period, 1.0)
 
 
 class TestInfiniteKernel:
     def test_alpha_one_values(self):
-        spec = KernelSpec(alpha=1.0)
-        np.testing.assert_allclose(riesz_kernel_infinite(spec, 1.0), 1.0 / math.pi, rtol=1e-13)
+        np.testing.assert_allclose(riesz_kernel_infinite(1.0, 1.0), 1.0 / math.pi, rtol=1e-13)
         np.testing.assert_allclose(
-            riesz_kernel_infinite(spec, 2.0), 1.0 / (4.0 * math.pi), rtol=1e-13
+            riesz_kernel_infinite(1.0, 2.0), 1.0 / (4.0 * math.pi), rtol=1e-13
         )
 
     def test_sign_structure(self):
-        assert riesz_kernel_infinite(KernelSpec(alpha=0.7), 1.5) > 0.0
-        assert riesz_kernel_infinite(KernelSpec(alpha=2.5), 1.5) < 0.0
+        assert riesz_kernel_infinite(0.7, 1.5) > 0.0
+        assert riesz_kernel_infinite(2.5, 1.5) < 0.0
 
     def test_even_in_x(self):
-        spec = KernelSpec(alpha=1.3)
-        assert riesz_kernel_infinite(spec, -2.0) == riesz_kernel_infinite(spec, 2.0)
+        assert riesz_kernel_infinite(1.3, -2.0) == riesz_kernel_infinite(1.3, 2.0)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(42)
-        spec = KernelSpec(alpha=1.3)
+        alpha = 1.3
         for _ in range(30):
             x = float(rng.uniform(0.1, 5.0))
             scale = float(rng.uniform(0.2, 8.0))
             np.testing.assert_allclose(
-                riesz_kernel_infinite(spec, scale * x),
-                scale ** (-spec.alpha - 1.0) * riesz_kernel_infinite(spec, x),
+                riesz_kernel_infinite(alpha, scale * x),
+                scale ** (-alpha - 1.0) * riesz_kernel_infinite(alpha, x),
                 rtol=5e-14,
             )
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            riesz_kernel_infinite(KernelSpec(alpha=0.5), 0.0)
-        with pytest.raises(ValueError):
-            riesz_kernel_infinite(KernelSpec(alpha=0.5, period=2.0), 1.0)
+            riesz_kernel_infinite(0.5, 0.0)
 
 
 class TestPeriodicKernel:
     def test_reflection_symmetry(self):
-        spec = KernelSpec(alpha=0.9, period=3.0)
         np.testing.assert_allclose(
-            riesz_kernel_periodic(spec, 0.7),
-            riesz_kernel_periodic(spec, 3.0 - 0.7),
+            riesz_kernel_periodic(0.9, 3.0, 0.7),
+            riesz_kernel_periodic(0.9, 3.0, 3.0 - 0.7),
             rtol=1e-13,
         )
 
     def test_against_image_sum(self):
         for alpha in (0.4, 1.0, 1.7, 2.5):
             for xi in (0.1, 0.25, 0.5):
-                spec = KernelSpec(alpha=alpha, period=1.0)
-                got = riesz_kernel_periodic(spec, xi)
+                got = riesz_kernel_periodic(alpha, 1.0, xi)
                 expected = periodic_kernel_image_oracle(alpha, 1.0, xi)
                 np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-9 * max(1.0, abs(expected)))
 
     def test_large_period_recovers_line_kernel(self):
         alpha = 0.5
-        target = riesz_kernel_infinite(KernelSpec(alpha=alpha), 1.0)
+        target = riesz_kernel_infinite(alpha, 1.0)
         errors = []
         for length in (1e2, 1e3, 1e4):
-            got = riesz_kernel_periodic(KernelSpec(alpha=alpha, period=length), 1.0)
+            got = riesz_kernel_periodic(alpha, length, 1.0)
             errors.append(abs(got - target))
         # image corrections scale as period^-(alpha+1)
         np.testing.assert_allclose(errors[0] / errors[1], 10.0**1.5, rtol=0.05)
@@ -105,18 +99,15 @@ class TestPeriodicKernel:
 
     def test_dominates_line_kernel(self):
         for alpha in (0.4, 1.0, 1.9):
-            periodic = KernelSpec(alpha=alpha, period=5.0)
-            line = KernelSpec(alpha=alpha)
             for x in (0.3, 1.1, 2.5, 4.4):
-                assert riesz_kernel_periodic(periodic, x) > riesz_kernel_infinite(line, x)
+                assert riesz_kernel_periodic(alpha, 5.0, x) > riesz_kernel_infinite(alpha, x)
 
     def test_domain(self):
-        spec = KernelSpec(alpha=0.5, period=2.0)
         for x in (0.0, 2.0, -4.0, 6.0):
             with pytest.raises(ValueError):
-                riesz_kernel_periodic(spec, x)
+                riesz_kernel_periodic(0.5, 2.0, x)
         with pytest.raises(ValueError):
-            riesz_kernel_periodic(KernelSpec(alpha=0.5), 1.0)
+            riesz_kernel_periodic(0.5, math.inf, 1.0)
 
 
 class TestConvergenceCheck:
@@ -146,8 +137,9 @@ class TestConvergenceCheck:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             continuum_convergence_check(2.0, 1.0, [1 / 10])
-        with pytest.raises(ValueError):
-            continuum_convergence_check(0.5, -1.0, [1 / 10])
+        for x in (-1.0, math.inf):
+            with pytest.raises(ValueError, match="probe point must be positive and finite"):
+                continuum_convergence_check(0.5, x, [1 / 10])
         with pytest.raises(ValueError):
             continuum_convergence_check(0.5, 1.0, [3.0])
         with pytest.raises(ValueError):

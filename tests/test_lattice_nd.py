@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from fraclat.chain import (
-    INFINITE,
     ChainSpec,
     FractionalOrder,
     element_infinite_closed,
@@ -38,11 +37,10 @@ class TestLatticeValidation:
     def test_sizes(self):
         spec = LatticeSpec(dim=2, sizes=(8, 6))
         assert spec.n_points == 48
-        assert not spec.is_infinite
-        inf = LatticeSpec(dim=2, sizes=(INFINITE, INFINITE))
-        assert inf.is_infinite
+        with pytest.raises(ValueError, match="sizes must be integers >= 2, got inf"):
+            LatticeSpec(dim=2, sizes=(math.inf, math.inf))
         with pytest.raises(ValueError):
-            LatticeSpec(dim=2, sizes=(8, INFINITE))
+            LatticeSpec(dim=2, sizes=(8, math.inf))
         with pytest.raises(ValueError):
             LatticeSpec(dim=2, sizes=(8, 1))
         with pytest.raises(ValueError):
@@ -54,6 +52,18 @@ class TestLatticeValidation:
         assert off.reduced((8, 8)).components == (3, 6)
         with pytest.raises(ValueError):
             OffsetVector((1.5, 0))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_inputs_raise_their_own_message(self, value):
+        # not int()'s OverflowError or "cannot convert float NaN to integer"
+        cases = [
+            (lambda: ChainSpec(value), "size must be an integer >= 2, got"),
+            (lambda: LatticeSpec(2, (8, value)), "sizes must be integers >= 2, got"),
+            (lambda: OffsetVector((value, 0)), "offset components must be integers, got"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError, match=message):
+                build()
 
 
 class TestEigenvalue:
@@ -170,7 +180,7 @@ class TestBuildLaplacianNd:
 
     def test_requires_finite_lattice(self):
         with pytest.raises(ValueError):
-            build_laplacian_nd(FractionalOrder(1.0), LatticeSpec(2, (INFINITE, INFINITE)))
+            build_laplacian_nd(FractionalOrder(1.0), LatticeSpec(2, (math.inf, math.inf)))
 
 
 def reference_bz(order, comps, gauss_order):
