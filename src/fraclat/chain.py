@@ -12,15 +12,12 @@ routes:
 * a sum over periodic images of the infinite chain profile.
 
 The routes share no code beyond scalar special functions, which makes
-cross-checking them a meaningful test of each.  The closed product resumes
-its last walk when offsets ascend, so a request for offsets up to P, asked
-in ascending order as the CLI ranges and the image sum do, costs O(P)
-rather than O(sum of the offsets).
-scipy.special is imported on first use, by the image sum's tail (gammaln)
-only, so importing this module does not load scipy.
+cross-checking them a meaningful test of each.  The closed form is a pure
+function of the order and the offset, with an array form for the image sum.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -57,14 +54,6 @@ __all__ = [
 _INTEGER_HALF_TOL = 1e-12
 
 _IMAGE_SUM_CAP = 10**7
-
-
-def _gammaln(x):
-    # importing scipy.special costs about 0.3 s, more than most 1D requests
-    # compute, and only the image sum's tail needs it: import on first call
-    from scipy.special import gammaln
-
-    return gammaln(x)
 
 
 def is_integer_half(alpha: float) -> bool:
@@ -189,47 +178,67 @@ def _binomial_element(m: int, q: int) -> float:
     return (-1.0) ** q * math.comb(2 * m, m + q)
 
 
-# Where the furthest product walk so far stopped, as (a, s, sign, log_prod)
-# with sign and log_prod those of prod_{t<s} (t - a).  A request at the same a
-# with p >= s continues from there, so ascending offsets walk the product once
-# in all.  The tuple is replaced whole: a thread that reads it sees one
-# consistent state, and a lost update only costs a longer walk.
-_closed_walk = (math.nan, 0, 1.0, 0.0)
+# Bernoulli numbers B_0 .. B_17
+_BERNOULLI = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0,
+              5 / 66, 0.0, -691 / 2730, 0.0, 7 / 6, 0.0, -3617 / 510, 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _series_terms(alpha: float) -> tuple:
+    """(P0, A, ln|A|, (c_16, c_14, .. c_2)) of the closed form's series from offset P0.
+
+    A = gamma(alpha+1) sin(pi a) / pi, +-inf from alpha = 170, its sine taken
+    of the exact a - round(a); c_n = 2 B_{n+1}(a+1) / (n (n+1)), a = alpha/2.
+    """
+    require_non_integer_half(alpha)
+    a = 0.5 * alpha
+    sine = (-1.0) ** (round(a) % 2) * math.sin(math.pi * (a - round(a)))
+    amp = math.gamma(alpha + 1.0) * sine / math.pi if alpha < 170.0 else math.copysign(math.inf, sine)
+    coeffs = tuple(2.0 * sum(math.comb(n + 1, i) * _BERNOULLI[i] * (a + 1.0) ** (n + 1 - i)
+                             for i in range(n + 2)) / (n * (n + 1)) for n in range(16, 0, -2))
+    log_amp = math.lgamma(alpha + 1.0) + math.log(abs(sine) / math.pi)
+    return max(13, math.ceil(3.0 * alpha)), amp, log_amp, coeffs
+
+
+def _even_sum(coeffs: tuple, p):
+    # sum_j c_2j p^(-2j) by Horner's rule, for a float or an array p
+    r = 1.0 / (p * p)
+    total = 0.0
+    for c in coeffs:
+        total = (total + c) * r
+    return total
 
 
 def element_infinite_closed(order: FractionalOrder, p: int) -> float:
-    """Coupling profile f(p) of the infinite chain, by the product formula.
+    """Coupling profile f(p) of the infinite chain, in closed form.
 
-    f(p) = omega_sq * gamma(alpha+1) / (gamma(a+1) gamma(a+p+1))
-           * prod_{s=0}^{p-1} (s - a)      with a = alpha / 2.
-
-    The product keeps the expression finite for every non negative integer p,
-    including integer a where the profile truncates exactly.  A call resumes
-    the last walk of the product at the same a when that walk stopped at or
-    below p; the additions are then the same, in the same order, as a walk
-    from s = 0, so the value does not depend on earlier calls.
+    f(p) = -omega_sq A gamma(p - a) / gamma(p + 1 + a), a = alpha / 2, with A
+    the amplitude of riesz_amplitude; at integer a the signed binomial stencil.
+    Below offset P0, about 3 alpha, it walks omega_sq gamma(alpha+1) / (gamma(a+1)
+    gamma(a+p+1)) prod_{s<p} (s - a) in log space; from P0 on, the gamma ratio's
+    log is its even series -(alpha+1) ln p + sum_{j<=8} c_2j p^(-2j) (DLMF 5.11.8;
+    Tricomi, Erdelyi 1951; Fields 1966), in log space where A or p^(-alpha) is not normal.
     """
-    global _closed_walk
     p = abs(int(p))
     alpha = order.alpha
-    a = 0.5 * alpha
     if order.is_integer_half:
-        return order.omega_sq * _binomial_element(round(a), p)
-    # accumulate the product in log space: its magnitude grows like p! and
-    # would overflow long before the gamma ratio rescales it
+        return order.omega_sq * _binomial_element(round(0.5 * alpha), p)
+    start, amp, log_amp, coeffs = _series_terms(alpha)
+    if p >= start:
+        series = _even_sum(coeffs, p)
+        scale = p ** -alpha
+        if scale >= sys.float_info.min and math.isfinite(amp):
+            return -order.omega_sq * amp * scale / p * math.exp(series)
+        value = math.exp(log_amp - alpha * math.log(p) + series) / p
+        return -order.omega_sq * math.copysign(value, amp)
+    a = 0.5 * alpha
     log_ratio = log_gamma(alpha + 1.0) - log_gamma(a + 1.0) - log_gamma(a + p + 1.0)
-    walk = _closed_walk
-    if walk[0] == a and walk[1] <= p:
-        _, start, sign, log_prod = walk
-    else:
-        start, sign, log_prod = 0, 1.0, 0.0
-    for s in range(start, p):
+    sign, log_prod = 1.0, 0.0
+    for s in range(p):
         term = s - a
         if term < 0.0:
             sign = -sign
         log_prod += math.log(abs(term))
-    if walk[0] != a or walk[1] <= p:
-        _closed_walk = (a, p, sign, log_prod)
     try:
         value = math.exp(log_ratio + log_prod)
     except OverflowError:  # f(0) alone passes the double range near alpha = 1029
@@ -239,29 +248,19 @@ def element_infinite_closed(order: FractionalOrder, p: int) -> float:
     return order.omega_sq * sign * value
 
 
-def _elements_closed_array(order: FractionalOrder, q: np.ndarray) -> np.ndarray:
-    """Vectorised infinite chain profile at non negative integer offsets q.
+def _elements_closed_array(order: FractionalOrder, q) -> np.ndarray:
+    """element_infinite_closed at an array of offsets, alpha/2 not an integer.
 
-    Small offsets (q <= a + 1) go through the product formula, each distinct
-    one once and in ascending order so one walk serves them all; beyond that an
-    equivalent reflection form with two log gamma calls avoids the O(q) loop:
-    f(q) = -omega_sq * A * gamma(q - a) / gamma(q + 1 + a) with
-    A = gamma(alpha + 1) sin(alpha pi / 2) / pi, which raises at integer
-    alpha/2, where the image sum needs no tail.
+    The offsets the series does not cover take the scalar function.  numpy's
+    pow and exp round apart from the C library's in the last place or so.
     """
-    q = np.asarray(q, dtype=np.int64)
-    alpha = order.alpha
-    a = 0.5 * alpha
-    out = np.empty(q.shape, dtype=float)
-    amp = riesz_amplitude(alpha)
-    small = q <= a + 1.0
-    if np.any(small):
-        offsets, where = np.unique(q[small], return_inverse=True)
-        out[small] = np.array([element_infinite_closed(order, int(p)) for p in offsets])[where]
-    big = ~small
-    if np.any(big):
-        qb = q[big].astype(float)
-        out[big] = -order.omega_sq * amp * np.exp(_gammaln(qb - a) - _gammaln(qb + 1.0 + a))
+    p = np.abs(np.asarray(q, dtype=float))
+    start, amp, _, coeffs = _series_terms(order.alpha)
+    with np.errstate(all="ignore"):  # at the offsets the scalar function takes
+        scale = p ** -order.alpha
+        out = -order.omega_sq * amp * scale / p * np.exp(_even_sum(coeffs, p))
+    scalar = (p < start) | ~(scale >= sys.float_info.min) | math.isinf(amp)
+    out[scalar] = [element_infinite_closed(order, int(offset)) for offset in p[scalar]]
     return out
 
 
@@ -346,9 +345,8 @@ def element_periodic_images(
                 f"image sum needs more than {_IMAGE_SUM_CAP} terms for tol {tol:.3e}",
                 achieved=err_est,
             )
-        s = np.arange(s_done + 1, s_target + 1, dtype=np.int64)
-        total += float(np.sum(_elements_closed_array(order, s * n + p)))
-        total += float(np.sum(_elements_closed_array(order, s * n - p)))
+        s = np.arange(s_done + 1, s_target + 1, dtype=np.int64) * n
+        total += float(np.sum(_elements_closed_array(order, np.concatenate((s + p, s - p)))))
         s_done = s_target
 
         # tail resummation: sum_{s > S} (sN +- p)^(-alpha-1) in closed form
@@ -357,10 +355,9 @@ def element_periodic_images(
             + hurwitz_zeta(alpha + 1.0, s_done + 1.0 - p / n)
         )
         # the relative deviation from the power law decays as g2 / q^2 with
-        # g2 = alpha (alpha+1) (alpha+2) / 24; measuring that ratio through
-        # the closed form loses to cancellation in the log gamma difference
-        # past q ~ 1e5, so the analytic leading term, doubled to cover the
-        # next order, drives the stopping rule
+        # g2 = alpha (alpha+1) (alpha+2) / 24, the closed form's first series
+        # coefficient; that leading term, doubled to cover the next order,
+        # drives the stopping rule
         q_ref = (s_done + 1) * n - p
         g2 = alpha * (alpha + 1.0) * (alpha + 2.0) / 24.0
         rel_dev = 2.0 * g2 / float(q_ref) ** 2

@@ -35,8 +35,8 @@ __all__ = [
 
 def riesz_kernel_infinite(alpha: float, x: float) -> float:
     """Whole line kernel: amplitude times |x|^(-alpha-1), singular at x = 0."""
-    if x == 0.0:
-        raise ValueError("kernel is singular at x = 0")
+    if not abs(x) > 0.0:
+        raise ValueError(f"kernel is singular at x = 0 and undefined at NaN, got x = {x}")
     try:
         value = riesz_amplitude(alpha) * abs(x) ** (-alpha - 1.0)
     except OverflowError:  # raised by the float power itself
@@ -56,6 +56,8 @@ def riesz_kernel_periodic(alpha: float, period: float, x: float) -> float:
     # negative period would make period^(-alpha-1) complex
     require_non_integer_half(alpha)
     require_positive_finite("period", period)
+    if not math.isfinite(x):
+        raise ValueError(f"kernel point x must be finite, got {x}")
     xi = (x / period) % 1.0
     if xi == 0.0:
         raise ValueError(f"kernel is singular on the lattice x in {period} * integers")

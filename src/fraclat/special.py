@@ -103,10 +103,10 @@ def hurwitz_zeta(beta: float, x: float) -> float:
     parameter range.  Raises OverflowError when the sum exceeds the double
     range, as the leading term x^(-beta) does for small x and large beta.
     """
-    if beta <= 1:
+    if not beta > 1:
         raise ValueError(f"hurwitz_zeta requires beta > 1, got {beta}")
-    if x <= 0:
-        raise ValueError(f"hurwitz_zeta requires x > 0, got {x}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"hurwitz_zeta requires finite x > 0, got {x}")
     # the leading term x^(-beta) is the largest; refuse before numpy overflows
     if -beta * math.log(x) > _LOG_DOUBLE_MAX:
         raise OverflowError(f"hurwitz_zeta({beta!r}, {x!r}) exceeds the double range")

@@ -1,8 +1,8 @@
 import math
 import sys
-import threading
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,9 +18,10 @@ from fraclat.chain import (
     element_infinite_quadrature,
     element_periodic_bloch,
     element_periodic_images,
+    is_integer_half,
     riesz_amplitude,
 )
-from fraclat.chain import _binomial_element, _elements_closed_array
+from fraclat.chain import _binomial_element, _elements_closed_array, _series_terms
 from fraclat.special import ToleranceError, log_gamma
 
 
@@ -97,8 +98,8 @@ class TestClosedForm:
 
 
 def reference_closed(order, p):
-    # the product loop before walks were resumed, kept as the bit level
-    # reference: s = 0 .. p-1 walked from the start for every offset
+    # the product loop walked from s = 0 for every offset, kept as the bit
+    # level reference for the closed form below its series start
     p = abs(int(p))
     alpha = order.alpha
     a = 0.5 * alpha
@@ -115,25 +116,58 @@ def reference_closed(order, p):
     return order.omega_sq * sign * math.exp(log_ratio + log_prod)
 
 
+def mp_closed(alpha, p):
+    """-A gamma(p - a) / gamma(p + 1 + a), a = alpha / 2, in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        alpha = mpmath.mpf(alpha)
+        amp = mpmath.gamma(alpha + 1) * mpmath.sinpi(alpha / 2) / mpmath.pi
+        return -amp * mpmath.gamma(p - alpha / 2) / mpmath.gamma(p + 1 + alpha / 2)
+
+
 # the benchmark's alpha grid 0.1 .. 3.9, plus a tiny, a large and a near
 # overflow order
 BATCH_ALPHAS = [round(0.1 * k, 1) for k in range(1, 40)] + [0.01, 30.5, 171.5]
 # unsorted, repeated, zero, below alpha / 2 for the large orders, and up to 1e4
 BATCH_OFFSETS = [10_000, 3, 0, 17, 3, 1, 9_999, 0, 14, 85, 86, 87, 250, 2, 10_000, 1]
+# the orders with a series; at alpha/2 = 1 the stencil is finite
+SERIES_ALPHAS = [alpha for alpha in BATCH_ALPHAS if not is_integer_half(alpha)]
 
 
 class TestClosedFormBatch:
-    """The closed form over batches of offsets, whose resumed walks must not
-    change a bit against walking each product from the start."""
+    """The closed form over batches of offsets: the product walk below the
+    series start, the even series from there, against 40-digit values."""
 
     @pytest.mark.parametrize("alpha", BATCH_ALPHAS)
     def test_batch_is_bit_identical_to_the_product_loop(self, alpha):
+        # below the series start, and at every offset of a finite stencil
         order = FractionalOrder(alpha=alpha, omega_sq=1.3)
-        # in the order given, and ascending, where each call resumes the last walk
-        for offsets in (BATCH_OFFSETS, sorted(BATCH_OFFSETS)):
-            got = [element_infinite_closed(order, p) for p in offsets]
-            assert got == [reference_closed(order, p) for p in offsets]
-            assert all(math.isfinite(v) for v in got)
+        offsets = BATCH_OFFSETS
+        if not order.is_integer_half:
+            start = _series_terms(alpha)[0]
+            offsets = [p for p in BATCH_OFFSETS if p < start] + [start - 1]
+        assert [element_infinite_closed(order, p) for p in offsets] == [
+            reference_closed(order, p) for p in offsets
+        ]
+
+    @pytest.mark.parametrize("alpha", SERIES_ALPHAS + [7.7])
+    def test_matches_40_digit_references(self, alpha):
+        order = FractionalOrder(alpha=alpha, omega_sq=1.3)
+        start = _series_terms(alpha)[0]
+        for p in BATCH_OFFSETS + [start - 1, start, 10**5, 10**6]:
+            got = element_infinite_closed(order, p)
+            assert math.isfinite(got)
+            expected = 1.3 * mp_closed(alpha, p)
+            if alpha > 30.5:
+                if not sys.float_info.min <= abs(expected) <= sys.float_info.max:
+                    continue
+                bound = 1e-12
+            elif p < start and alpha > 7.7:
+                # the walk, unchanged, sums log gamma values up to about 400
+                # at alpha = 30.5: 7.5e-14 at p = 87
+                bound = 1e-13
+            else:
+                bound = 1e-14
+            assert abs((got - expected) / expected) <= bound, (p, got)
 
     def test_integer_half_orders(self):
         for alpha in (2.0, 4.0, 6.0):
@@ -141,38 +175,6 @@ class TestClosedFormBatch:
             offsets = [5, 0, 2, 2, 1, 4, 3, 9_999]
             expected = [reference_closed(order, p) for p in offsets]
             assert [element_infinite_closed(order, p) for p in offsets] == expected
-
-    def test_resumed_walks_do_not_depend_on_call_order(self):
-        # ascending, descending and repeated offsets, with orders interleaved
-        # so a walk at one alpha is abandoned and restarted mid request
-        orders = [FractionalOrder(alpha=alpha) for alpha in (0.7, 3.9, 30.5)]
-        calls = [(k % 3, p) for k, p in enumerate(list(range(0, 400, 7)) + list(range(400, 0, -13)))]
-        calls += [(0, 5_000), (0, 4_999), (0, 5_000), (1, 5_001), (0, 5_002), (2, 3)]
-        expected = [reference_closed(orders[i], p) for i, p in calls]
-        assert [element_infinite_closed(orders[i], p) for i, p in calls] == expected
-
-    def test_threads_sharing_the_walk_get_the_reference_values(self):
-        orders = [FractionalOrder(alpha=alpha) for alpha in (0.7, 1.3)]
-        calls = [(k % 2, (k * 37) % 900) for k in range(600)]
-        reference = {(i, p): reference_closed(orders[i], p) for i, p in calls}
-        results = [None] * 4
-
-        def work(t):
-            mine = calls[t::2] + calls[:t:-1]
-            results[t] = (mine, [element_infinite_closed(orders[i], p) for i, p in mine])
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            sys.setswitchinterval(switch)
-        for mine, values in results:
-            assert values == [reference[call] for call in mine]
 
     def test_overflow_names_the_call(self):
         # f(0) = gamma(alpha + 1) / gamma(alpha / 2 + 1)^2 passes the double
@@ -186,8 +188,8 @@ class TestClosedFormBatch:
         assert [element_infinite_closed(order, p) for p in (-4, 4, -1)] == [
             reference_closed(order, 4), reference_closed(order, 4), reference_closed(order, 1)
         ]
-        # the array form walks each distinct small offset once, ascending, and
-        # hands the values back in the order asked, empty requests included
+        # below the series start the array form hands the scalar walk's values
+        # back in the order asked, empty requests included
         order = FractionalOrder(alpha=30.5)
         for q in ([], [16, 3, 0, 3, 16, 1], [2]):
             got = _elements_closed_array(order, np.array(q, dtype=np.int64))

@@ -67,6 +67,9 @@ class TestInfiniteKernel:
     def test_domain(self):
         with pytest.raises(ValueError):
             riesz_kernel_infinite(0.5, 0.0)
+        with pytest.raises(ValueError, match="undefined at NaN, got x = nan"):
+            riesz_kernel_infinite(0.5, math.nan)
+        assert riesz_kernel_infinite(0.5, math.inf) == 0.0
 
 
 class TestPeriodicKernel:
@@ -108,6 +111,9 @@ class TestPeriodicKernel:
                 riesz_kernel_periodic(0.5, 2.0, x)
         with pytest.raises(ValueError):
             riesz_kernel_periodic(0.5, math.inf, 1.0)
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"kernel point x must be finite, got {x}"):
+                riesz_kernel_periodic(0.5, 2.0, x)
 
 
 class TestConvergenceCheck:

@@ -1,15 +1,24 @@
 """Property tests of the heat kernel Bessel route over orders, dimensions and offsets,
-and of the 1D zone quadrature over orders and offsets up to 10^4.
+of the 1D zone quadrature over orders and offsets up to 10^4, and of the 1D
+closed form on both sides of its series start.
 
 Derandomised, so every run draws the same examples.
 """
+import math
 import sys
 
 import mpmath
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclat.chain import FractionalOrder, element_infinite_quadrature, is_integer_half
+from fraclat.chain import (
+    FractionalOrder,
+    element_infinite_closed,
+    element_infinite_quadrature,
+    is_integer_half,
+)
+from fraclat.chain import _elements_closed_array, _series_terms
 from fraclat.lattice import OffsetVector, element_infinite_nd_bessel, element_infinite_nd_bz
 
 orders = st.floats(min_value=0.0, max_value=40.0, exclude_min=True).filter(
@@ -72,3 +81,26 @@ def test_zone_quadrature_matches_binomial_form(alpha, p):
     expected = binomial_element(alpha, p)
     value = element_infinite_quadrature(FractionalOrder(alpha), p)
     assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(alpha=orders, step=st.integers(min_value=-3, max_value=3))
+def test_closed_form_across_the_series_start(alpha, step):
+    start = _series_terms(alpha)[0]
+    p = start + step
+    order = FractionalOrder(alpha)
+    value = element_infinite_closed(order, p)
+    array_value = float(_elements_closed_array(order, np.array([p]))[0])
+    if p < start:  # the array form takes the scalar walk
+        assert array_value == value
+    else:  # numpy's pow and exp may round apart from the C library's
+        assert math.isclose(array_value, value, rel_tol=1e-15, abs_tol=0.0)
+    if alpha <= 30.5:
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha) / 2
+            amp = mpmath.gamma(2 * a + 1) * mpmath.sinpi(a) / mpmath.pi
+            expected = float(-amp * mpmath.gamma(p - a) / mpmath.gamma(p + 1 + a))
+        # relative for the series; the walk below it is as it always was
+        bound = 1e-14 * (abs(expected) if p >= start else max(1.0, abs(expected)))
+        assert abs(value - expected) <= bound
+        assert abs(array_value - expected) <= bound

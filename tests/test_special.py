@@ -81,12 +81,12 @@ class TestHurwitzZeta:
         assert math.isfinite(hurwitz_zeta(50.0, 1e-6))
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            hurwitz_zeta(1.0, 2.0)
-        with pytest.raises(ValueError):
-            hurwitz_zeta(2.0, 0.0)
-        with pytest.raises(ValueError):
-            hurwitz_zeta(2.0, -3.0)
+        for beta in (1.0, math.nan):
+            with pytest.raises(ValueError, match="beta > 1"):
+                hurwitz_zeta(beta, 2.0)
+        for x in (0.0, -3.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"finite x > 0, got {x}"):
+                hurwitz_zeta(2.0, x)
 
 
 class TestTolContract:
