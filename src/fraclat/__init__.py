@@ -6,7 +6,7 @@ cross check them at stated tolerances.
 
 Modules
 -------
-special    reusable numerics: log gamma, Hurwitz zeta, panel quadrature
+special    reusable numerics: log gamma, Hurwitz zeta, scaled Bessel I, panel quadrature
 chain      1D infinite and periodic coupling profiles, matrices, dispersion
 lattice    nD periodic and infinite elements, far field constants, surfaces
 continuum  Riesz kernels on the line and the circle, continuum convergence

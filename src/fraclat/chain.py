@@ -69,18 +69,25 @@ def require_non_integer_half(alpha: float) -> None:
         raise ValueError(f"alpha/2 must not be an integer, got alpha = {alpha}")
 
 
+def _half_order_sine(alpha: float) -> float:
+    # sin(pi a), a = alpha / 2, taken of the exact a - round(a) so that it keeps
+    # its relative digits next to the integers, where sin(pi a) is small
+    a = 0.5 * alpha
+    return (-1.0) ** (round(a) % 2) * math.sin(math.pi * (a - round(a)))
+
+
 def riesz_amplitude(alpha: float) -> float:
     """Power law amplitude gamma(alpha + 1) sin(alpha pi / 2) / pi.
 
     It sets the chain tail f(p) ~ -A p^(-alpha-1) and the continuum Riesz
-    kernel A |x|^(-alpha-1); neither exists at integer alpha/2.
+    kernel A |x|^(-alpha-1); neither exists at integer alpha/2.  The sine is
+    taken of the reduced alpha/2 - round(alpha/2).
     """
     require_non_integer_half(alpha)
     try:
-        scale = math.exp(log_gamma(alpha + 1.0))
+        return math.gamma(alpha + 1.0) * _half_order_sine(alpha) / math.pi
     except OverflowError:  # gamma(alpha + 1) passes the double range near alpha = 170.6
         raise OverflowError(f"riesz_amplitude(alpha={alpha!r}) exceeds the double range") from None
-    return scale * math.sin(0.5 * math.pi * alpha) / math.pi
 
 
 class TruncationError(ToleranceError):
@@ -171,11 +178,21 @@ class CirculantMatrix:
             raise ValueError("spectrum has eigenvalues of both signs")
 
 
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+
+
 def _binomial_element(m: int, q: int) -> float:
-    # integer half order: signed central binomial stencil, zero beyond |q| = m
+    """Integer half order m: the signed central binomial stencil (-1)^q C(2m, m+q),
+    zero beyond q = m.  OverflowError where it leaves the double range: the
+    bound C(2m, k) >= (2m / k)^k, k = m - q, tells that before math.comb
+    builds the integer, so only k <= 1024 are built."""
     if q > m:
         return 0.0
-    return (-1.0) ** q * math.comb(2 * m, m + q)
+    k = m - q
+    if k and k * math.log(2 * m / k) > _LOG_DOUBLE_MAX:
+        raise OverflowError
+    # the parity of q itself, as a float q loses it past 2^53
+    return (-1.0) ** (q % 2) * math.comb(2 * m, k)  # OverflowError as the int turns float
 
 
 # Bernoulli numbers B_0 .. B_17
@@ -187,13 +204,13 @@ _BERNOULLI = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0,
 def _series_terms(alpha: float) -> tuple:
     """(P0, A, ln|A|, (c_16, c_14, .. c_2)) of the closed form's series from offset P0.
 
-    A = gamma(alpha+1) sin(pi a) / pi, +-inf from alpha = 170, its sine taken
-    of the exact a - round(a); c_n = 2 B_{n+1}(a+1) / (n (n+1)), a = alpha/2.
+    A is riesz_amplitude's, +-inf from alpha = 170; c_n = 2 B_{n+1}(a+1) / (n (n+1)),
+    a = alpha/2.
     """
     require_non_integer_half(alpha)
     a = 0.5 * alpha
-    sine = (-1.0) ** (round(a) % 2) * math.sin(math.pi * (a - round(a)))
-    amp = math.gamma(alpha + 1.0) * sine / math.pi if alpha < 170.0 else math.copysign(math.inf, sine)
+    sine = _half_order_sine(alpha)
+    amp = riesz_amplitude(alpha) if alpha < 170.0 else math.copysign(math.inf, sine)
     coeffs = tuple(2.0 * sum(math.comb(n + 1, i) * _BERNOULLI[i] * (a + 1.0) ** (n + 1 - i)
                              for i in range(n + 2)) / (n * (n + 1)) for n in range(16, 0, -2))
     log_amp = math.lgamma(alpha + 1.0) + math.log(abs(sine) / math.pi)
@@ -222,7 +239,12 @@ def element_infinite_closed(order: FractionalOrder, p: int) -> float:
     p = abs(int(p))
     alpha = order.alpha
     if order.is_integer_half:
-        return order.omega_sq * _binomial_element(round(0.5 * alpha), p)
+        try:
+            return order.omega_sq * _binomial_element(round(0.5 * alpha), p)
+        except OverflowError:
+            raise OverflowError(
+                f"element_infinite_closed(alpha={alpha!r}, p={p}) exceeds the double range"
+            ) from None
     start, amp, log_amp, coeffs = _series_terms(alpha)
     if p >= start:
         series = _even_sum(coeffs, p)

@@ -25,8 +25,8 @@ a = alpha/2 (Pacific J. Math. 10 (1960) 419-437), over the lattice heat
 kernel, which factorises over the axes and is positive, so nothing oscillates
 and no damping or extrapolation is needed (the semigroup route of Ciaurri,
 Roncal, Stinga, Torrea and Varona, Adv. Math. 330 (2018) 688-738).  Its
-Bessel functions come from scipy.special, imported on the route's first call,
-so importing this module does not load scipy.
+Bessel functions are special.ive and its 1/Gamma(-a) is math.gamma's, so
+every route here runs on numpy and the standard library alone.
 """
 from __future__ import annotations
 
@@ -44,6 +44,8 @@ from .special import (
     as_integer,
     gauss_panel_rule,
     geometric_panel_edges,
+    hankel_coefficients,
+    ive,
     log_gamma,
     require_positive_finite,
 )
@@ -72,15 +74,12 @@ _ND_TOL = 1e-9
 _GAUSS_ORDER = 24
 
 
-def _special(name: str):
-    # scipy.special takes about 0.3 s to import: load it on first use
+def jv(order, x):
+    # bench/spans.py counts Bessel J calls through this name; no route calls
+    # it, and it goes once the library counts its own work (ROADMAP item 2)
     import scipy.special
 
-    return getattr(scipy.special, name)
-
-
-def jv(order, x):
-    return _special("jv")(order, x)
+    return scipy.special.jv(order, x)
 
 
 class SizeLimitError(ValueError):
@@ -298,7 +297,10 @@ def element_infinite_nd_bz(
 
 
 # the log t panels end at T = t0 e^U <= 2.5e8, so the Bessel argument 2t stays
-# below 5e8; scipy's ive returns NaN from 2^30 (about 1.07e9) on
+# below 5e8, where the tests still compare the route with scipy's ive (NaN from
+# 2^30 on).  T bounds the offsets whose Hankel tail converges: at the default
+# tol 1D offsets up to 6e4 (alpha 0.5) to 2.6e5 (alpha 3.7) pass, five to six
+# times as far with T = 1e10
 _HEAT_T_MAX = 2.5e8
 _HEAT_TAIL_TERMS = 12
 _HEAT_LOG_TOL = math.log(1e-18)  # series terms kept down to 1e-18 of their scale
@@ -343,7 +345,7 @@ def _heat_integral(a: float, t0: float, comps, panels: int, gauss_order: int) ->
     """int_t0^T t^(-1-a) prod_j ive(p_j, 2t) dt, T = t0 e^panels, on unit Gauss
     panels in u = log(t / t0), where the integrand is smooth on the scale of one."""
     u, w = gauss_panel_rule(np.arange(panels + 1.0), gauss_order)
-    bessel = {p: _special("ive")(p, 2.0 * t0 * np.exp(u)) for p in dict.fromkeys(comps)}
+    bessel = {p: ive(p, 2.0 * t0 * np.exp(u)) for p in dict.fromkeys(comps)}
     return t0 ** (-a) * float(w @ math.prod((bessel[p] for p in comps), start=np.exp(-a * u)))
 
 
@@ -351,8 +353,7 @@ def _heat_tail(a: float, upper: float, comps) -> tuple[float, float]:
     """int_T^inf t^(-1-a) prod_j ive(p_j, 2t) dt and the size of its last term, from
     the Hankel expansion ive(p, z) ~ (2 pi z)^(-1/2) sum_k (-1)^k a_k(p) / z^k
     (DLMF 10.40.1) multiplied out over the axes and integrated term by term."""
-    i = np.arange(1, _HEAT_TAIL_TERMS)
-    axes = (np.append(1.0, np.cumprod(((2 * i - 1) ** 2 - 4.0 * p * p) / (8.0 * i))) for p in comps)
+    axes = (hankel_coefficients(p, _HEAT_TAIL_TERMS) for p in comps)
     m = np.arange(_HEAT_TAIL_TERMS)
     power = a + 0.5 * len(comps) + m
     terms = _series_product(axes, m.size) * 2.0 ** (-m) * upper ** (-power) / power
@@ -393,7 +394,7 @@ def element_infinite_nd_bessel(
     panels = int(math.log(_HEAT_T_MAX / t0))
     coarse, fine = (_heat_integral(a, t0, comps, panels, n) for n in (_GAUSS_ORDER, _GAUSS_ORDER + 8))
     tail, last = _heat_tail(a, t0 * math.exp(panels), comps)
-    scale = order.omega_sq * float(_special("rgamma")(-a))
+    scale = order.omega_sq / math.gamma(-a)  # finite for non integer 0 < a <= 128
     value = scale * (_heat_series(a, t0, comps, fine) + fine + tail)
     return accept_estimate(value, abs(scale) * (abs(fine - coarse) + last), tol, "heat kernel integral")
 

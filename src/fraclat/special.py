@@ -13,10 +13,16 @@ The routes that take an error bound share its contract from here: a plain
 positive finite tol (require_positive_finite), an estimate never below the
 value's last place, and ToleranceError carrying that estimate when it does
 not meet the bound (accept_estimate).
+
+ive is the exponentially scaled modified Bessel function e^(-x) I_n(x) of
+integer order that the heat kernel route multiplies out; hankel_coefficients
+holds the coefficients of its large argument expansion, which that route's
+tail integrates term by term.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import Callable, Sequence
@@ -31,6 +37,8 @@ __all__ = [
     "accept_estimate",
     "log_gamma",
     "hurwitz_zeta",
+    "hankel_coefficients",
+    "ive",
     "integrate_even_periodic",
     "gauss_panel_rule",
     "geometric_panel_edges",
@@ -126,6 +134,112 @@ def hurwitz_zeta(beta: float, x: float) -> float:
     if not math.isfinite(total):
         raise OverflowError(f"hurwitz_zeta({beta!r}, {x!r}) exceeds the double range")
     return total
+
+
+def hankel_coefficients(n: int, count: int) -> np.ndarray:
+    """c_0 .. c_(count-1) of ive(n, z) ~ (2 pi z)^(-1/2) sum_k c_k / z^k (DLMF 10.40.1),
+    c_k = (-1)^k a_k(n) = prod_(i<=k) ((2i - 1)^2 - 4 n^2) / (8 i)."""
+    i = np.arange(1, count)
+    return np.append(1.0, np.cumprod(((2 * i - 1) ** 2 - 4.0 * n * n) / (8.0 * i)))
+
+
+# terms of the Hankel and Debye expansions, and the order from which Debye's
+# expansion takes over: its first omitted term is below 1e-17 there.  Below it
+# the trapezoid rule rounds at about 1e-16 of I_0 rather than of I_n, so the
+# series runs up to x = n^2 / 4, where I_0 / I_n ~ e^(n^2 / 2x) is below e^2
+_HANKEL_TERMS = 16
+_DEBYE_TERMS = 16
+_DEBYE_FROM = 20
+
+
+def _ive_series(n: int, x: np.ndarray) -> np.ndarray:
+    # DLMF 10.25.2: e^-x (x/2)^n / n! sum_k (x^2/4)^k n! / (k! (n+k)!), positive
+    # terms, cut where the largest x's term falls below 1e-17 of its sum
+    y = 0.25 * float(x.max()) ** 2
+    term = total = 1.0
+    count = 0
+    while term > 1e-17 * total:
+        count += 1
+        term *= y / (count * (n + count))
+        total += term
+    j = np.arange(1, count + 1)
+    terms = np.cumprod(np.multiply.outer(0.25 * x * x, 1.0 / (j * (n + j))), axis=1)
+    return np.exp(-x) * (0.5 * x) ** n / math.factorial(n) * (1.0 + terms.sum(axis=1))
+
+
+def _ive_trapezoid(n: int, x: np.ndarray) -> np.ndarray:
+    # DLMF 10.32.3: e^-x I_n(x) = 1/pi int_0^pi e^(-2x sin^2(theta/2)) cos(n theta),
+    # a periodic integrand, so the trapezoid rule converges exponentially
+    # (Trefethen, Weideman, SIAM Rev. 56 (2014) 385-458); sin^2 keeps the
+    # exponent's digits near theta = 0, where cos(theta) - 1 would cancel
+    m = math.ceil(n + math.sqrt(n * n + 80.0 * float(x.max())))
+    theta = np.arange(m + 1) * (math.pi / m)
+    weights = np.cos(n * theta) / m
+    weights[[0, -1]] *= 0.5
+    return np.exp(np.multiply.outer(x, -2.0 * np.sin(0.5 * theta) ** 2)) @ weights
+
+
+def _ive_hankel(n: int, x: np.ndarray) -> np.ndarray:
+    # DLMF 10.40.1 by Horner's rule in 1/x; the e^(-2x) companion is below 1e-34
+    r = 1.0 / x
+    total = np.zeros_like(x)
+    for c in hankel_coefficients(n, _HANKEL_TERMS)[::-1]:
+        total = total * r + c
+    return total / np.sqrt(2.0 * math.pi * x)
+
+
+@functools.cache
+def _debye_polynomials() -> np.ndarray:
+    """Coefficient rows of U_0 .. U_(K-1), K = _DEBYE_TERMS, in powers of p:
+    U_(k+1) = p^2 (1 - p^2) U_k' / 2 + int_0^p (1 - 5t^2) U_k dt / 8 (DLMF 10.41.10)."""
+    poly = np.polynomial.polynomial
+    rows = np.zeros((_DEBYE_TERMS, 3 * _DEBYE_TERMS - 2))
+    rows[0, 0] = 1.0
+    for k in range(1, _DEBYE_TERMS):
+        u = rows[k - 1, : 3 * k - 2]
+        row = poly.polyadd(poly.polymul([0.0, 0.0, 0.5, 0.0, -0.5], poly.polyder(u)),
+                           poly.polyint(poly.polymul([0.125, 0.0, -0.625], u)))
+        rows[k, : row.size] = row
+    return rows
+
+
+def _ive_debye(n: int, x: np.ndarray) -> np.ndarray:
+    # DLMF 10.41.3 at nu = n, z = x / n: e^-x I_n(x) ~ e^E / sqrt(2 pi s) sum_k U_k(n/s) / n^k,
+    # s = sqrt(n^2 + x^2), E = n eta - x = n^2 / (s + x) - n asinh(n / x)
+    s = np.hypot(n, x)
+    coeffs = _debye_polynomials().T @ float(n) ** -np.arange(_DEBYE_TERMS)
+    p = n / s
+    total = np.zeros_like(x)
+    for c in coeffs[::-1]:
+        total = total * p + c
+    with np.errstate(divide="ignore", over="ignore"):  # n / x is inf at x = 0: the value is 0
+        exponent = n * n / (s + x) - n * np.arcsinh(n / x)
+    return np.exp(exponent) / np.sqrt(2.0 * math.pi * s) * total
+
+
+def ive(n: int, x) -> np.ndarray:
+    """e^(-x) I_n(x) for an integer order n >= 0 at an array of x >= 0.
+
+    Below order 20: the power series for x < max(20, n^2 / 4), the periodic
+    trapezoid rule on n + sqrt(n^2 + 80 x) nodes up to max(40, 2 n^2), and
+    the Hankel expansion beyond.  From order 20 on: Debye's uniform expansion
+    at every x.  Within 1e-15 (4 + |ln ive|) relative of 40-digit values: a
+    tiny value is e^E with |E| near |ln ive|, and E carries its rounding.
+    """
+    if not (isinstance(n, (int, np.integer)) and n >= 0):
+        raise ValueError(f"ive needs an integer order n >= 0, got {n!r}")
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0.0):
+        raise ValueError("ive needs x >= 0 (NaN is not)")
+    if n >= _DEBYE_FROM:
+        return _ive_debye(n, x)
+    out = np.empty_like(x)
+    low, high = max(20.0, 0.25 * n * n), max(40.0, 2.0 * n * n)
+    for mask, regime in ((x < low, _ive_series), ((x >= low) & (x <= high), _ive_trapezoid),
+                         (x > high, _ive_hankel)):
+        if mask.any():
+            out[mask] = regime(n, x[mask])
+    return out
 
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import time
 
@@ -182,6 +183,25 @@ class TestClosedFormBatch:
         assert math.isfinite(element_infinite_closed(FractionalOrder(alpha=1000.5), 0))
         with pytest.raises(OverflowError, match=r"^element_infinite_closed\(alpha=1100\.5, p=3\) exceeds"):
             element_infinite_closed(FractionalOrder(alpha=1100.5), 3)
+
+    def test_huge_even_orders(self):
+        # at alpha/2 = m the stencil (-1)^p C(2m, m+p) is bounded before it is
+        # built: an entry past the double range raises at once, one that fits
+        # is exact, also where p passes 2^53 and a float would lose its parity
+        for alpha in (1e6, 1e19, 2400.0):
+            for p in (0, 2):
+                message = re.escape(f"element_infinite_closed(alpha={alpha!r}, p={p}) exceeds the double range")
+                with pytest.raises(OverflowError, match=f"^{message}$"):
+                    element_infinite_closed(FractionalOrder(alpha=alpha), p)
+        order = FractionalOrder(alpha=1e19)
+        m = 5 * 10**18
+        assert [element_infinite_closed(order, p) for p in (m - 1, m, m + 1)] == [-1e19, 1.0, 0.0]
+        assert element_infinite_closed(FractionalOrder(alpha=2e6), 999_999) == -2e6
+        assert element_infinite_closed(FractionalOrder(alpha=2e6, omega_sq=0.5), 999_998) == 0.5 * 1999999000000
+        # the largest central entries that fit, next to the first that does not
+        assert element_infinite_closed(FractionalOrder(alpha=1028.0), 0) == float(math.comb(1028, 514))
+        with pytest.raises(OverflowError, match=r"alpha=1030\.0, p=0"):
+            element_infinite_closed(FractionalOrder(alpha=1030.0), 0)
 
     def test_negative_offsets_and_empty_request(self):
         order = FractionalOrder(alpha=1.3)

@@ -391,7 +391,7 @@ class TestBesselRoute:
         )
 
     def test_near_integer_orders(self):
-        # 1/Gamma(-a) comes from rgamma, which keeps its digits next to the poles
+        # 1/Gamma(-a) comes from math.gamma, whose reflection keeps its digits next to the poles
         for alpha, p in ((1.9999999, 1), (2.0000002, 0), (3.9999999, 2), (4.0000001, 3), (0.001, 0)):
             order = FractionalOrder(alpha=alpha)
             np.testing.assert_allclose(
@@ -422,12 +422,12 @@ class TestBesselRoute:
             element_infinite_nd_bessel(order, 2, OffsetVector((1,)))
 
     def test_extrapolated_argument_checks_run_first(self, monkeypatch):
-        # every argument check fires before a special function is evaluated,
+        # every argument check fires before a Bessel function is evaluated,
         # also under the older name the benchmark times the route by
-        def no_special(name):
-            raise AssertionError(f"{name} evaluated before the argument checks")
+        def no_bessel(n, x):
+            raise AssertionError(f"ive({n}) evaluated before the argument checks")
 
-        monkeypatch.setattr(lattice, "_special", no_special)
+        monkeypatch.setattr(lattice, "ive", no_bessel)
         route = lattice.bessel_element_extrapolated
         cases = (
             (FractionalOrder(alpha=2.0), 1, (0,), "non integer alpha/2"),
@@ -455,8 +455,9 @@ class TestBesselRoute:
         assert failure.value.achieved >= math.ulp(value) > 1e-9
 
     def test_far_offsets_raise_instead_of_nan(self):
-        # past p ~ 1e4 the heat kernel lives beyond the last panel, where its
-        # Hankel expansion diverges: the route reports that, never a NaN
+        # past p ~ 9e4 at this order the heat kernel lives beyond the last
+        # panel, where its Hankel expansion diverges: the route reports that,
+        # never a NaN
         order = FractionalOrder(alpha=1.3)
         for comps in ((10**5,), (10**6, 0), (10**9, 1, 0)):
             with pytest.raises(ToleranceError) as failure:

@@ -1,6 +1,7 @@
 """Property tests of the heat kernel Bessel route over orders, dimensions and offsets,
 of the 1D zone quadrature over orders and offsets up to 10^4, and of the 1D
-closed form on both sides of its series start.
+closed form on both sides of its series start.  The Bessel route is also held
+to its evaluation on scipy.special's ive and rgamma.
 
 Derandomised, so every run draws the same examples.
 """
@@ -9,8 +10,12 @@ import sys
 
 import mpmath
 import numpy as np
+import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from fraclat import lattice
 
 from fraclat.chain import (
     FractionalOrder,
@@ -70,6 +75,27 @@ def test_value_is_invariant_under_lattice_symmetries(alpha, comps, data):
     dim = len(comps)
     base = element_infinite_nd_bessel(order, dim, OffsetVector(comps), tol=tol)
     assert element_infinite_nd_bessel(order, dim, OffsetVector(image), tol=tol) == base
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    alpha=st.floats(min_value=0.0, max_value=256.0, exclude_min=True).filter(
+        lambda alpha: not is_integer_half(alpha)
+    ),
+    comps=st.lists(st.integers(-10, 10), min_size=1, max_size=4),
+)
+def test_bessel_route_matches_its_scipy_evaluation(alpha, comps):
+    # the same route on scipy's ive, and rescaled from 1 / math.gamma(-a) to
+    # scipy's rgamma(-a): the values it returned before it ran on numpy alone
+    order, offset = FractionalOrder(alpha), OffsetVector(comps)
+    loose = sys.float_info.max  # any finite estimate passes
+    value = element_infinite_nd_bessel(order, len(comps), offset, tol=loose)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "ive", scipy.special.ive)
+        on_scipy = element_infinite_nd_bessel(order, len(comps), offset, tol=loose)
+    a = 0.5 * alpha
+    expected = on_scipy * (float(scipy.special.rgamma(-a)) * math.gamma(-a))
+    assert abs(value - expected) <= 1e-14 * max(1.0, abs(expected))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

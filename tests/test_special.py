@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -8,8 +9,10 @@ from fraclat.chain import FractionalOrder, element_infinite_quadrature
 from fraclat.lattice import OffsetVector, element_infinite_nd_bessel, element_infinite_nd_bz
 from fraclat.special import (
     ToleranceError,
+    hankel_coefficients,
     hurwitz_zeta,
     integrate_even_periodic,
+    ive,
     log_gamma,
 )
 
@@ -87,6 +90,80 @@ class TestHurwitzZeta:
         for x in (0.0, -3.0, math.inf, math.nan):
             with pytest.raises(ValueError, match=f"finite x > 0, got {x}"):
                 hurwitz_zeta(2.0, x)
+
+
+def ive_reference(n, x):
+    """e^(-x) I_n(x) in 40 digits, from mpmath's own series and expansions."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(x))
+        return mpmath.besseli(n, x) * mpmath.exp(-x)
+
+
+def boundary_samples(n):
+    """x on both sides of each of ive's regime boundaries at order n, and
+    across the heat kernel route's node range, 2 t0 .. 5e8."""
+    edges = {20.0, 0.25 * n * n, 40.0, 2.0 * n * n}
+    near = [e * f for e in edges if e > 0 for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)]
+    return sorted(set(near + [0.5 * n, 2.0 * n] + list(np.geomspace(1e-4, 5e8, 27))))
+
+
+# mpmath's series does not converge at order 10^4 for x between about 2e4
+# and 1e7; its values at the other points of the range are checked
+SLOW_REFERENCE = (10**4, 2e4, 1e7)
+
+
+class TestIve:
+    @pytest.mark.parametrize("n", list(range(9)) + [9, 14, 19, 20, 100, 1000, 10**4])
+    def test_matches_40_digit_references(self, n):
+        # relative, with room for the exponent's rounding where the value is
+        # tiny: e^E with |E| ~ |ln ive| carries |E| times the exponent's error
+        xs = [x for x in boundary_samples(n)
+              if not (n == SLOW_REFERENCE[0] and SLOW_REFERENCE[1] < x < SLOW_REFERENCE[2])]
+        got = ive(n, np.array(xs))
+        for x, value in zip(xs, got):
+            expected = ive_reference(n, x)
+            if expected < 1e-290:  # below the normal doubles
+                assert 0.0 <= value <= 1e-290, (x, value)
+                continue
+            bound = 1e-15 * (4.0 + abs(float(mpmath.log(expected))))
+            assert abs(value / expected - 1) <= bound, (x, value, float(expected))
+
+    def test_matches_scipy(self):
+        # scipy.special.ive stays a test-only comparator; both round the
+        # exponent, and from order 20 on scipy's own error reaches 1e-12
+        # (4.1e-13 at n = 2000, x = 1.06e6; 1.1e-12 at n = 10^4, x = 2.67e7;
+        # against mpmath, which ive meets within 2.3e-16 at both points)
+        x = np.geomspace(1e-4, 5e8, 400)
+        for n in (*range(30), 47, 100, 333, 2000, 10**4):
+            expected = scipy.special.ive(n, x)
+            normal = expected > 1e-290
+            got, expected = ive(n, x)[normal], expected[normal]
+            rel = 1e-14 * (4.0 + np.abs(np.log(expected))) + (5e-12 if n >= 20 else 0.0)
+            assert np.all(np.abs(got - expected) <= rel * expected), n
+
+    def test_small_and_exact_arguments(self):
+        assert ive(0, np.array([0.0])).tolist() == [1.0]
+        assert ive(3, np.array([0.0])).tolist() == [0.0]
+        assert ive(25, np.array([0.0, 5e-324, 1e-300])).tolist() == [0.0, 0.0, 0.0]
+        # the leading series term (x/2)^n / n! where x is small
+        assert ive(2, np.array([1e-8]))[0] == pytest.approx(1.25e-17, rel=1e-15)
+        assert ive(1, np.array([math.inf])).tolist() == [0.0]
+        assert ive(4, np.zeros((2, 3))).shape == (2, 3)
+
+    def test_domain(self):
+        for n in (-1, 2.0, 1.5, None):
+            with pytest.raises(ValueError, match="integer order n >= 0"):
+                ive(n, np.array([1.0]))
+        for bad in (-1e-300, math.nan):
+            with pytest.raises(ValueError, match="x >= 0"):
+                ive(1, np.array([1.0, bad]))
+
+    def test_hankel_coefficients(self):
+        # c_k = (-1)^k a_k(n): 1, (1 - 4n^2) / 8, (1 - 4n^2)(9 - 4n^2) / 128, ...
+        for n in (0, 1, 7):
+            mu = 4.0 * n * n
+            expected = [1.0, (1 - mu) / 8, (1 - mu) * (9 - mu) / 128, (1 - mu) * (9 - mu) * (25 - mu) / 3072]
+            np.testing.assert_allclose(hankel_coefficients(n, 4), expected, rtol=1e-15)
 
 
 class TestTolContract:
