@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .special import (
+    _LOG_DOUBLE_MAX,
     ToleranceError,
     as_integer,
     hurwitz_zeta,
     integrate_even_periodic,
-    log_gamma,
     require_positive_finite,
 )
 
@@ -178,9 +178,6 @@ class CirculantMatrix:
             raise ValueError("spectrum has eigenvalues of both signs")
 
 
-_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
-
-
 def _binomial_element(m: int, q: int) -> float:
     """Integer half order m: the signed central binomial stencil (-1)^q C(2m, m+q),
     zero beyond q = m.  OverflowError where it leaves the double range: the
@@ -254,7 +251,7 @@ def element_infinite_closed(order: FractionalOrder, p: int) -> float:
         value = math.exp(log_amp - alpha * math.log(p) + series) / p
         return -order.omega_sq * math.copysign(value, amp)
     a = 0.5 * alpha
-    log_ratio = log_gamma(alpha + 1.0) - log_gamma(a + 1.0) - log_gamma(a + p + 1.0)
+    log_ratio = math.lgamma(alpha + 1.0) - math.lgamma(a + 1.0) - math.lgamma(a + p + 1.0)
     sign, log_prod = 1.0, 0.0
     for s in range(p):
         term = s - a

@@ -46,7 +46,6 @@ from .special import (
     geometric_panel_edges,
     hankel_coefficients,
     ive,
-    log_gamma,
     require_positive_finite,
 )
 
@@ -419,8 +418,8 @@ def asymptotic_constant_nd(dim: int, alpha: float) -> float:
     log_mag = (
         (alpha - 1.0) * math.log(2.0)
         + math.log(alpha)
-        + log_gamma(0.5 * (alpha + dim))
-        + log_gamma(0.5 * alpha)
+        + math.lgamma(0.5 * (alpha + dim))
+        + math.lgamma(0.5 * alpha)
         - (0.5 * dim + 1.0) * math.log(math.pi)
     )
     return math.exp(log_mag) * math.sin(0.5 * math.pi * alpha)

@@ -35,7 +35,6 @@ __all__ = [
     "require_positive_finite",
     "as_integer",
     "accept_estimate",
-    "log_gamma",
     "hurwitz_zeta",
     "hankel_coefficients",
     "ive",
@@ -84,17 +83,6 @@ def accept_estimate(value: float, estimate: float, tol: float, route: str) -> fl
     if estimate > tol:
         raise ToleranceError(f"{route} error estimate above bound {tol:.3e}", estimate)
     return value
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0.
-
-    Delegates to the C library lgamma (a Lanczos/Stirling class evaluation);
-    relative error is well below 1e-14 on the positive axis.
-    """
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 # Direct terms before the Euler-Maclaurin tail takes over.  16 keeps the
@@ -242,13 +230,9 @@ def ive(n: int, x) -> np.ndarray:
     return out
 
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GAUSS_CACHE:
-        _GAUSS_CACHE[order] = leggauss(order)
-    return _GAUSS_CACHE[order]
+    return leggauss(order)
 
 
 def gauss_panel_rule(edges: Sequence[float], order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -263,11 +247,15 @@ def gauss_panel_rule(edges: Sequence[float], order: int) -> tuple[np.ndarray, np
     return nodes, weights
 
 
-def geometric_panel_edges(upper: float, min_width: float = 1e-8) -> np.ndarray:
+# the narrowest geometric panel next to 0
+_MIN_PANEL_WIDTH = 1e-8
+
+
+def geometric_panel_edges(upper: float) -> np.ndarray:
     """Panel edges on [0, upper], halving geometrically toward 0."""
     edges = [upper]
     e = upper / 2.0
-    while e > min_width:
+    while e > _MIN_PANEL_WIDTH:
         edges.append(e)
         e /= 2.0
     edges.append(0.0)

@@ -13,7 +13,6 @@ from fraclat.special import (
     hurwitz_zeta,
     integrate_even_periodic,
     ive,
-    log_gamma,
 )
 
 
@@ -24,26 +23,6 @@ def zeta_direct_oracle(beta, x, terms=10**6):
     partial = float(np.sum((x + n) ** (-beta)))
     tail = (x + terms - 0.5) ** (1.0 - beta) / (beta - 1.0)
     return partial + tail
-
-
-class TestLogGamma:
-    def test_known_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-
-    def test_recurrence(self):
-        rng = np.random.default_rng(42)
-        for x in rng.uniform(0.1, 30.0, size=50):
-            lhs = math.exp(log_gamma(x + 1.0))
-            rhs = x * math.exp(log_gamma(x))
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-1.5)
 
 
 class TestHurwitzZeta:
