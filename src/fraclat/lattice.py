@@ -144,6 +144,33 @@ def eigenvalue_nd(kappa) -> float:
     return float(value) if value.ndim == 0 else value
 
 
+# elements of the largest lambda^(alpha/2) array built at once (1 MB)
+_BZ_BLOCK = 1 << 17
+
+
+def _tensor_sum(a: float, axes) -> float:
+    """Tensor product rule sum of prod_j cw_j * (sum_j s2_j)^a.
+
+    axes holds one (s2, cw) pair per axis: the values of 4 sin^2(kappa / 2)
+    and of cos(p_j kappa) times the weight (one in a Bloch sum) at that
+    axis's nodes.  The grid is evaluated in row blocks of axis 0 of at most
+    _BZ_BLOCK points (at least one row) and contracted axis by axis.
+    """
+    rest = np.zeros(())
+    for s2, _ in axes[1:]:
+        rest = np.add.outer(rest, s2)
+    rows = max(1, _BZ_BLOCK // rest.size)
+    s2_0, cw_0 = axes[0]
+    total = 0.0
+    for i0 in range(0, len(s2_0), rows):
+        lam = np.add.outer(s2_0[i0 : i0 + rows], rest)
+        np.power(lam, a, out=lam)
+        for _, cw in axes[:0:-1]:
+            lam = lam.reshape(-1, cw.size) @ cw
+        total += float(cw_0[i0 : i0 + rows] @ lam)
+    return total
+
+
 def element_periodic_nd(
     order: FractionalOrder, lattice: LatticeSpec, offset: OffsetVector
 ) -> float:
@@ -158,34 +185,14 @@ def element_periodic_nd(
         raise SizeLimitError(
             f"spectral sum over {lattice.n_points} points exceeds the cap {SPECTRAL_POINT_CAP}"
         )
-    a = 0.5 * order.alpha
     offset = offset.reduced(lattice.sizes)
-    # iterate over the shortest axis and broadcast the rest, so the inner
-    # vectorised block is as large as possible
-    axes = sorted(range(lattice.dim), key=lambda j: lattice.sizes[j])
-    sizes = [lattice.sizes[j] for j in axes]
-    comps = [offset.components[j] for j in axes]
-    s2 = []
-    cosines = []
-    for n_j, p_j in zip(sizes, comps):
+    # longest axis first: _tensor_sum blocks the rows of axis 0 and builds
+    # the sum over the other axes whole, which is then the smallest
+    axes = []
+    for n_j, p_j in sorted(zip(lattice.sizes, offset.components), key=lambda axis: -axis[0]):
         ell = np.arange(n_j)
-        s2.append(4.0 * np.sin(math.pi * ell / n_j) ** 2)
-        cosines.append(np.cos(2.0 * math.pi * ell * p_j / n_j))
-    if lattice.dim == 1:
-        total = float(np.dot(cosines[0], s2[0] ** a))
-    else:
-        shape = [1] * (lattice.dim - 1)
-        rest_sum = np.zeros(shape)
-        rest_cos = np.ones(shape)
-        for j in range(1, lattice.dim):
-            form = [1] * (lattice.dim - 1)
-            form[j - 1] = sizes[j]
-            rest_sum = rest_sum + s2[j].reshape(form)
-            rest_cos = rest_cos * cosines[j].reshape(form)
-        total = 0.0
-        for i in range(sizes[0]):
-            total += cosines[0][i] * float(np.sum(rest_cos * (s2[0][i] + rest_sum) ** a))
-    return float(order.omega_sq * total / math.prod(sizes))
+        axes.append((4.0 * np.sin(math.pi * ell / n_j) ** 2, np.cos(2.0 * math.pi * ell * p_j / n_j)))
+    return float(order.omega_sq * _tensor_sum(0.5 * order.alpha, axes) / lattice.n_points)
 
 
 def build_laplacian_nd(order: FractionalOrder, lattice: LatticeSpec):
@@ -201,33 +208,6 @@ def build_laplacian_nd(order: FractionalOrder, lattice: LatticeSpec):
     modes = order.omega_sq * eigenvalue_nd(kappa) ** (0.5 * order.alpha)
     table = -lattice.mass * np.fft.ifftn(modes).real
     return table, -lattice.mass * modes + 0.0
-
-
-# elements of the largest lambda^(alpha/2) array built at once (1 MB)
-_BZ_BLOCK = 1 << 17
-
-
-def _tensor_sum(a: float, axes) -> float:
-    """Tensor product rule sum of prod_j cw_j * (sum_j s2_j)^a.
-
-    axes holds one (s2, cw) pair per axis: the values of 4 sin^2(kappa / 2)
-    and of cos(p_j kappa) times the weight at that axis's nodes.  The grid
-    is evaluated in row blocks of axis 0 of at most _BZ_BLOCK points (at
-    least one row) and contracted axis by axis.
-    """
-    rest = np.zeros(())
-    for s2, _ in axes[1:]:
-        rest = np.add.outer(rest, s2)
-    rows = max(1, _BZ_BLOCK // rest.size)
-    s2_0, cw_0 = axes[0]
-    total = 0.0
-    for i0 in range(0, len(s2_0), rows):
-        lam = np.add.outer(s2_0[i0 : i0 + rows], rest)
-        np.power(lam, a, out=lam)
-        for _, cw in axes[:0:-1]:
-            lam = lam.reshape(-1, cw.size) @ cw
-        total += float(cw_0[i0 : i0 + rows] @ lam)
-    return total
 
 
 def _bz_value(order: FractionalOrder, comps, gauss_order: int) -> float:

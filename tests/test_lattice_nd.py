@@ -158,13 +158,13 @@ class TestSpectralSum:
 class TestBuildLaplacianNd:
     def test_table_matches_spectral_sum(self):
         order = FractionalOrder(alpha=1.3, omega_sq=1.7)
-        lattice = LatticeSpec(dim=2, sizes=(6, 4), mass=0.8)
-        table, eigenvalues = build_laplacian_nd(order, lattice)
-        assert table.shape == eigenvalues.shape == (6, 4)
-        for p1 in range(6):
-            for p2 in range(4):
-                expected = -0.8 * element_periodic_nd(order, lattice, OffsetVector((p1, p2)))
-                np.testing.assert_allclose(table[p1, p2], expected, rtol=0.0, atol=1e-13)
+        for sizes in ((6, 4), (7,), (3, 5, 4), (2, 3, 4, 3), (3, 2, 2, 5)):
+            lattice = LatticeSpec(dim=len(sizes), sizes=sizes, mass=0.8)
+            table, eigenvalues = build_laplacian_nd(order, lattice)
+            assert table.shape == eigenvalues.shape == sizes
+            for p in np.ndindex(*sizes):
+                expected = -0.8 * element_periodic_nd(order, lattice, OffsetVector(p))
+                np.testing.assert_allclose(table[p], expected, rtol=0.0, atol=1e-13, err_msg=f"{sizes} {p}")
 
     def test_zero_row_sum_and_one_signed_spectrum(self):
         for alpha, sizes in ((0.7, (6, 4)), (2.6, (3, 4, 5)), (1.1, (2, 3, 2, 3))):
