@@ -40,6 +40,7 @@ from numpy.polynomial.legendre import leggauss  # noqa: F401
 
 from .chain import FractionalOrder, is_integer_half
 from .special import (
+    _LOG_DOUBLE_MAX,
     accept_estimate,
     as_integer,
     gauss_panel_rule,
@@ -283,7 +284,9 @@ def element_infinite_nd_bz(
 _HEAT_T_MAX = 2.5e8
 _HEAT_TAIL_TERMS = 12
 _HEAT_LOG_TOL = math.log(1e-18)  # series terms kept down to 1e-18 of their scale
-# above this the series' powers of t0 leave the double range (NaN from 400)
+_HALF_EPSILON = 2.0**-53  # the unit roundoff
+# the largest order the route takes; 1/Gamma(-a) leaves the double range from
+# alpha about 343
 _HEAT_MAX_ALPHA = 256.0
 
 
@@ -295,9 +298,16 @@ def _series_product(axes, count: int) -> np.ndarray:
     return total
 
 
-def _heat_series(a: float, t0: float, comps, integral: float) -> float:
+def _scaled_coefficient(j: int, p: int, shift: int) -> float:
+    """(-1)^(j+p) C(2j, j+p) 2^shift / j!, rounded once from the integers."""
+    num, den = math.comb(2 * j, j + p), math.factorial(j)
+    return (-1) ** (j + p) * ((num << shift) / den if shift >= 0 else num / (den << -shift))
+
+
+def _heat_series(a: float, t0: float, comps, integral: float) -> tuple[float, float]:
     """sum_k c_k t0^(k-a) / (k-a): the heat kernel minus its Taylor terms of
-    degree <= a, integrated against t^(-1-a) over (0, t0) and continued in a.
+    degree <= a, integrated against t^(-1-a) over (0, t0) and continued in a,
+    and the sum of its terms' magnitudes, by which its rounding is bounded.
 
     Per axis c_k(p) = (-1)^(k+p) C(2k, k+p) / k!, zero below P = sum_j p_j,
     and |c_k| t0^k <= x^k / k! with x = 4 dim t0: the sum runs from P to P + J,
@@ -305,19 +315,29 @@ def _heat_series(a: float, t0: float, comps, integral: float) -> float:
     subtracted and, as ive(p, 2t) <= t^p / p!, the sum is below
     t0^(P-a) / ((P-a) prod_j p_j!); it is dropped when that is under 1e-18 of
     the integral beyond t0, which spares far offsets their factorials.
+
+    Far into the sum c_k underflows and t0^(k-a) overflows, so both are
+    carried scaled by 2^(s k), 2^s <= t0 < 2^(s+1).  Powers of two scale
+    exactly: where neither factor leaves the double range the terms keep
+    the bits of the unscaled product, and elsewhere t0^(k-a) 2^(-s k) is
+    (t0 2^-s)^k t0^-a, whose factors stay inside it.
     """
     total = sum(comps)
     log_bound = (total - a) * math.log(t0) - sum(math.lgamma(p + 1.0) for p in comps)
     if total > a and log_bound - math.log(total - a) < _HEAT_LOG_TOL + math.log(integral + 1e-300):
-        return 0.0
+        return 0.0, 0.0
     x = 4.0 * len(comps) * t0
     extra = 0
     while extra <= x or extra * math.log(x) - math.lgamma(extra + 1.0) > _HEAT_LOG_TOL + x:
         extra += 1
     k = np.arange(total + extra + 1)
-    axes = ([(-1) ** (j + p) * math.comb(2 * j, j + p) / math.factorial(j) for j in range(k.size)]
-            for p in comps)
-    return float(np.sum(_series_product(axes, k.size) * t0 ** (k - a) / (k - a)))
+    s = math.frexp(t0)[1] - 1
+    axes = ([_scaled_coefficient(j, p, s * j) for j in range(k.size)] for p in comps)
+    inside = np.abs((k - a) * math.log(t0)) < _LOG_DOUBLE_MAX - 2.0
+    power = np.where(inside, np.ldexp(t0 ** np.where(inside, k - a, 0.0), -s * k),
+                     math.ldexp(t0, -s) ** k * t0 ** -a)
+    terms = _series_product(axes, k.size) * power / (k - a)
+    return float(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
 def _heat_integral(a: float, t0: float, comps, panels: int, gauss_order: int) -> float:
@@ -352,10 +372,13 @@ def element_infinite_nd_bessel(
     between the series and the integral, which runs on unit Gauss panels in
     log t up to T <= 2.5e8 and then on the Hankel expansion of ive.  The
     error estimate, omega_sq / |Gamma(-a)| times the difference of Gauss
-    orders n = _GAUSS_ORDER and n + 8 plus the tail's last term, floored at
+    orders n = _GAUSS_ORDER and n + 8, plus the tail's last term, plus the
+    series' rounding, half an epsilon of its terms' magnitudes, floored at
     the value's last place, is checked against tol.  As for the zone
     integral, the default tol cannot be met once |f| reaches 2^23: at the
-    origin from alpha about 17.86 in 2D and 15.26 in 3D.
+    origin from alpha about 17.86 in 2D and 15.26 in 3D.  The series'
+    cancellation grows like e^a: at the default tol 1D offsets next to
+    p = a are refused from alpha about 60, and from about 100 most are.
     """
     require_positive_finite("tol", tol)
     if order.is_integer_half:
@@ -374,8 +397,10 @@ def element_infinite_nd_bessel(
     coarse, fine = (_heat_integral(a, t0, comps, panels, n) for n in (_GAUSS_ORDER, _GAUSS_ORDER + 8))
     tail, last = _heat_tail(a, t0 * math.exp(panels), comps)
     scale = order.omega_sq / math.gamma(-a)  # finite for non integer 0 < a <= 128
-    value = scale * (_heat_series(a, t0, comps, fine) + fine + tail)
-    return accept_estimate(value, abs(scale) * (abs(fine - coarse) + last), tol, "heat kernel integral")
+    series, magnitude = _heat_series(a, t0, comps, fine)
+    value = scale * (series + fine + tail)
+    estimate = abs(scale) * (abs(fine - coarse) + last + _HALF_EPSILON * magnitude)
+    return accept_estimate(value, estimate, tol, "heat kernel integral")
 
 
 # the name bench/spans.py times the route by

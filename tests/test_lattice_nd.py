@@ -409,6 +409,35 @@ class TestBesselRoute:
             value = element_infinite_nd_bessel(FractionalOrder(alpha), 1, OffsetVector((20,)), tol=1e-13)
             assert abs(value - expected) <= 1e-13
 
+    # (alpha, offset, tol, reference): the 1D ones are the binomial form in
+    # 60-digit mpmath; the 2D and 3D ones are (2d)^a sum_n (-1)^n C(a, n) P_n(p),
+    # P_n(p) the chance that an n-step walk on Z^d ends at p, in 150-digit mpmath,
+    # a binomial expansion of lambda^a that shares nothing with the route
+    LARGE_ORDERS = (
+        (150.1, (74,), 1e-9, 188.62381538854955798),
+        (100.3, (49,), 1e-9, -186.43320694535788812),
+        (150.1, (50, 40), 1e-6, 0.009684211860900317596),
+        (240.819, (84, -80), 1e-9, -1.3575915976782856505e-19),
+        (245.9, (-86, -95, -51), 1e-9, -2.798379753900275966e-44),
+    )
+
+    @pytest.mark.parametrize("alpha, comps, tol, reference", LARGE_ORDERS)
+    def test_large_orders_raise_or_meet_their_estimate(self, alpha, comps, tol, reference):
+        # the heat kernel series cancels like e^a: its rounding is part of the
+        # estimate, and its scaled terms neither overflow nor underflow (a
+        # RuntimeWarning fails the test)
+        order, offset = FractionalOrder(alpha), OffsetVector(comps)
+        with pytest.raises(ToleranceError) as failure:  # the estimate, whatever tol
+            element_infinite_nd_bessel(order, len(comps), offset, tol=1e-300)
+        estimate = failure.value.achieved
+        assert math.isfinite(estimate)
+        if estimate > tol:
+            with pytest.raises(ToleranceError):
+                element_infinite_nd_bessel(order, len(comps), offset, tol=tol)
+        else:
+            value = element_infinite_nd_bessel(order, len(comps), offset, tol=tol)
+            assert abs(value - reference) <= estimate
+
     def test_integer_half_rejected(self):
         order = FractionalOrder(alpha=2.0)
         with pytest.raises(ValueError, match="non integer alpha/2"):
@@ -471,7 +500,7 @@ class TestBesselRoute:
         with pytest.raises(ToleranceError) as failure:
             element_infinite_nd_bessel(order, 2, OffsetVector((0, 0)), loose)
         assert failure.value.achieved == math.inf
-        # past alpha = 256 the series' powers of t0 leave the double range
+        # the route takes orders up to 256
         value = element_infinite_nd_bessel(FractionalOrder(alpha=255.5), 1, OffsetVector((3,)), loose)
         assert math.isfinite(value)
         with pytest.raises(ValueError, match="alpha <= 256"):
