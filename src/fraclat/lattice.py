@@ -145,33 +145,6 @@ def eigenvalue_nd(kappa) -> float:
     return float(value) if value.ndim == 0 else value
 
 
-# elements of the largest lambda^(alpha/2) array built at once (1 MB)
-_BZ_BLOCK = 1 << 17
-
-
-def _tensor_sum(a: float, axes) -> float:
-    """Tensor product rule sum of prod_j cw_j * (sum_j s2_j)^a.
-
-    axes holds one (s2, cw) pair per axis: the values of 4 sin^2(kappa / 2)
-    and of cos(p_j kappa) times the weight (one in a Bloch sum) at that
-    axis's nodes.  The grid is evaluated in row blocks of axis 0 of at most
-    _BZ_BLOCK points (at least one row) and contracted axis by axis.
-    """
-    rest = np.zeros(())
-    for s2, _ in axes[1:]:
-        rest = np.add.outer(rest, s2)
-    rows = max(1, _BZ_BLOCK // rest.size)
-    s2_0, cw_0 = axes[0]
-    total = 0.0
-    for i0 in range(0, len(s2_0), rows):
-        lam = np.add.outer(s2_0[i0 : i0 + rows], rest)
-        np.power(lam, a, out=lam)
-        for _, cw in axes[:0:-1]:
-            lam = lam.reshape(-1, cw.size) @ cw
-        total += float(cw_0[i0 : i0 + rows] @ lam)
-    return total
-
-
 def element_periodic_nd(
     order: FractionalOrder, lattice: LatticeSpec, offset: OffsetVector
 ) -> float:
@@ -209,6 +182,33 @@ def build_laplacian_nd(order: FractionalOrder, lattice: LatticeSpec):
     modes = order.omega_sq * eigenvalue_nd(kappa) ** (0.5 * order.alpha)
     table = -lattice.mass * np.fft.ifftn(modes).real
     return table, -lattice.mass * modes + 0.0
+
+
+# elements of the largest lambda^(alpha/2) array built at once (1 MB)
+_BZ_BLOCK = 1 << 17
+
+
+def _tensor_sum(a: float, axes) -> float:
+    """Tensor product rule sum of prod_j cw_j * (sum_j s2_j)^a.
+
+    axes holds one (s2, cw) pair per axis: the values of 4 sin^2(kappa / 2)
+    and of cos(p_j kappa) times the weight (one in a Bloch sum) at that
+    axis's nodes.  The grid is evaluated in row blocks of axis 0 of at most
+    _BZ_BLOCK points (at least one row) and contracted axis by axis.
+    """
+    rest = np.zeros(())
+    for s2, _ in axes[1:]:
+        rest = np.add.outer(rest, s2)
+    rows = max(1, _BZ_BLOCK // rest.size)
+    s2_0, cw_0 = axes[0]
+    total = 0.0
+    for i0 in range(0, len(s2_0), rows):
+        lam = np.add.outer(s2_0[i0 : i0 + rows], rest)
+        np.power(lam, a, out=lam)
+        for _, cw in axes[:0:-1]:
+            lam = lam.reshape(-1, cw.size) @ cw
+        total += float(cw_0[i0 : i0 + rows] @ lam)
+    return total
 
 
 def _bz_value(order: FractionalOrder, comps, gauss_order: int) -> float:
@@ -376,9 +376,10 @@ def element_infinite_nd_bessel(
     series' rounding, half an epsilon of its terms' magnitudes, floored at
     the value's last place, is checked against tol.  As for the zone
     integral, the default tol cannot be met once |f| reaches 2^23: at the
-    origin from alpha about 17.86 in 2D and 15.26 in 3D.  The series'
-    cancellation grows like e^a: at the default tol 1D offsets next to
-    p = a are refused from alpha about 60, and from about 100 most are.
+    origin from alpha about 17.86 in 2D and 15.26 in 3D.  The series and
+    the integral cancel like e^a: at the default tol the rounding alone
+    refuses a few 1D elements below 2^23 from alpha about 35, a third of
+    them from 100 and two thirds from 200.
     """
     require_positive_finite("tol", tol)
     if order.is_integer_half:
