@@ -373,8 +373,9 @@ def element_infinite_nd_bessel(
     log t up to T <= 2.5e8 and then on the Hankel expansion of ive.  The
     error estimate, omega_sq / |Gamma(-a)| times the difference of Gauss
     orders n = _GAUSS_ORDER and n + 8, plus the tail's last term, plus the
-    series' rounding, half an epsilon of its terms' magnitudes, floored at
-    the value's last place, is checked against tol.  As for the zone
+    series' rounding, half an epsilon of its terms' magnitudes per axis (one
+    rounding per term and about one per convolution of the axes' series),
+    floored at the value's last place, is checked against tol.  As for the zone
     integral, the default tol cannot be met once |f| reaches 2^23: at the
     origin from alpha about 17.86 in 2D and 15.26 in 3D.  The series and
     the integral cancel like e^a: at the default tol the rounding alone
@@ -400,7 +401,7 @@ def element_infinite_nd_bessel(
     scale = order.omega_sq / math.gamma(-a)  # finite for non integer 0 < a <= 128
     series, magnitude = _heat_series(a, t0, comps, fine)
     value = scale * (series + fine + tail)
-    estimate = abs(scale) * (abs(fine - coarse) + last + _HALF_EPSILON * magnitude)
+    estimate = abs(scale) * (abs(fine - coarse) + last + _HALF_EPSILON * dim * magnitude)
     return accept_estimate(value, estimate, tol, "heat kernel integral")
 
 
