@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 
 import numpy as np
@@ -45,10 +46,6 @@ __all__ = ["main", "build_parser"]
 
 MATRIX_MAX_SITES_1D = 100_000
 MATRIX_MAX_SITES_ND = 4096
-
-_ROUTES_1D_INFINITE = ("closed", "quadrature")
-_ROUTES_1D_PERIODIC = ("bloch", "images")
-_ROUTES_ND = ("nd_bz", "nd_bessel")
 
 
 class UsageError(ValueError):
@@ -117,68 +114,67 @@ def _metadata() -> dict:
     return {"version": __version__}
 
 
+def _routes() -> dict:
+    """Route name -> (domain, bound, element function) of `fraclat elements`.
+
+    The domain is what the route acts on: "chain" the infinite chain
+    (--infinite --p), "ring" a ring (--n --p), "lattice" the infinite lattice
+    (--infinite --offset).  The bound is None for a route without an error
+    bound, "own" for one that gets --tol, and records it, only when given, or
+    else the default the route gets and records when --tol is absent.  The
+    table is built per call: bench/spans.py times a route by rebinding its
+    function's name in this module after import.
+    """
+    return {
+        "closed": ("chain", None, element_infinite_closed),
+        "quadrature": ("chain", "own", element_infinite_quadrature),
+        "bloch": ("ring", None, element_periodic_bloch),
+        "images": ("ring", 1e-12, element_periodic_images),
+        "nd_bz": ("lattice", "own", element_infinite_nd_bz),
+        "nd_bessel": ("lattice", "own", element_infinite_nd_bessel),
+    }
+
+
 def cmd_elements(args):
     alpha = _single_alpha(args)
     order = FractionalOrder(alpha, omega_sq=args.omega_sq)
     route = args.route
+    domain, bound, element = _routes()[route]
+    on_ring = domain == "ring"
+    if args.infinite == on_ring or (args.n is not None) != on_ring:
+        raise UsageError(f"route {route} requires {'a ring size --n' if on_ring else '--infinite'}")
+    if domain == "lattice" and args.p is not None:
+        raise UsageError(f"route {route} acts on offset vectors; use --offset, not --p")
+    if domain != "lattice" and args.offset:
+        raise UsageError(f"route {route} is one dimensional; use --p, not --offset")
+    if bound is None and args.tol is not None:
+        raise UsageError(f"route {route} has no error bound; it takes no --tol")
     parameters = {"alpha": alpha, "route": route, "omega_sq": args.omega_sq}
-    metadata = _metadata()
-    # the quadrature and nD routes get --tol only when it is given, so their
-    # own defaults apply otherwise, and record it only then
-    tol = {} if args.tol is None else {"tol": args.tol}
+    parameters["size"] = args.n if on_ring else "infinite"
 
-    if route in _ROUTES_1D_INFINITE + _ROUTES_1D_PERIODIC:
-        if args.offset:
-            raise UsageError(f"route {route} is one dimensional; use --p, not --offset")
-        if route in _ROUTES_1D_INFINITE:
-            if args.n is not None or not args.infinite:
-                raise UsageError(f"route {route} requires --infinite")
-            p_text = args.p or "0..10"
-            parameters["size"] = "infinite"
-        else:
-            if args.infinite or args.n is None:
-                raise UsageError(f"route {route} requires a ring size --n")
-            chain = ChainSpec(args.n)
-            p_text = args.p or f"0..{args.n - 1}"
-            parameters["size"] = args.n
-        p_list = _parse_int_list(p_text, "--p")
-        if any(p < 0 for p in p_list):
+    if domain == "lattice":
+        if not args.offset:
+            raise UsageError(f"route {route} requires at least one --offset p1,p2[,p3]")
+        points = [_parse_offset(text) for text in args.offset]
+        dim = parameters["dim"] = len(points[0])
+        if any(len(point) != dim for point in points):
+            raise UsageError("all --offset vectors must have the same number of components")
+        lead, argument = (order, dim), OffsetVector
+        columns = tuple(f"p{j + 1}" for j in range(dim))
+    else:
+        lead = (order, ChainSpec(args.n)) if on_ring else (order,)
+        parameters["p"] = args.p or (f"0..{args.n - 1}" if on_ring else "0..10")
+        points = [(p,) for p in _parse_int_list(parameters["p"], "--p")]
+        if any(p < 0 for p, in points):
             raise UsageError("--p offsets must be >= 0")
-        parameters["p"] = p_text
+        argument, columns = operator.itemgetter(0), ("p",)
 
-        if route == "closed":
-            values = [element_infinite_closed(order, p) for p in p_list]
-        elif route == "quadrature":
-            parameters.update(tol)
-            values = [element_infinite_quadrature(order, p, **tol) for p in p_list]
-        elif route == "bloch":
-            values = [element_periodic_bloch(order, chain, p) for p in p_list]
-        else:
-            # the image sum records its bound also when it is the default
-            parameters["tol"] = args.tol if args.tol is not None else 1e-12
-            values = [element_periodic_images(order, chain, p, parameters["tol"]) for p in p_list]
-        columns = ("p", "value", "route")
-        rows = [(p, v, route) for p, v in zip(p_list, values)]
-        return OutputRecord("elements", parameters, columns, rows, metadata), 0
-
-    # nD routes act on the infinite lattice and take explicit offset vectors
-    if not args.infinite or args.n is not None:
-        raise UsageError(f"route {route} requires --infinite")
-    if not args.offset:
-        raise UsageError(f"route {route} requires at least one --offset p1,p2[,p3]")
-    offsets = [_parse_offset(text) for text in args.offset]
-    dim = len(offsets[0])
-    if any(len(offset) != dim for offset in offsets):
-        raise UsageError("all --offset vectors must have the same number of components")
-    parameters["size"] = "infinite"
-    parameters["dim"] = dim
-
+    bound = bound if args.tol is None else args.tol
+    tol = {} if bound in (None, "own") else {"tol": bound}
     parameters.update(tol)
-    compute = {"nd_bz": element_infinite_nd_bz, "nd_bessel": element_infinite_nd_bessel}[route]
-    values = [compute(order, dim, OffsetVector(offset), **tol) for offset in offsets]
-    columns = tuple(f"p{j + 1}" for j in range(dim)) + ("value", "route")
-    rows = [offset + (value, route) for offset, value in zip(offsets, values)]
-    return OutputRecord("elements", parameters, columns, rows, metadata), 0
+    values = [element(*lead, argument(point), **tol) for point in points]
+    rows = [point + (value, route) for point, value in zip(points, values)]
+    return OutputRecord("elements", parameters, columns + ("value", "route"), rows, _metadata()), 0
 
 
 def cmd_matrix(args):
@@ -338,11 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="p1,p2[,p3]",
         help="nD offset vector (repeatable), for routes nd_bz and nd_bessel",
     )
-    sub.add_argument(
-        "--route",
-        required=True,
-        choices=_ROUTES_1D_INFINITE + _ROUTES_1D_PERIODIC + _ROUTES_ND,
-    )
+    sub.add_argument("--route", required=True, choices=tuple(_routes()))
     sub.add_argument("--omega-sq", type=float, default=1.0, dest="omega_sq")
     sub.add_argument("--tol", type=float, help="route tolerance (images, quadrature, nd routes)")
     add_output_flags(sub)

@@ -177,6 +177,21 @@ class TestElementsCommand:
         assert not out
         assert err == f"fraclat: {message}\n"
 
+    @pytest.mark.parametrize("function,argv", [
+        ("element_infinite_closed", ("--infinite", "--p", "0..1", "--route", "closed")),
+        ("element_infinite_quadrature", ("--infinite", "--p", "0..1", "--route", "quadrature")),
+        ("element_periodic_bloch", ("--n", "4", "--p", "0..1", "--route", "bloch")),
+        ("element_periodic_images", ("--n", "4", "--p", "0..1", "--route", "images")),
+        ("element_infinite_nd_bz", ("--infinite", "--offset", "0,0", "--offset", "1,0", "--route", "nd_bz")),
+        ("element_infinite_nd_bessel", ("--infinite", "--offset", "0", "--offset", "1", "--route", "nd_bessel")),
+    ])
+    def test_routes_resolve_their_function_per_call(self, capsys, monkeypatch, function, argv):
+        # bench/spans.py times a route by rebinding its name in fraclat.cli after import
+        monkeypatch.setattr(f"fraclat.cli.{function}", lambda *args, **kwargs: 42.5)
+        code, out, _ = run_cli(capsys, "elements", "--alpha", "1.5", *argv)
+        assert code == 0
+        assert [row[-2] for row in parse_csv(out)["rows"]] == [42.5, 42.5]
+
     def test_route_lattice_mismatches_exit_2(self, capsys):
         bad_invocations = [
             ("elements", "--alpha", "1.5", "--n", "8", "--route", "closed"),
@@ -195,6 +210,17 @@ class TestElementsCommand:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, argv
             assert err.strip(), argv
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--infinite", "--p", "0..2", "--route", "closed", "--tol", "1e-3"), "route closed has no error bound"),
+        (("--infinite", "--p", "0..2", "--route", "closed", "--tol", "-1"), "route closed has no error bound"),
+        (("--n", "8", "--route", "bloch", "--tol", "5"), "route bloch has no error bound"),
+        (("--infinite", "--route", "nd_bz", "--offset", "1,2", "--p", "3"), "route nd_bz acts on offset vectors"),
+    ])
+    def test_routes_refuse_flags_they_do_not_read(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "elements", "--alpha", "1.5", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"fraclat: {message}") and err.count("\n") == 1
 
 
 class TestMatrixCommand:
