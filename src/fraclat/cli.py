@@ -214,6 +214,8 @@ def cmd_dispersion(args):
         require_positive_finite("--alpha", alpha)
     if args.grid < 2:
         raise UsageError(f"--grid must be >= 2, got {args.grid}")
+    if args.dim == 1 and args.cut != "full":
+        raise UsageError(f"--cut {args.cut} cuts the 2D zone; --dim 1 takes only --cut full")
     parameters = {
         "alpha": ",".join(repr(a) for a in alphas),
         "dim": args.dim,

@@ -38,7 +38,7 @@ import numpy as np
 # name to count Gauss orders and time the routes; no route calls leggauss or jv
 from numpy.polynomial.legendre import leggauss  # noqa: F401
 
-from .chain import FractionalOrder, is_integer_half
+from .chain import FractionalOrder, _half_order_sine, is_integer_half
 from .special import (
     _LOG_DOUBLE_MAX,
     accept_estimate,
@@ -429,7 +429,7 @@ def asymptotic_constant_nd(dim: int, alpha: float) -> float:
         + math.lgamma(0.5 * alpha)
         - (0.5 * dim + 1.0) * math.log(math.pi)
     )
-    return math.exp(log_mag) * math.sin(0.5 * math.pi * alpha)
+    return math.exp(log_mag) * _half_order_sine(alpha)
 
 
 def normalized_dispersion_2d(order: FractionalOrder, kappa1, kappa2):

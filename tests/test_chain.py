@@ -319,6 +319,18 @@ class TestPeriodicRoutes:
         chain = ChainSpec(size=6)
         assert element_periodic_images(order, chain, 1) == -1.0
 
+    @pytest.mark.parametrize("alpha", [4, 6, 8, 10, 20, 40])
+    def test_integer_half_images_wrapping_the_ring(self, alpha):
+        # the stencil (-1)^q C(2m, m + q), |q| <= m = alpha / 2, wraps every ring of
+        # N <= 2m sites; site p collects each q = p (mod N), an exact integer sum
+        m = alpha // 2
+        order = FractionalOrder(alpha=float(alpha))
+        for n in range(2, alpha + 3):
+            chain = ChainSpec(size=n)
+            for p in range(n):
+                exact = sum((-1) ** q * math.comb(2 * m, m + q) for q in range(-m, m + 1) if (q - p) % n == 0)
+                assert element_periodic_images(order, chain, p) == exact, (n, p)
+
     def test_images_match_bloch_at_origin(self):
         order = FractionalOrder(alpha=0.8)
         chain = ChainSpec(size=10)

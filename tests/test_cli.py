@@ -338,6 +338,12 @@ class TestDispersionCommand:
         code, _, err = run_cli(capsys, "dispersion", "--alpha", "1", "--grid", "1")
         assert code == 2 and err.strip()
 
+    @pytest.mark.parametrize("cut", ["plane_010", "plane_110"])
+    def test_one_dimension_takes_no_2d_cut(self, capsys, cut):
+        code, out, err = run_cli(capsys, "dispersion", "--alpha", "1.5", "--dim", "1", "--cut", cut)
+        assert (code, out) == (2, "")
+        assert err == f"fraclat: --cut {cut} cuts the 2D zone; --dim 1 takes only --cut full\n"
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv,call", [
         (("--dim", "1", "--alpha", "5000"), "normalized_dispersion_1d(alpha=5000.0)"),

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -527,6 +528,20 @@ class TestAsymptoticConstant:
     def test_even_integer_orders_vanish(self):
         assert asymptotic_constant_nd(1, 2.0) == 0.0
         assert asymptotic_constant_nd(3, 4.0) == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_next_to_integer_half_orders(self, dim):
+        # the sine is taken of the reduced alpha/2 - round(alpha/2); sin(pi alpha / 2)
+        # of the unreduced order was 7.9e-8 relative off at alpha = 4.000000001.
+        # The lgamma sums cost up to 9.3e-14 at alpha about 100.
+        for alpha in (2.0000001, 4.000000001, 100.0000001, 0.3, 5.7):
+            with mpmath.workdps(40):
+                a = mpmath.mpf(alpha)
+                expected = float(
+                    2 ** (a - 1) * a * mpmath.gamma((a + dim) / 2) * mpmath.gamma(a / 2)
+                    * mpmath.sinpi(a / 2) / mpmath.pi ** (mpmath.mpf(dim) / 2 + 1)
+                )
+            np.testing.assert_allclose(asymptotic_constant_nd(dim, alpha), expected, rtol=2e-13)
 
     def test_sign_pattern(self):
         assert asymptotic_constant_nd(2, 0.5) > 0.0
