@@ -69,8 +69,8 @@ class OutputRecord:
     """One tabular result: command name, parameters, columns, rows, metadata.
 
     Rows hold ints, floats and short strings; metadata carries the tool
-    version and the tolerances in effect, never timestamps, so that repeated
-    runs stay byte identical.
+    version, never timestamps, so that repeated runs stay byte identical.  A
+    route's error bound is a parameter.
     """
 
     command: str
