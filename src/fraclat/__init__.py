@@ -21,7 +21,6 @@ from .chain import (
     ChainSpec,
     CirculantMatrix,
     FractionalOrder,
-    TruncationError,
     build_laplacian_1d,
     dispersion_1d,
     element_asymptotic,
@@ -61,7 +60,6 @@ __all__ = [
     "ChainSpec",
     "CirculantMatrix",
     "FractionalOrder",
-    "TruncationError",
     "build_laplacian_1d",
     "dispersion_1d",
     "element_asymptotic",

@@ -13,7 +13,7 @@ routes:
 
 The routes share no code beyond scalar special functions, which makes
 cross-checking them a meaningful test of each.  The closed form is a pure
-function of the order and the offset, with an array form for the image sum.
+function of the order and the offset.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ import numpy as np
 from .special import (
     _LOG_DOUBLE_MAX,
     ToleranceError,
+    accept_estimate,
     as_integer,
     hurwitz_zeta,
     integrate_even_periodic,
@@ -34,7 +35,6 @@ from .special import (
 )
 
 __all__ = [
-    "TruncationError",
     "FractionalOrder",
     "ChainSpec",
     "CirculantMatrix",
@@ -52,8 +52,6 @@ __all__ = [
 # tolerance for recognising alpha/2 as an integer; below this the profile
 # truncates to a finite stencil and several formulas degenerate
 _INTEGER_HALF_TOL = 1e-12
-
-_IMAGE_SUM_CAP = 10**7
 
 
 def is_integer_half(alpha: float) -> bool:
@@ -88,10 +86,6 @@ def riesz_amplitude(alpha: float) -> float:
         return math.gamma(alpha + 1.0) * _half_order_sine(alpha) / math.pi
     except OverflowError:  # gamma(alpha + 1) passes the double range near alpha = 170.6
         raise OverflowError(f"riesz_amplitude(alpha={alpha!r}) exceeds the double range") from None
-
-
-class TruncationError(ToleranceError):
-    """An image sum could not reach the requested tolerance within the cap."""
 
 
 @dataclass(frozen=True)
@@ -133,15 +127,17 @@ class ChainSpec:
 class CirculantMatrix:
     """Symmetric circulant matrix stored through its first row."""
 
-    order: FractionalOrder
-    n: int
     first_row: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         row = np.asarray(self.first_row, dtype=float)
-        if row.shape != (self.n,):
-            raise ValueError(f"first_row must have shape ({self.n},), got {row.shape}")
+        if row.ndim != 1:
+            raise ValueError(f"first_row must be one dimensional, got shape {row.shape}")
         object.__setattr__(self, "first_row", row)
+
+    @property
+    def n(self) -> int:
+        return len(self.first_row)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -214,8 +210,23 @@ def _series_terms(alpha: float) -> tuple:
     return max(13, math.ceil(3.0 * alpha)), amp, log_amp, coeffs
 
 
+# powers of the image sum's resummed tail, the last one bounding what they leave out
+_TAIL_TERMS = 16
+
+
+@functools.lru_cache(maxsize=64)
+def _tail_series(alpha: float) -> tuple:
+    """(d_0 .. d_16) of exp(sum_j c_2j r^j) = sum_k d_k r^k, the c_2j of _series_terms:
+    d_0 = 1, k d_k = sum_j j c_2j d_(k-j)."""
+    c = _series_terms(alpha)[3][::-1]
+    d = [1.0]
+    for k in range(1, _TAIL_TERMS + 1):
+        d.append(sum(j * c[j - 1] * d[k - j] for j in range(1, min(k, len(c)) + 1)) / k)
+    return tuple(d)
+
+
 def _even_sum(coeffs: tuple, p):
-    # sum_j c_2j p^(-2j) by Horner's rule, for a float or an array p
+    # sum_j c_2j p^(-2j) by Horner's rule
     r = 1.0 / (p * p)
     total = 0.0
     for c in coeffs:
@@ -267,22 +278,6 @@ def element_infinite_closed(order: FractionalOrder, p: int) -> float:
     return order.omega_sq * sign * value
 
 
-def _elements_closed_array(order: FractionalOrder, q) -> np.ndarray:
-    """element_infinite_closed at an array of offsets, alpha/2 not an integer.
-
-    The offsets the series does not cover take the scalar function.  numpy's
-    pow and exp round apart from the C library's in the last place or so.
-    """
-    p = np.abs(np.asarray(q, dtype=float))
-    start, amp, _, coeffs = _series_terms(order.alpha)
-    with np.errstate(all="ignore"):  # at the offsets the scalar function takes
-        scale = p ** -order.alpha
-        out = -order.omega_sq * amp * scale / p * np.exp(_even_sum(coeffs, p))
-    scalar = (p < start) | ~(scale >= sys.float_info.min) | math.isinf(amp)
-    out[scalar] = [element_infinite_closed(order, int(offset)) for offset in p[scalar]]
-    return out
-
-
 def element_infinite_quadrature(order: FractionalOrder, p: int, tol: float = 1e-12) -> float:
     """Infinite chain profile as a Brillouin zone integral.
 
@@ -331,10 +326,14 @@ def element_periodic_images(
     """Profile of a finite ring as a sum of infinite chain images.
 
     f_N(p) = sum_{s in Z} f(p + s N).  For integer half orders the profile has
-    finite support and the sum is exact.  Otherwise the images are summed
-    explicitly up to a cutoff S and the remainder is replaced by its power law
-    limit, which resums to Hurwitz zeta functions; the deviation of the last
-    summed image from that limit bounds the error of the replacement.
+    finite support and the sum is exact.  Otherwise the images q = |p + s N|
+    below Q = max(P0, N), P0 the closed form's series start, are summed one by
+    one.  From Q on the closed form's series gives f(q) = -omega_sq A
+    q^(-alpha-1) sum_k d_k q^(-2k), so the images beyond resum to Hurwitz zeta
+    functions, one pair per power.  The powers stop before the first whose
+    bound |d_k| Q^(-2k) |first power's sum| is below the sum's last place, or
+    at the 16th; that bound is the error estimate, floored at the last place,
+    which tol bounds.
     """
     require_positive_finite("tol", tol)
     n = chain.size
@@ -353,37 +352,33 @@ def element_periodic_images(
         return total
 
     alpha = order.alpha
-    amp = order.omega_sq * riesz_amplitude(alpha)
-    total = element_infinite_closed(order, p)
-    s_done = 0
-    s_target = 8
-    err_est = math.inf
-    while True:
-        if s_target > _IMAGE_SUM_CAP:
-            raise TruncationError(
-                f"image sum needs more than {_IMAGE_SUM_CAP} terms for tol {tol:.3e}",
-                achieved=err_est,
-            )
-        s = np.arange(s_done + 1, s_target + 1, dtype=np.int64) * n
-        total += float(np.sum(_elements_closed_array(order, np.concatenate((s + p, s - p)))))
-        s_done = s_target
+    beta = alpha + 1.0
+    scale = -order.omega_sq * riesz_amplitude(alpha) * n ** -beta
+    q_min = max(_series_terms(alpha)[0], n)
+    total = 0.0
+    plus = 0
+    while plus * n + p < q_min:
+        total += element_infinite_closed(order, plus * n + p)
+        plus += 1
+    minus = 1
+    while minus * n - p < q_min:
+        total += element_infinite_closed(order, minus * n - p)
+        minus += 1
 
-        # tail resummation: sum_{s > S} (sN +- p)^(-alpha-1) in closed form
-        correction = -amp * n ** (-alpha - 1.0) * (
-            hurwitz_zeta(alpha + 1.0, s_done + 1.0 + p / n)
-            + hurwitz_zeta(alpha + 1.0, s_done + 1.0 - p / n)
-        )
-        # the relative deviation from the power law decays as g2 / q^2 with
-        # g2 = alpha (alpha+1) (alpha+2) / 24, the closed form's first series
-        # coefficient; that leading term, doubled to cover the next order,
-        # drives the stopping rule
-        q_ref = (s_done + 1) * n - p
-        g2 = alpha * (alpha + 1.0) * (alpha + 2.0) / 24.0
-        rel_dev = 2.0 * g2 / float(q_ref) ** 2
-        err_est = rel_dev * abs(correction)
-        if err_est <= 0.5 * tol:
-            return total + correction
-        s_target = 2 * s_target
+    def tail(k):
+        # sum over the images from q_min on of q^(-beta-2k), times the scale
+        return scale * n ** (-2.0 * k) * (hurwitz_zeta(beta + 2 * k, plus + p / n)
+                                          + hurwitz_zeta(beta + 2 * k, minus - p / n))
+
+    lead = tail(0)
+    total += lead
+    # term k sums d_k q^(-beta-2k) over q >= q_min, within |d_k| q_min^(-2k) of the lead
+    for k, d in enumerate(_tail_series(alpha)[1:], 1):
+        estimate = abs(d * lead) * q_min ** (-2.0 * k)
+        if estimate < math.ulp(total) or k == _TAIL_TERMS:
+            break
+        total += d * tail(k)
+    return accept_estimate(total, estimate, tol, "image sum")
 
 
 def dispersion_1d(order: FractionalOrder, kappa):
@@ -442,7 +437,7 @@ def build_laplacian_1d(order: FractionalOrder, chain: ChainSpec) -> CirculantMat
     modes = order.omega_sq * _ring_lambda(n) ** (0.5 * order.alpha)
     row = np.fft.ifft(modes).real
     row = 0.5 * (row + np.roll(row[::-1], 1))
-    return CirculantMatrix(order=order, n=n, first_row=-chain.mass * row)
+    return CirculantMatrix(-chain.mass * row)
 
 
 def laplacian_eigenvalues_1d(order: FractionalOrder, chain: ChainSpec) -> np.ndarray:

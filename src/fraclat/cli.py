@@ -167,6 +167,8 @@ def cmd_elements(args):
         points = [(p,) for p in _parse_int_list(parameters["p"], "--p")]
         if any(p < 0 for p, in points):
             raise UsageError("--p offsets must be >= 0")
+        if on_ring and any(p >= args.n for p, in points):
+            raise UsageError(f"--p offsets on a ring of {args.n} sites must be <= {args.n - 1}")
         argument, columns = operator.itemgetter(0), ("p",)
 
     bound = bound if args.tol is None else args.tol

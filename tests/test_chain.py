@@ -11,7 +11,6 @@ from fraclat.chain import (
     ChainSpec,
     CirculantMatrix,
     FractionalOrder,
-    TruncationError,
     build_laplacian_1d,
     dispersion_1d,
     element_asymptotic,
@@ -22,7 +21,7 @@ from fraclat.chain import (
     is_integer_half,
     riesz_amplitude,
 )
-from fraclat.chain import _binomial_element, _elements_closed_array, _series_terms
+from fraclat.chain import _binomial_element, _series_terms
 from fraclat.special import ToleranceError
 
 
@@ -88,14 +87,6 @@ class TestClosedForm:
         np.testing.assert_allclose(
             element_infinite_closed(scaled, 3), 2.5 * element_infinite_closed(base, 3), rtol=1e-14
         )
-
-    def test_vectorised_path_matches_scalar(self):
-        for alpha in (0.3, 1.0, 1.7, 3.4):
-            order = FractionalOrder(alpha=alpha)
-            q = np.arange(0, 40)
-            got = _elements_closed_array(order, q)
-            expected = [element_infinite_closed(order, int(qi)) for qi in q]
-            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-300)
 
 
 def reference_closed(order, p):
@@ -208,12 +199,6 @@ class TestClosedFormBatch:
         assert [element_infinite_closed(order, p) for p in (-4, 4, -1)] == [
             reference_closed(order, 4), reference_closed(order, 4), reference_closed(order, 1)
         ]
-        # below the series start the array form hands the scalar walk's values
-        # back in the order asked, empty requests included
-        order = FractionalOrder(alpha=30.5)
-        for q in ([], [16, 3, 0, 3, 16, 1], [2]):
-            got = _elements_closed_array(order, np.array(q, dtype=np.int64))
-            assert got.tolist() == [reference_closed(order, p) for p in q]
 
 
 class TestImagesBatch:
@@ -304,6 +289,33 @@ class TestQuadratureRoute:
             assert failure.value.achieved > tol.get("tol", 1e-12)
 
 
+def mp_ring(alpha, n, offsets):
+    """f_N(p) = 1/N sum_l cos(2 pi l p / N) (4 sin^2(pi l / N))^(alpha/2) in 30-digit mpmath."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha) / 2
+        modes = [(4 * mpmath.sinpi(mpmath.mpf(l) / n) ** 2) ** a for l in range(n)]
+        cosines = [mpmath.cospi(2 * mpmath.mpf(j) / n) for j in range(n)]
+        return [float(mpmath.fsum(cosines[l * p % n] * mode for l, mode in enumerate(modes)) / n)
+                for p in offsets]
+
+
+# rings and offsets against mp_ring, among them the image sum's hardest
+# (alpha 3.9 at N = 7, 3.1 at N = 8) and the Bloch route's (N = 2048 at
+# p = 607 and p = N - 1)
+RING_REFERENCES = [
+    (0.1, 2048, (0, 1, 1024, 2047)),
+    (0.3, 3, (0, 1, 2)),
+    (0.5, 5, (0, 2)),
+    (1.3, 100, (0, 1, 37, 50, 99)),
+    (2.5, 7, range(7)),
+    (3.1, 8, range(8)),
+    (3.9, 7, range(7)),
+    (7.7, 31, (0, 5, 15, 30)),
+    (12.9, 8, range(8)),
+    (12.9, 2048, (0, 607, 1024, 2047)),
+]
+
+
 class TestPeriodicRoutes:
     def test_bloch_reduces_offset(self):
         order = FractionalOrder(alpha=1.4)
@@ -366,13 +378,26 @@ class TestPeriodicRoutes:
         with pytest.raises(ValueError, match="size must be an integer >= 2"):
             element_periodic_images(order, ChainSpec(size=math.inf), 1)
 
-    def test_images_truncation_cap(self, monkeypatch):
-        monkeypatch.setattr("fraclat.chain._IMAGE_SUM_CAP", 64)
+    def test_images_refuse_a_bound_below_the_last_place(self):
         order = FractionalOrder(alpha=0.4)
         chain = ChainSpec(size=4)
-        with pytest.raises(TruncationError) as info:
+        with pytest.raises(ToleranceError, match="image sum error estimate above bound") as info:
             element_periodic_images(order, chain, 1, tol=1e-300)
-        assert info.value.achieved > 0.0
+        assert info.value.achieved >= math.ulp(element_periodic_images(order, chain, 1))
+
+    @pytest.mark.parametrize("alpha,n,offsets", RING_REFERENCES,
+                             ids=[f"{alpha}-{n}" for alpha, n, _ in RING_REFERENCES])
+    def test_ring_routes_against_30_digit_references(self, alpha, n, offsets):
+        # the Bloch route's error grows with its largest mode 2^alpha; measured at
+        # most 7.6e-14 2^alpha on 0.1 <= alpha <= 12.9, N <= 2048, at N = 2048,
+        # p = N - 1, where cos(2 pi l p / N) takes arguments up to 2.6e7
+        order = FractionalOrder(alpha=alpha)
+        chain = ChainSpec(size=n)
+        for p, expected in zip(offsets, mp_ring(alpha, n, offsets)):
+            images = element_periodic_images(order, chain, p)
+            assert abs(images - expected) <= 1e-14 * max(1.0, abs(expected)), p
+            bloch = element_periodic_bloch(order, chain, p)
+            assert abs(bloch - expected) <= 1e-13 * 2.0**alpha, p
 
     def test_periodization_error_scaling(self):
         # the finite ring profile approaches the infinite chain value at
@@ -419,7 +444,7 @@ class TestDispersion:
         kappa = np.linspace(0.3, math.pi, 20)
         for alpha in (1.0, 1.6, 2.7):
             order = FractionalOrder(alpha=alpha)
-            f = _elements_closed_array(order, q)
+            f = np.array([element_infinite_closed(order, offset) for offset in q])
             partial = element_infinite_closed(order, 0) + 2.0 * np.cos(
                 np.outer(kappa, q)
             ).dot(f)
@@ -520,14 +545,17 @@ class TestLaplacianMatrix:
             assert abs(matrix.row_sum()) <= 1e-10 * np.max(np.abs(matrix.first_row))
 
     def test_validate_rejects_asymmetry(self):
-        order = FractionalOrder(alpha=2.0)
-        bad = CirculantMatrix(order=order, n=4, first_row=np.array([-2.0, 1.5, 0.0, 0.5]))
+        bad = CirculantMatrix(np.array([-2.0, 1.5, 0.0, 0.5]))
         with pytest.raises(ValueError):
             bad.validate()
 
+    def test_first_row_is_one_dimensional(self):
+        assert CirculantMatrix([1.0, -0.5, -0.5]).shape == (3, 3)
+        with pytest.raises(ValueError, match="one dimensional, got shape"):
+            CirculantMatrix(np.eye(3))
+
     def test_validate_rejects_mixed_spectrum(self):
-        order = FractionalOrder(alpha=2.0)
-        bad = CirculantMatrix(order=order, n=4, first_row=np.array([0.5, -1.0, 0.5, -1.0]))
+        bad = CirculantMatrix(np.array([0.5, -1.0, 0.5, -1.0]))
         with pytest.raises(ValueError):
             bad.validate()
 

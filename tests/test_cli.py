@@ -108,14 +108,30 @@ class TestElementsCommand:
         assert code == 1 and not out
         assert "heat kernel integral error estimate above bound" in err
 
-    def test_image_truncation_exits_1(self, capsys, monkeypatch):
-        # TruncationError is a ToleranceError, the one failure class main catches
-        monkeypatch.setattr("fraclat.chain._IMAGE_SUM_CAP", 64)
+    def test_image_sum_refusal_exits_1(self, capsys):
         code, out, err = run_cli(
             capsys, "elements", "--alpha", "0.4", "--n", "4", "--p", "1", "--route", "images", "--tol", "1e-300"
         )
         assert code == 1 and not out
-        assert err.startswith("fraclat: image sum needs more than 64 terms")
+        assert err.startswith("fraclat: image sum error estimate above bound 1.000e-300")
+        # f_8(0) = 15706.117391831985 at alpha = 16.3: its last place, 1.8e-12, is above
+        # the default bound, which the route then refuses
+        argv = ("elements", "--alpha", "16.3", "--n", "8", "--p", "0", "--route", "images")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out
+        assert err.startswith("fraclat: image sum error estimate above bound 1.000e-12")
+        code, out, _ = run_cli(capsys, *argv, "--tol", "1e-9")
+        assert code == 0
+        assert abs(parse_csv(out)["rows"][0][1] - 15706.117391831985) <= 1e-14 * 15706.12
+
+    @pytest.mark.parametrize("route", ("bloch", "images"))
+    def test_ring_offsets_past_the_ring_exit_2(self, capsys, route):
+        for p in ("10", "0..8", "3,8"):
+            code, out, err = run_cli(capsys, "elements", "--alpha", "1.5", "--n", "8", "--p", p, "--route", route)
+            assert (code, out) == (2, "")
+            assert err == "fraclat: --p offsets on a ring of 8 sites must be <= 7\n"
+        code, out, _ = run_cli(capsys, "elements", "--alpha", "1.5", "--n", "8", "--p", "7", "--route", route)
+        assert code == 0
 
     def test_nd_bessel_rejects_integer_half(self, capsys):
         code, _, err = run_cli(
@@ -569,11 +585,11 @@ print(json.dumps({
 
 
 class TestStartup:
-    # digest of this table since the closed form's even series replaced the
-    # log gamma ratio in the image tail; every row is within 1.2e-14 of a
-    # 40-digit Bloch mode sum
+    # digest of this table since the image sum resums its tail power by power
+    # with the closed form's series; every row is within 4.8e-15 of a 40-digit
+    # Bloch mode sum
     IMAGES_ARGV = ("elements", "--alpha", "0.7", "--n", "9", "--route", "images", "--omega-sq", "1.3")
-    IMAGES_DIGEST = "acb62b2ddca70a4ff0f724ee02cd71e8b6de68a92501ac97e7a5eee3cfa6a055"
+    IMAGES_DIGEST = "58021d808fcee5856a6582ca74681e67c41d721c8e8f6d866966d7b978a03489"
     CLOSED_ARGV = ("elements", "--alpha", "0.7", "--infinite", "--p", "0..100", "--route", "closed")
 
     def probe(self, *argv):
