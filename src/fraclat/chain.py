@@ -18,6 +18,7 @@ function of the order and the offset.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -210,19 +211,24 @@ def _series_terms(alpha: float) -> tuple:
     return max(13, math.ceil(3.0 * alpha)), amp, log_amp, coeffs
 
 
-# powers of the image sum's resummed tail, the last one bounding what they leave out
+# powers of the image sum's resummed tail; the d_k past them, to twice as many, bound the rest
 _TAIL_TERMS = 16
 
 
 @functools.lru_cache(maxsize=64)
-def _tail_series(alpha: float) -> tuple:
-    """(d_0 .. d_16) of exp(sum_j c_2j r^j) = sum_k d_k r^k, the c_2j of _series_terms:
-    d_0 = 1, k d_k = sum_j j c_2j d_(k-j)."""
+def _tail_series(alpha: float, q_min: int) -> tuple:
+    """(d_0 .. d_32) of exp(sum_j c_2j r^j) = sum_k d_k r^k, the c_2j of _series_terms,
+    by d_0 = 1, k d_k = sum_j j c_2j d_(k-j); and (B_0 .. B_33), B_k >= sum_{j>=k}
+    |d_j| r^j at r = q_min^-2.  Past d_32 by Cauchy's estimate: the |d_j| are at most
+    the coefficients of exp(sum_j |c_2j| r^j), so on the circle of radius 4r the
+    powers past the 32nd sum to at most exp(sum_j |c_2j| (4r)^j) 4^-32 / 3."""
     c = _series_terms(alpha)[3][::-1]
     d = [1.0]
-    for k in range(1, _TAIL_TERMS + 1):
+    for k in range(1, 2 * _TAIL_TERMS + 1):
         d.append(sum(j * c[j - 1] * d[k - j] for j in range(1, min(k, len(c)) + 1)) / k)
-    return tuple(d)
+    rest = math.exp(_even_sum(tuple(map(abs, c[::-1])), 0.5 * q_min)) * 4.0 ** (1 - len(d)) / 3.0
+    powers = (abs(d_k) * q_min ** (-2.0 * k) for k, d_k in reversed(tuple(enumerate(d))))
+    return tuple(d), tuple(itertools.accumulate(powers, initial=rest))[::-1]
 
 
 def _even_sum(coeffs: tuple, p):
@@ -330,10 +336,11 @@ def element_periodic_images(
     below Q = max(P0, N), P0 the closed form's series start, are summed one by
     one.  From Q on the closed form's series gives f(q) = -omega_sq A
     q^(-alpha-1) sum_k d_k q^(-2k), so the images beyond resum to Hurwitz zeta
-    functions, one pair per power.  The powers stop before the first whose
-    bound |d_k| Q^(-2k) |first power's sum| is below the sum's last place, or
-    at the 16th; that bound is the error estimate, floored at the last place,
-    which tol bounds.
+    functions, one pair per power.  The powers stop before the first k whose
+    bound on all they leave out, sum_{j>=k} |d_j| Q^(-2j) |first power's sum|,
+    is below the sum's last place, or after the 16th; that bound is the error
+    estimate, floored at the last place, which tol bounds.  The estimate leaves
+    out the rounding of the head images, which can pass it where they cancel.
     """
     require_positive_finite("tol", tol)
     n = chain.size
@@ -355,30 +362,26 @@ def element_periodic_images(
     beta = alpha + 1.0
     scale = -order.omega_sq * riesz_amplitude(alpha) * n ** -beta
     q_min = max(_series_terms(alpha)[0], n)
+    plus, minus = range(p, q_min, n), range(n - p, q_min, n)
     total = 0.0
-    plus = 0
-    while plus * n + p < q_min:
-        total += element_infinite_closed(order, plus * n + p)
-        plus += 1
-    minus = 1
-    while minus * n - p < q_min:
-        total += element_infinite_closed(order, minus * n - p)
-        minus += 1
+    for q in itertools.chain(plus, minus):
+        total += element_infinite_closed(order, q)
 
     def tail(k):
         # sum over the images from q_min on of q^(-beta-2k), times the scale
-        return scale * n ** (-2.0 * k) * (hurwitz_zeta(beta + 2 * k, plus + p / n)
-                                          + hurwitz_zeta(beta + 2 * k, minus - p / n))
+        return scale * n ** (-2.0 * k) * (hurwitz_zeta(beta + 2 * k, len(plus) + p / n)
+                                          + hurwitz_zeta(beta + 2 * k, len(minus) + 1 - p / n))
 
     lead = tail(0)
     total += lead
-    # term k sums d_k q^(-beta-2k) over q >= q_min, within |d_k| q_min^(-2k) of the lead
-    for k, d in enumerate(_tail_series(alpha)[1:], 1):
-        estimate = abs(d * lead) * q_min ** (-2.0 * k)
-        if estimate < math.ulp(total) or k == _TAIL_TERMS:
-            break
-        total += d * tail(k)
-    return accept_estimate(total, estimate, tol, "image sum")
+    # term k sums d_k q^(-beta-2k) over q >= q_min, within |d_k| q_min^(-2k) |lead|,
+    # so |lead| left_out[k] bounds the powers from k on
+    d, left_out = _tail_series(alpha, q_min)
+    k = 1
+    while k <= _TAIL_TERMS and abs(lead) * left_out[k] >= math.ulp(total):
+        total += d[k] * tail(k)
+        k += 1
+    return accept_estimate(total, abs(lead) * left_out[k], tol, "image sum")
 
 
 def dispersion_1d(order: FractionalOrder, kappa):

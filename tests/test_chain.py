@@ -300,11 +300,14 @@ def mp_ring(alpha, n, offsets):
 
 
 # rings and offsets against mp_ring, among them the image sum's hardest
-# (alpha 3.9 at N = 7, 3.1 at N = 8) and the Bloch route's (N = 2048 at
-# p = 607 and p = N - 1)
+# (alpha 3.9 at N = 7, 3.1 at N = 8, and 0.4, where the tail's d_2 vanishes
+# while d_3 does not) and the Bloch route's (N = 2048 at p = 607 and p = N - 1)
 RING_REFERENCES = [
     (0.1, 2048, (0, 1, 1024, 2047)),
     (0.3, 3, (0, 1, 2)),
+    (0.4, 2, range(2)),
+    (0.4, 3, range(3)),
+    (0.4, 4, range(4)),
     (0.5, 5, (0, 2)),
     (1.3, 100, (0, 1, 37, 50, 99)),
     (2.5, 7, range(7)),
