@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .special import (
+    _BERNOULLI,
     _LOG_DOUBLE_MAX,
     ToleranceError,
     accept_estimate,
@@ -189,11 +190,6 @@ def _binomial_element(m: int, q: int) -> float:
     return (-1.0) ** (q % 2) * math.comb(2 * m, k)  # OverflowError as the int turns float
 
 
-# Bernoulli numbers B_0 .. B_17
-_BERNOULLI = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0,
-              5 / 66, 0.0, -691 / 2730, 0.0, 7 / 6, 0.0, -3617 / 510, 0.0)
-
-
 @functools.lru_cache(maxsize=64)
 def _series_terms(alpha: float) -> tuple:
     """(P0, A, ln|A|, (c_16, c_14, .. c_2)) of the closed form's series from offset P0.
@@ -317,13 +313,13 @@ def element_infinite_quadrature(order: FractionalOrder, p: int, tol: float = 1e-
 def element_periodic_bloch(order: FractionalOrder, chain: ChainSpec, p: int) -> float:
     """Profile of a finite ring as a sum over its Bloch modes.
 
-    f_N(p) = omega_sq / N * sum_l cos(2 pi l p / N) (4 sin^2(pi l / N))^(alpha/2).
+    f_N(p) = omega_sq / N * sum_l cos(2 pi (l p mod N) / N) (4 sin^2(pi l / N))^(alpha/2).
     """
     n = chain.size
     p = int(p) % n
     ell = np.arange(n)
     modes = (4.0 * np.sin(math.pi * ell / n) ** 2) ** (0.5 * order.alpha)
-    return order.omega_sq * float(np.dot(np.cos(2.0 * math.pi * ell * p / n), modes)) / n
+    return order.omega_sq * float(np.dot(np.cos(2.0 * math.pi * (ell * p % n) / n), modes)) / n
 
 
 def element_periodic_images(
@@ -367,10 +363,11 @@ def element_periodic_images(
     for q in itertools.chain(plus, minus):
         total += element_infinite_closed(order, q)
 
+    starts = np.array([len(plus) + p / n, len(minus) + 1 - p / n])
+
     def tail(k):
         # sum over the images from q_min on of q^(-beta-2k), times the scale
-        return scale * n ** (-2.0 * k) * (hurwitz_zeta(beta + 2 * k, len(plus) + p / n)
-                                          + hurwitz_zeta(beta + 2 * k, len(minus) + 1 - p / n))
+        return scale * n ** (-2.0 * k) * float(hurwitz_zeta(beta + 2 * k, starts).sum())
 
     lead = tail(0)
     total += lead

@@ -26,7 +26,6 @@ from .chain import (
     element_periodic_images,
     laplacian_eigenvalues_1d,
     normalized_dispersion_1d,
-    require_non_integer_half,
 )
 from .continuum import riesz_kernel_infinite, riesz_kernel_periodic
 from .lattice import (
@@ -256,8 +255,6 @@ def cmd_kernel(args):
         raise UsageError(f"--samples must be >= 2, got {args.samples}")
     if not args.infinite:
         require_positive_finite("--length", args.length)
-    # checked here, not by the kernels, as every sample may be singular
-    require_non_integer_half(alpha)
     points = np.linspace(lo, hi, args.samples)
     parameters = {
         "alpha": alpha,
@@ -266,29 +263,19 @@ def cmd_kernel(args):
         "length": "infinite" if args.infinite else args.length,
     }
 
+    # samples within 1e-12 of 0 on the line, or 1e-12 periods of a lattice point, are singular
     if args.infinite:
-        singular_gap = 1e-12
-
-        def row(x):
-            if abs(x) <= singular_gap:
-                return (float(x), math.nan, "singular")
-            return (float(x), riesz_kernel_infinite(alpha, float(x)), "ok")
-
+        singular = np.abs(points) <= 1e-12
         columns = ("x", "kernel", "flag")
-        rows = [row(x) for x in points]
     else:
         length = args.length
-        singular_gap = 1e-12 * length
-
-        def row(x):
-            x = float(x)
-            nearest = round(x / length) * length
-            if abs(x - nearest) <= singular_gap:
-                return (x, math.nan, math.nan, "singular")
-            return (x, riesz_kernel_periodic(alpha, length, x), riesz_kernel_infinite(alpha, x), "ok")
-
+        singular = np.abs(points - np.round(points / length) * length) <= 1e-12 * length
         columns = ("x", "kernel", "kernel_infinite", "flag")
-        rows = [row(x) for x in points]
+    table = np.full((len(columns) - 2, points.size), math.nan)
+    if not args.infinite:
+        table[0, ~singular] = riesz_kernel_periodic(alpha, length, points[~singular])
+    table[-1, ~singular] = riesz_kernel_infinite(alpha, points[~singular])
+    rows = list(zip(points.tolist(), *table.tolist(), np.where(singular, "singular", "ok").tolist()))
     return OutputRecord("kernel", parameters, columns, rows, _metadata()), 0
 
 

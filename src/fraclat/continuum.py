@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chain import (
     FractionalOrder,
     element_infinite_closed,
@@ -33,37 +35,47 @@ __all__ = [
     "continuum_convergence_check",
 ]
 
-def riesz_kernel_infinite(alpha: float, x: float) -> float:
-    """Whole line kernel: amplitude times |x|^(-alpha-1), singular at x = 0."""
-    if not abs(x) > 0.0:
-        raise ValueError(f"kernel is singular at x = 0 and undefined at NaN, got x = {x}")
-    try:
-        value = riesz_amplitude(alpha) * abs(x) ** (-alpha - 1.0)
-    except OverflowError:  # raised by the float power itself
-        value = math.inf
-    if not math.isfinite(value):
-        raise OverflowError(f"riesz_kernel_infinite({alpha!r}, {x!r}) exceeds the double range")
-    return value
+def riesz_kernel_infinite(alpha: float, x):
+    """Whole line kernel amplitude * |x|^(-alpha-1), singular at x = 0; x a scalar or an array."""
+    x = np.asarray(x, dtype=float)
+    bad = ~(np.abs(x) > 0.0)
+    if bad.any():
+        raise ValueError("kernel is singular at x = 0 and undefined at NaN, "
+                         f"got x = {float(x[bad][0])}")
+    with np.errstate(over="ignore"):  # raised below
+        value = riesz_amplitude(alpha) * np.abs(x) ** (-alpha - 1.0)
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise OverflowError(f"riesz_kernel_infinite({alpha!r}, {float(x[bad][0])!r}) "
+                            "exceeds the double range")
+    return float(value) if x.ndim == 0 else value
 
 
-def riesz_kernel_periodic(alpha: float, period: float, x: float) -> float:
+def riesz_kernel_periodic(alpha: float, period: float, x):
     """Periodic kernel: image sum of the whole line kernel over the period.
 
-    With xi = x / period folded into (0, 1) the sum over all images resums to
-    amplitude / period^(alpha+1) * (zeta(alpha+1, xi) + zeta(alpha+1, 1-xi)).
+    With d = fmod(|x|, period), an exact fold as the kernel is even, the images
+    resum to amplitude / period^(alpha+1) * (zeta(alpha+1, d / period) +
+    zeta(alpha+1, (period - d) / period)); x a scalar or an array.
     """
     # alpha before the zeta sums, which would see an invalid order first; a
     # negative period would make period^(-alpha-1) complex
     require_non_integer_half(alpha)
     require_positive_finite("period", period)
-    if not math.isfinite(x):
-        raise ValueError(f"kernel point x must be finite, got {x}")
-    xi = (x / period) % 1.0
-    if xi == 0.0:
-        raise ValueError(f"kernel is singular on the lattice x in {period} * integers")
+    x = np.asarray(x, dtype=float)
+    bad = ~np.isfinite(x)
+    if bad.any():
+        raise ValueError(f"kernel point x must be finite, got {float(x[bad][0])}")
+    d = np.fmod(np.abs(x), period)
+    bad = d == 0.0
+    if bad.any():
+        raise ValueError(f"kernel is singular on the lattice x in {period} * integers, "
+                         f"got x = {float(x[bad][0])}")
     beta = alpha + 1.0
-    bracket = hurwitz_zeta(beta, xi) + hurwitz_zeta(beta, 1.0 - xi)
-    return riesz_amplitude(alpha) * period ** (-beta) * bracket
+    bracket = hurwitz_zeta(beta, d / period) + hurwitz_zeta(beta, (period - d) / period)
+    with np.errstate(over="ignore"):  # inf past the double range, as for a scalar x
+        value = riesz_amplitude(alpha) * period ** (-beta) * bracket
+    return float(value) if x.ndim == 0 else value
 
 
 @dataclass(frozen=True)

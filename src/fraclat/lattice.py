@@ -151,7 +151,7 @@ def element_periodic_nd(
     """Coupling profile of a finite periodic lattice by the Bloch mode sum.
 
     f(p) = omega_sq / N_total * sum over all Bloch vectors of
-    cos(kappa . p) * lambda(kappa)^(alpha/2).
+    cos(kappa . p) * lambda(kappa)^(alpha/2), each phase l_j p_j taken mod N_j.
     """
     if offset.dim != lattice.dim:
         raise ValueError(f"offset has {offset.dim} components, lattice has {lattice.dim}")
@@ -165,7 +165,8 @@ def element_periodic_nd(
     axes = []
     for n_j, p_j in sorted(zip(lattice.sizes, offset.components), key=lambda axis: -axis[0]):
         ell = np.arange(n_j)
-        axes.append((4.0 * np.sin(math.pi * ell / n_j) ** 2, np.cos(2.0 * math.pi * ell * p_j / n_j)))
+        axes.append((4.0 * np.sin(math.pi * ell / n_j) ** 2,
+                     np.cos(2.0 * math.pi * (ell * p_j % n_j) / n_j)))
     return float(order.omega_sq * _tensor_sum(0.5 * order.alpha, axes) / lattice.n_points)
 
 

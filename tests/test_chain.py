@@ -22,6 +22,7 @@ from fraclat.chain import (
     riesz_amplitude,
 )
 from fraclat.chain import _binomial_element, _series_terms
+from fraclat.lattice import LatticeSpec, OffsetVector, element_periodic_nd
 from fraclat.special import ToleranceError
 
 
@@ -329,6 +330,15 @@ class TestPeriodicRoutes:
             element_periodic_bloch(order, chain, 8), rel=1e-14
         )
 
+    def test_bloch_phase_is_reduced_mod_n(self):
+        # l p reaches 4.2e6 here; the cosine of the unreduced 2 pi l p / N was
+        # 8.1e-14 off, of the reduced one it is 2.8e-17 off
+        order = FractionalOrder(alpha=0.1)
+        (expected,) = mp_ring(0.1, 2048, (2047,))
+        assert abs(element_periodic_bloch(order, ChainSpec(size=2048), 2047) - expected) <= 1e-16
+        lattice = LatticeSpec(dim=1, sizes=(2048,))
+        assert abs(element_periodic_nd(order, lattice, OffsetVector((2047,))) - expected) <= 1e-16
+
     def test_images_classical_ring(self):
         order = FractionalOrder(alpha=2.0)
         chain = ChainSpec(size=6)
@@ -392,15 +402,15 @@ class TestPeriodicRoutes:
                              ids=[f"{alpha}-{n}" for alpha, n, _ in RING_REFERENCES])
     def test_ring_routes_against_30_digit_references(self, alpha, n, offsets):
         # the Bloch route's error grows with its largest mode 2^alpha; measured at
-        # most 7.6e-14 2^alpha on 0.1 <= alpha <= 12.9, N <= 2048, at N = 2048,
-        # p = N - 1, where cos(2 pi l p / N) takes arguments up to 2.6e7
+        # most 2.1e-16 2^alpha on 0.1 <= alpha <= 12.9, N <= 2048, at N = 2048,
+        # p = 0 (7.6e-14 2^alpha at p = N - 1 before l p was reduced mod N)
         order = FractionalOrder(alpha=alpha)
         chain = ChainSpec(size=n)
         for p, expected in zip(offsets, mp_ring(alpha, n, offsets)):
             images = element_periodic_images(order, chain, p)
             assert abs(images - expected) <= 1e-14 * max(1.0, abs(expected)), p
             bloch = element_periodic_bloch(order, chain, p)
-            assert abs(bloch - expected) <= 1e-13 * 2.0**alpha, p
+            assert abs(bloch - expected) <= 1e-15 * 2.0**alpha, p
 
     def test_periodization_error_scaling(self):
         # the finite ring profile approaches the infinite chain value at

@@ -73,7 +73,7 @@ class TestHurwitzZeta:
 
     def test_against_a_60_digit_reference(self):
         # wherever the value is a normal double, over beta in (1, 171] and x in
-        # [1e-6, 1e9]; the worst error, 6.0e-13, is at beta = 9.9, x = 17
+        # [1e-6, 1e9]; the worst error, 4.4e-16, is at beta = 9.9, x = 1e5
         betas = (1.01, 1.1, 1.5, 2.0, 2.7, 4.0, 6.5, 9.9, 15.0, 20.0, 33.3, 50.0, 80.0, 120.0, 171.0)
         xs = (1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.9, 1.0, 2.5, 7.0, 17.0, 40.0, 100.0, 1e3, 1e4,
               1e5, 1e6, 1e7, 1e8, 1e9)
@@ -84,13 +84,32 @@ class TestHurwitzZeta:
                 if not sys.float_info.min <= expected <= sys.float_info.max:
                     continue
                 got = hurwitz_zeta(beta, x)
-                assert abs(got - expected) <= 1e-12 * expected, (beta, x)
+                assert abs(got - expected) <= 2e-15 * expected, (beta, x)
                 checked += 1
         assert checked >= 250
 
+    def test_array_form_is_the_scalar_form(self):
+        xs = np.array([[1e-6, 0.3, 1.0], [17.0, 1e3, 1e9]])
+        for beta in (1.01, 2.3, 9.9, 33.3):
+            got = hurwitz_zeta(beta, xs)
+            assert got.shape == xs.shape
+            assert got.tolist() == [[hurwitz_zeta(beta, float(x)) for x in row] for row in xs]
+        zero_d = hurwitz_zeta(2.3, np.float64(0.3))
+        assert type(zero_d) is float and zero_d == hurwitz_zeta(2.3, np.array(0.3))
+        assert hurwitz_zeta(2.3, np.array([])).shape == (0,)
+
+    def test_array_errors_name_the_first_bad_element(self):
+        with pytest.raises(ValueError, match=r"finite x > 0, got -3\.0$"):
+            hurwitz_zeta(2.0, [1.0, -3.0, 0.0])
+        with pytest.raises(ValueError, match="finite x > 0, got nan$"):
+            hurwitz_zeta(2.0, np.array([[1.0], [math.nan]]))
+        with pytest.raises(OverflowError, match=r"hurwitz_zeta\(60\.0, 1e-06\)"):
+            hurwitz_zeta(60.0, [1.0, 1e-6, 1e-7])
+
     @pytest.mark.filterwarnings("error")
     def test_overflow_raises(self):
-        # raised before numpy overflows, so no RuntimeWarning is printed
+        # numpy's overflow is silenced and raised as OverflowError, so no
+        # RuntimeWarning is printed
         with pytest.raises(OverflowError, match=r"hurwitz_zeta\(60\.0, 1e-06\)"):
             hurwitz_zeta(60.0, 1e-6)
         with pytest.raises(OverflowError, match="exceeds the double range"):
