@@ -6,7 +6,7 @@ sites, scaled by the squared frequency constant.  The Laplacian matrix itself
 carries an extra factor -mass.  Every element is computable by independent
 routes:
 
-* a closed product formula for the infinite chain,
+* a closed form for the infinite chain, its series walked down a recurrence,
 * a Brillouin zone integral of the dispersion against a plane wave,
 * a Bloch sum over the discrete modes of a finite ring,
 * a sum over periodic images of the infinite chain profile.
@@ -176,18 +176,17 @@ class CirculantMatrix:
             raise ValueError("spectrum has eigenvalues of both signs")
 
 
-def _binomial_element(m: int, q: int) -> float:
+def _binomial_element(m: int, q: int) -> int:
     """Integer half order m: the signed central binomial stencil (-1)^q C(2m, m+q),
-    zero beyond q = m.  OverflowError where it leaves the double range: the
-    bound C(2m, k) >= (2m / k)^k, k = m - q, tells that before math.comb
-    builds the integer, so only k <= 1024 are built."""
+    an exact int, zero beyond q = m.  OverflowError where it leaves the double
+    range: the bound C(2m, k) >= (2m / k)^k, k = m - q, tells that before
+    math.comb builds the integer, so only k <= 1024 are built."""
     if q > m:
-        return 0.0
+        return 0
     k = m - q
     if k and k * math.log(2 * m / k) > _LOG_DOUBLE_MAX:
         raise OverflowError
-    # the parity of q itself, as a float q loses it past 2^53
-    return (-1.0) ** (q % 2) * math.comb(2 * m, k)  # OverflowError as the int turns float
+    return (-1) ** (q % 2) * math.comb(2 * m, k)
 
 
 @functools.lru_cache(maxsize=64)
@@ -227,6 +226,11 @@ def _tail_series(alpha: float, q_min: int) -> tuple:
     return tuple(d), tuple(itertools.accumulate(powers, initial=rest))[::-1]
 
 
+def _log_gamma(x: float) -> float:
+    # ln gamma(x), x >= 1, within 0.003: Stirling's series to 1/(12 x)
+    return (x - 0.5) * math.log(x) - x + 0.5 * math.log(2.0 * math.pi) + 1.0 / (12.0 * x)
+
+
 def _even_sum(coeffs: tuple, p):
     # sum_j c_2j p^(-2j) by Horner's rule
     r = 1.0 / (p * p)
@@ -241,43 +245,52 @@ def element_infinite_closed(order: FractionalOrder, p: int) -> float:
 
     f(p) = -omega_sq A gamma(p - a) / gamma(p + 1 + a), a = alpha / 2, with A
     the amplitude of riesz_amplitude; at integer a the signed binomial stencil.
-    Below offset P0, about 3 alpha, it walks omega_sq gamma(alpha+1) / (gamma(a+1)
-    gamma(a+p+1)) prod_{s<p} (s - a) in log space; from P0 on, the gamma ratio's
-    log is its even series -(alpha+1) ln p + sum_{j<=8} c_2j p^(-2j) (DLMF 5.11.8;
-    Tricomi, Erdelyi 1951; Fields 1966), in log space where A or p^(-alpha) is not normal.
+    From P0 = max(13, ceil(3 alpha)) on, the gamma ratio's log is its even series
+    -(alpha+1) ln p + sum_{j<=8} c_2j p^(-2j) (DLMF 5.11.8; Tricomi, Erdelyi 1951;
+    Fields 1966), from its base-2 log where A or p^(-alpha) is not normal.  Below P0
+    it walks down from f(P0) by f(s) = f(s+1) (s+1+a) / (s-a) (DLMF 5.5.1) in a
+    frexp mantissa and exponent; a walk of over 100 steps first bounds ln|f(p)| by
+    Stirling and raises, or returns a signed zero, where f(p) leaves the range.
     """
     p = abs(int(p))
     alpha = order.alpha
-    if order.is_integer_half:
-        try:
-            return order.omega_sq * _binomial_element(round(0.5 * alpha), p)
-        except OverflowError:
-            raise OverflowError(
-                f"element_infinite_closed(alpha={alpha!r}, p={p}) exceeds the double range"
-            ) from None
-    start, amp, log_amp, coeffs = _series_terms(alpha)
-    if p >= start:
-        series = _even_sum(coeffs, p)
-        scale = p ** -alpha
-        if scale >= sys.float_info.min and math.isfinite(amp):
-            return -order.omega_sq * amp * scale / p * math.exp(series)
-        value = math.exp(log_amp - alpha * math.log(p) + series) / p
-        return -order.omega_sq * math.copysign(value, amp)
-    a = 0.5 * alpha
-    log_ratio = math.lgamma(alpha + 1.0) - math.lgamma(a + 1.0) - math.lgamma(a + p + 1.0)
-    sign, log_prod = 1.0, 0.0
-    for s in range(p):
-        term = s - a
-        if term < 0.0:
-            sign = -sign
-        log_prod += math.log(abs(term))
     try:
-        value = math.exp(log_ratio + log_prod)
-    except OverflowError:  # f(0) alone passes the double range near alpha = 1029
-        raise OverflowError(
-            f"element_infinite_closed(alpha={alpha!r}, p={p}) exceeds the double range"
-        ) from None
-    return order.omega_sq * sign * value
+        if order.is_integer_half:
+            return order.omega_sq * _binomial_element(round(0.5 * alpha), p)
+        start, amp, log_amp, coeffs = _series_terms(alpha)
+        if p >= start:
+            series = _even_sum(coeffs, p)
+            scale = p ** -alpha
+            if scale >= sys.float_info.min and math.isfinite(amp):
+                return -order.omega_sq * amp * scale / p * math.exp(series)
+        q = max(p, start)
+        series = _even_sum(coeffs, q)
+        scale = q ** -alpha
+        value = (-order.omega_sq * amp * scale / q * math.exp(series)
+                 if scale >= sys.float_info.min and math.isfinite(amp) else 0.0)
+        if sys.float_info.min <= abs(value) < math.inf:
+            mantissa, exponent = math.frexp(value)
+        else:
+            log2_value = (log_amp - alpha * math.log(q) + series) / math.log(2.0)
+            exponent = math.floor(log2_value)
+            mantissa = -order.omega_sq * math.copysign(2.0 ** (log2_value - exponent), amp) / q
+        a = 0.5 * alpha
+        if q - p > 100:  # ln|f(p)| by Stirling, within the slack, before a long walk
+            log_f = math.log(order.omega_sq) - _log_gamma(p + 1.0 + a) + (
+                _log_gamma(alpha + 1.0) - _log_gamma(a + 1.0 - p) if p <= a
+                else log_amp + _log_gamma(p + 1.0 - a) - math.log(p - a))
+            slack = 1.0 + 1e-13 * alpha * math.log(alpha)  # 0.003 a term and rounding
+            if log_f - slack > _LOG_DOUBLE_MAX:
+                raise OverflowError
+            if log_f + slack < -1075.0 * math.log(2.0):  # below half the least subnormal,
+                return math.copysign(0.0, mantissa)  # so p > a: each step keeps the sign
+        for s in range(q - 1, p - 1, -1):
+            mantissa, step = math.frexp(mantissa * (s + 1 + a) / (s - a))
+            exponent += step
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        raise OverflowError(f"element_infinite_closed(alpha={alpha!r}, p={p}) "
+                            "exceeds the double range") from None
 
 
 def element_infinite_quadrature(order: FractionalOrder, p: int, tol: float = 1e-12) -> float:
@@ -328,9 +341,9 @@ def element_periodic_images(
     """Profile of a finite ring as a sum of infinite chain images.
 
     f_N(p) = sum_{s in Z} f(p + s N).  For integer half orders the profile has
-    finite support and the sum is exact.  Otherwise the images q = |p + s N|
-    below Q = max(P0, N), P0 the closed form's series start, are summed one by
-    one.  From Q on the closed form's series gives f(q) = -omega_sq A
+    finite support, summed in integers and rounded once.  Otherwise the images
+    q = |p + s N| below Q = max(P0, N), P0 the closed form's series start, are
+    summed one by one.  From Q on the closed form's series gives f(q) = -omega_sq A
     q^(-alpha-1) sum_k d_k q^(-2k), so the images beyond resum to Hurwitz zeta
     functions, one pair per power.  The powers stop before the first k whose
     bound on all they leave out, sum_{j>=k} |d_j| Q^(-2j) |first power's sum|,
@@ -346,13 +359,12 @@ def element_periodic_images(
 
     if order.is_integer_half:
         m = round(0.5 * order.alpha)
-        total = element_infinite_closed(order, p)
-        s = 1
-        while s * n - p <= m:
-            total += element_infinite_closed(order, s * n + p)
-            total += element_infinite_closed(order, s * n - p)
-            s += 1
-        return total
+        try:
+            return order.omega_sq * sum(_binomial_element(m, q) for q in itertools.chain(
+                range(p, m + 1, n), range(n - p, m + 1, n)))
+        except OverflowError:
+            raise OverflowError(f"element_periodic_images(alpha={order.alpha!r}, n={n}, p={p}) "
+                                "exceeds the double range") from None
 
     alpha = order.alpha
     beta = alpha + 1.0

@@ -73,8 +73,11 @@ def riesz_kernel_periodic(alpha: float, period: float, x):
                          f"got x = {float(x[bad][0])}")
     beta = alpha + 1.0
     bracket = hurwitz_zeta(beta, d / period) + hurwitz_zeta(beta, (period - d) / period)
-    with np.errstate(over="ignore"):  # inf past the double range, as for a scalar x
-        value = riesz_amplitude(alpha) * period ** (-beta) * bracket
+    with np.errstate(over="ignore"):  # raised below
+        value = riesz_amplitude(alpha) * np.float64(period) ** -beta * bracket
+    if not np.isfinite(value).all():
+        raise OverflowError(f"riesz_kernel_periodic({alpha!r}, {period!r}, "
+                            f"{float(x[~np.isfinite(value)][0])!r}) exceeds the double range")
     return float(value) if x.ndim == 0 else value
 
 

@@ -76,7 +76,7 @@ _GAUSS_ORDER = 24
 
 def jv(order, x):
     # bench/spans.py counts Bessel J calls through this name; no route calls
-    # it, and it goes once the library counts its own work (ROADMAP item 2)
+    # it, and it goes once the library counts its own work (ROADMAP item 1)
     import scipy.special
 
     return scipy.special.jv(order, x)

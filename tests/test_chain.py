@@ -21,7 +21,7 @@ from fraclat.chain import (
     is_integer_half,
     riesz_amplitude,
 )
-from fraclat.chain import _binomial_element, _series_terms
+from fraclat.chain import _series_terms
 from fraclat.lattice import LatticeSpec, OffsetVector, element_periodic_nd
 from fraclat.special import ToleranceError
 
@@ -91,22 +91,9 @@ class TestClosedForm:
 
 
 def reference_closed(order, p):
-    # the product loop walked from s = 0 for every offset, kept as the bit
-    # level reference for the closed form below its series start
-    p = abs(int(p))
-    alpha = order.alpha
-    a = 0.5 * alpha
-    if order.is_integer_half:
-        return order.omega_sq * _binomial_element(round(a), p)
-    log_ratio = math.lgamma(alpha + 1.0) - math.lgamma(a + 1.0) - math.lgamma(a + p + 1.0)
-    log_prod = 0.0
-    sign = 1.0
-    for s in range(p):
-        term = s - a
-        if term < 0.0:
-            sign = -sign
-        log_prod += math.log(abs(term))
-    return order.omega_sq * sign * math.exp(log_ratio + log_prod)
+    # integer half order m: omega_sq (-1)^p C(2m, m + p), zero past m, rounded once
+    m, p = round(0.5 * order.alpha), abs(int(p))
+    return order.omega_sq * ((-1) ** p * math.comb(2 * m, m + p) if p <= m else 0)
 
 
 def mp_closed(alpha, p):
@@ -127,20 +114,32 @@ SERIES_ALPHAS = [alpha for alpha in BATCH_ALPHAS if not is_integer_half(alpha)]
 
 
 class TestClosedFormBatch:
-    """The closed form over batches of offsets: the product walk below the
-    series start, the even series from there, against 40-digit values."""
+    """The closed form over batches of offsets: the even series at the series
+    start or past it, walked down below it, against 40-digit values."""
 
     @pytest.mark.parametrize("alpha", BATCH_ALPHAS)
     def test_batch_is_bit_identical_to_the_product_loop(self, alpha):
-        # below the series start, and at every offset of a finite stencil
+        # below the series start each offset is one step of the product
+        # f(s) = f(s+1) (s+1+a) / (s-a) from the next, bit for bit; a finite
+        # stencil is the exact binomial, rounded once
         order = FractionalOrder(alpha=alpha, omega_sq=1.3)
-        offsets = BATCH_OFFSETS
-        if not order.is_integer_half:
-            start = _series_terms(alpha)[0]
-            offsets = [p for p in BATCH_OFFSETS if p < start] + [start - 1]
-        assert [element_infinite_closed(order, p) for p in offsets] == [
-            reference_closed(order, p) for p in offsets
-        ]
+        if order.is_integer_half:
+            assert [element_infinite_closed(order, p) for p in BATCH_OFFSETS] == [
+                reference_closed(order, p) for p in BATCH_OFFSETS
+            ]
+            return
+        a = 0.5 * alpha
+        start = _series_terms(alpha)[0]
+        values = [element_infinite_closed(order, p) for p in range(start)]
+        assert values[:-1] == [values[s + 1] * (s + 1 + a) / (s - a) for s in range(start - 1)]
+
+    @pytest.mark.parametrize("alpha", SERIES_ALPHAS)
+    def test_every_offset_to_the_series_start_matches_40_digit_references(self, alpha):
+        # the walk from the series start, which at 171.5 starts in log space
+        order = FractionalOrder(alpha=alpha, omega_sq=1.3)
+        for p in range(_series_terms(alpha)[0] + 1):
+            expected = 1.3 * mp_closed(alpha, p)
+            assert abs((element_infinite_closed(order, p) - expected) / expected) <= 1e-14, p
 
     @pytest.mark.parametrize("alpha", SERIES_ALPHAS + [7.7])
     def test_matches_40_digit_references(self, alpha):
@@ -150,17 +149,28 @@ class TestClosedFormBatch:
             got = element_infinite_closed(order, p)
             assert math.isfinite(got)
             expected = 1.3 * mp_closed(alpha, p)
-            if alpha > 30.5:
-                if not sys.float_info.min <= abs(expected) <= sys.float_info.max:
-                    continue
-                bound = 1e-12
-            elif p < start and alpha > 7.7:
-                # the walk, unchanged, sums log gamma values up to about 400
-                # at alpha = 30.5: 7.5e-14 at p = 87
-                bound = 1e-13
-            else:
-                bound = 1e-14
-            assert abs((got - expected) / expected) <= bound, (p, got)
+            if sys.float_info.min <= abs(expected) <= sys.float_info.max:
+                assert abs((got - expected) / expected) <= 1e-14, (p, got)
+
+    # worst relative error below the series start per band of alpha, about twice
+    # what the walk down from the series measures on the scan's draws (9.5e-15,
+    # 3.1e-14, 5.2e-13); the log-space walk up from s = 0 that it replaced
+    # measured 9.9e-14, 1.0e-12 and 8.9e-12 on the same draws
+    WALK_BANDS = ((0.1, 20.0, 2e-14), (20.0, 100.0, 6e-14), (100.0, 400.0, 1e-12))
+
+    def test_walk_below_the_series_start_per_band(self):
+        rng = np.random.default_rng(20261019)
+        worst = dict.fromkeys(self.WALK_BANDS, 0.0)
+        for alpha in np.exp(rng.uniform(math.log(0.1), math.log(400.0), 1000)).tolist():
+            if is_integer_half(alpha):
+                continue
+            band = next(band for band in self.WALK_BANDS if band[0] <= alpha < band[1])
+            for p in rng.integers(0, _series_terms(alpha)[0], 3).tolist():
+                expected = mp_closed(alpha, p)
+                if sys.float_info.min <= abs(expected) <= sys.float_info.max:
+                    got = element_infinite_closed(FractionalOrder(alpha), p)
+                    worst[band] = max(worst[band], float(abs((got - expected) / expected)))
+        assert all(worst[band] <= band[2] for band in self.WALK_BANDS), worst
 
     def test_integer_half_orders(self):
         for alpha in (2.0, 4.0, 6.0):
@@ -195,10 +205,28 @@ class TestClosedFormBatch:
         with pytest.raises(OverflowError, match=r"alpha=1030\.0, p=0"):
             element_infinite_closed(FractionalOrder(alpha=1030.0), 0)
 
+    def test_huge_odd_orders_are_bounded_before_the_walk(self):
+        # below the series start, about 3 alpha, the walk would take 0.45 us a step:
+        # an offset whose value leaves the double range is told by Stirling at once
+        for alpha in (1e9 + 1, 1e15 + 1):
+            for p in (0, 2):
+                message = re.escape(f"element_infinite_closed(alpha={alpha!r}, p={p}) exceeds the double range")
+                with pytest.raises(OverflowError, match=f"^{message}$"):
+                    element_infinite_closed(FractionalOrder(alpha=alpha), p)
+        # past alpha / 2 the profile underflows within a few dozen offsets, to a signed zero
+        assert math.copysign(1.0, element_infinite_closed(FractionalOrder(alpha=1e9 + 1), 2 * 10**9)) == -1.0
+        assert math.copysign(1.0, element_infinite_closed(FractionalOrder(alpha=1e9 + 3), 2 * 10**9)) == 1.0
+        # where the profile is a double the walk runs: its start at alpha = 2e5 has a
+        # series beyond exp's range, which is kept in log space
+        expected = mp_closed(2e5 + 0.5, 10**5)
+        got = element_infinite_closed(FractionalOrder(alpha=2e5 + 0.5), 10**5)
+        assert abs((got - expected) / expected) <= 1e-9
+
     def test_negative_offsets_and_empty_request(self):
         order = FractionalOrder(alpha=1.3)
         assert [element_infinite_closed(order, p) for p in (-4, 4, -1)] == [
-            reference_closed(order, 4), reference_closed(order, 4), reference_closed(order, 1)
+            element_infinite_closed(order, 4), element_infinite_closed(order, 4),
+            element_infinite_closed(order, 1)
         ]
 
 
@@ -344,17 +372,20 @@ class TestPeriodicRoutes:
         chain = ChainSpec(size=6)
         assert element_periodic_images(order, chain, 1) == -1.0
 
-    @pytest.mark.parametrize("alpha", [4, 6, 8, 10, 20, 40])
+    @pytest.mark.parametrize("alpha", [4, 6, 8, 10, 20, 40, 60, 120])
     def test_integer_half_images_wrapping_the_ring(self, alpha):
         # the stencil (-1)^q C(2m, m + q), |q| <= m = alpha / 2, wraps every ring of
-        # N <= 2m sites; site p collects each q = p (mod N), an exact integer sum
+        # N <= 2m sites; site p collects each q = p (mod N), an exact integer sum,
+        # rounded once: at alpha = 120, N = 3, p = 1 a sum of rounded binomials
+        # cancels to 4.7e-10 relative off it
         m = alpha // 2
         order = FractionalOrder(alpha=float(alpha))
+        stencil = [(q, (-1) ** abs(q) * math.comb(2 * m, m + q)) for q in range(-m, m + 1)]
         for n in range(2, alpha + 3):
             chain = ChainSpec(size=n)
             for p in range(n):
-                exact = sum((-1) ** q * math.comb(2 * m, m + q) for q in range(-m, m + 1) if (q - p) % n == 0)
-                assert element_periodic_images(order, chain, p) == exact, (n, p)
+                exact = sum(entry for q, entry in stencil if (q - p) % n == 0)
+                assert element_periodic_images(order, chain, p) == float(exact), (n, p)
 
     def test_images_match_bloch_at_origin(self):
         order = FractionalOrder(alpha=0.8)
@@ -425,9 +456,8 @@ class TestPeriodicRoutes:
                     - element_infinite_closed(order, 1)
                 )
                 errors.append(err)
-            bound_scale = errors[0] * 10.0**alpha
             for n, err in zip((10, 100, 1000), errors):
-                assert err <= bound_scale * float(n) ** (-alpha)
+                assert err <= errors[0] * (10.0 / n) ** alpha
             assert errors[0] > errors[1] > errors[2]
 
 

@@ -180,6 +180,18 @@ class TestElementsCommand:
                 f"fraclat: element_infinite_closed(alpha={float(alpha)!r}, p=0) exceeds the double range"
             )
 
+    def test_huge_odd_order_overflow_is_named_at_once(self, capsys):
+        # the walk down from the series start, about 3 alpha steps, is bounded
+        # first: at 1000000001 it would have taken about 1350 s
+        for alpha in ("1000000001", "1000000000000001"):
+            code, out, err = run_cli(
+                capsys, "elements", "--alpha", alpha, "--infinite", "--p", "0..2", "--route", "closed"
+            )
+            assert (code, out) == (1, "")
+            assert err.strip() == (
+                f"fraclat: element_infinite_closed(alpha={float(alpha)!r}, p=0) exceeds the double range"
+            )
+
     @pytest.mark.parametrize("argv,message", [
         (("--n", "4", "--route", "images"), "tol must be positive and finite, got inf"),
         (("--infinite", "--p", "0", "--route", "quadrature"), "tol must be positive and finite, got inf"),
@@ -437,6 +449,15 @@ class TestKernelCommand:
         assert not out
         assert err.strip() == "fraclat: riesz_amplitude(alpha=171.5) exceeds the double range"
 
+    def test_periodic_kernel_overflow_names_the_call(self, capsys):
+        code, out, err = run_cli(
+            capsys, "kernel", "--alpha", "30.5", "--length", "0.4", "--x-range=2.000000001..2.1",
+            "--samples", "2",
+        )
+        assert code == 1
+        assert not out
+        assert err.strip() == "fraclat: riesz_kernel_periodic(30.5, 0.4, 2.000000001) exceeds the double range"
+
     def test_infinite_kernel_overflow_names_the_call(self, capsys):
         code, out, err = run_cli(
             capsys, "kernel", "--alpha", "30.5", "--infinite", "--x-range", "1e-11..1",
@@ -585,11 +606,12 @@ print(json.dumps({
 
 
 class TestStartup:
-    # digest of this table since the image sum's tail powers come from the
-    # array Hurwitz zeta through B16; every row is within 1.1e-15 of a
-    # 40-digit Bloch mode sum (4.8e-15 with the B6 tail before)
+    # digest of this table since its head images, below the closed form's
+    # series start, come from the walk down from the series; every row is
+    # within 1.9e-16 relative of a 40-digit Bloch mode sum (1.1e-15 with the
+    # walk up from s = 0, 4.8e-15 with the B6 zeta tail before that)
     IMAGES_ARGV = ("elements", "--alpha", "0.7", "--n", "9", "--route", "images", "--omega-sq", "1.3")
-    IMAGES_DIGEST = "cc3dcf87b20210ea0c231e159a79261b21cc6f7a2679fb8dcd7ccb3a1f4e880f"
+    IMAGES_DIGEST = "7106998820bb830b4552a8257d7cf89744281bbb80e24c08300b6f326eaec8da"
     CLOSED_ARGV = ("elements", "--alpha", "0.7", "--infinite", "--p", "0..100", "--route", "closed")
 
     def probe(self, *argv):

@@ -70,6 +70,16 @@ class TestArrayForms:
             riesz_kernel_periodic(0.5, 2.0, [1.0, -math.inf, math.nan])
         with pytest.raises(ValueError, match=r"lattice x in 2\.0 \* integers, got x = -4\.0$"):
             riesz_kernel_periodic(0.5, 2.0, [1.0, -4.0, 6.0])
+        # past the double range it raises, as the whole line kernel does, rather than
+        # return inf, naming the first such point
+        message = r"^riesz_kernel_periodic\(30\.5, 0\.4, 2\.000000001\) exceeds the double range$"
+        with pytest.raises(OverflowError, match=message):
+            riesz_kernel_periodic(30.5, 0.4, 2.000000001)
+        with pytest.raises(OverflowError, match=message):
+            riesz_kernel_periodic(30.5, 0.4, [1.0, 2.000000001, -2.0000000001])
+        # a period so small that period^-(alpha+1) alone passes the range
+        with pytest.raises(OverflowError, match=r"^riesz_kernel_periodic\(1\.3, 1e-200, 5e-201\) exceeds"):
+            riesz_kernel_periodic(1.3, 1e-200, 5e-201)
 
 
 class TestInfiniteKernel:

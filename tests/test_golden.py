@@ -70,9 +70,12 @@ GOLDEN = [
         "c24a9d3c77b8e97261e05d28b88bc47de7112e7d51fb7f542a6f051812024f84",
     ),
     (
+        # re-recorded when the closed form below its series start became a walk
+        # down from the series: every row, all below the start, is within 1.5e-16
+        # relative of 40-digit mpmath (2.2e-15 with the walk up from s = 0 before)
         ("elements", "--alpha", "1.5", "--infinite", "--p", "0..12", "--route", "closed",
          "--omega-sq", "1.3"),
-        "b7d1e11b15ffbdd09e39167e42a2f9e01eb896a37011febc7a4cff1a6f42c5ce",
+        "d48d2ac36dc4cb907b35c12c4c429f3ce709567997d7f1b5ba467dab010b2a1d",
     ),
     # tables longer than one run of the row encoder, recorded from the
     # per-cell encoder; the periodic kernel's 1001 singular rows carry NaN

@@ -121,6 +121,5 @@ def test_closed_form_across_the_series_start(alpha, step):
             a = mpmath.mpf(alpha) / 2
             amp = mpmath.gamma(2 * a + 1) * mpmath.sinpi(a) / mpmath.pi
             expected = float(-amp * mpmath.gamma(p - a) / mpmath.gamma(p + 1 + a))
-        # relative for the series; the walk below it is as it always was
-        bound = 1e-14 * (abs(expected) if p >= start else max(1.0, abs(expected)))
-        assert abs(value - expected) <= bound
+        # relative on both sides of the series start
+        assert abs(value - expected) <= 1e-14 * abs(expected)
