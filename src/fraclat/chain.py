@@ -206,6 +206,12 @@ def _series_terms(alpha: float) -> tuple:
     return max(13, math.ceil(3.0 * alpha)), amp, log_amp, coeffs
 
 
+_UNIT_ROUNDOFF = 2.0**-53
+# relative error bound of the closed form's direct series start and of the image sum's
+# tail, each built from A at once: A's own error (math.gamma is up to 48 u off near
+# alpha = 16), a power, an exp or a hurwitz_zeta (at most 4 u measured), the products
+_START_BOUND = 64 * _UNIT_ROUNDOFF
+
 # powers of the image sum's resummed tail; the d_k past them, to twice as many, bound the rest
 _TAIL_TERMS = 16
 
@@ -224,11 +230,6 @@ def _tail_series(alpha: float, q_min: int) -> tuple:
     rest = math.exp(_even_sum(tuple(map(abs, c[::-1])), 0.5 * q_min)) * 4.0 ** (1 - len(d)) / 3.0
     powers = (abs(d_k) * q_min ** (-2.0 * k) for k, d_k in reversed(tuple(enumerate(d))))
     return tuple(d), tuple(itertools.accumulate(powers, initial=rest))[::-1]
-
-
-def _log_gamma(x: float) -> float:
-    # ln gamma(x), x >= 1, within 0.003: Stirling's series to 1/(12 x)
-    return (x - 0.5) * math.log(x) - x + 0.5 * math.log(2.0 * math.pi) + 1.0 / (12.0 * x)
 
 
 def _even_sum(coeffs: tuple, p):
@@ -250,44 +251,51 @@ def element_infinite_closed(order: FractionalOrder, p: int) -> float:
     Fields 1966), from its base-2 log where A or p^(-alpha) is not normal.  Below P0
     it walks down from f(P0) by f(s) = f(s+1) (s+1+a) / (s-a) (DLMF 5.5.1) in a
     frexp mantissa and exponent; a walk of over 100 steps first bounds ln|f(p)| by
-    Stirling and raises, or returns a signed zero, where f(p) leaves the range.
+    math.lgamma and raises, or returns a signed zero, where f(p) leaves the range.
+    Its stated relative error bound is (4 max(0, P0 - p) + 64) u, u = 2^-53, plus
+    4 (|ln|A|| + alpha ln q) u where the start at q = max(p, P0) is built in log
+    space; 2 u at integer a.
     """
+    return _closed(order, p)[0]
+
+
+def _closed(order: FractionalOrder, p: int) -> tuple:
+    """(f(p), relative error bound) of element_infinite_closed."""
     p = abs(int(p))
     alpha = order.alpha
     try:
         if order.is_integer_half:
-            return order.omega_sq * _binomial_element(round(0.5 * alpha), p)
+            return order.omega_sq * _binomial_element(round(0.5 * alpha), p), 2.0 * _UNIT_ROUNDOFF
         start, amp, log_amp, coeffs = _series_terms(alpha)
-        if p >= start:
-            series = _even_sum(coeffs, p)
-            scale = p ** -alpha
-            if scale >= sys.float_info.min and math.isfinite(amp):
-                return -order.omega_sq * amp * scale / p * math.exp(series)
         q = max(p, start)
         series = _even_sum(coeffs, q)
         scale = q ** -alpha
-        value = (-order.omega_sq * amp * scale / q * math.exp(series)
-                 if scale >= sys.float_info.min and math.isfinite(amp) else 0.0)
+        direct = scale >= sys.float_info.min and math.isfinite(amp)
+        value = -order.omega_sq * amp * scale / q * math.exp(series) if direct else 0.0
+        bound = 4 * (q - p) * _UNIT_ROUNDOFF + _START_BOUND
+        if direct and q == p:
+            return value, bound
         if sys.float_info.min <= abs(value) < math.inf:
             mantissa, exponent = math.frexp(value)
         else:
             log2_value = (log_amp - alpha * math.log(q) + series) / math.log(2.0)
             exponent = math.floor(log2_value)
             mantissa = -order.omega_sq * math.copysign(2.0 ** (log2_value - exponent), amp) / q
+            bound += 4.0 * (abs(log_amp) + alpha * math.log(q)) * _UNIT_ROUNDOFF
         a = 0.5 * alpha
-        if q - p > 100:  # ln|f(p)| by Stirling, within the slack, before a long walk
-            log_f = math.log(order.omega_sq) - _log_gamma(p + 1.0 + a) + (
-                _log_gamma(alpha + 1.0) - _log_gamma(a + 1.0 - p) if p <= a
-                else log_amp + _log_gamma(p + 1.0 - a) - math.log(p - a))
-            slack = 1.0 + 1e-13 * alpha * math.log(alpha)  # 0.003 a term and rounding
+        if q - p > 100:  # ln|f(p)| by lgamma, within the slack, before a long walk
+            log_f = math.log(order.omega_sq) - math.lgamma(p + 1.0 + a) + (
+                math.lgamma(alpha + 1.0) - math.lgamma(a + 1.0 - p) if p <= a
+                else log_amp + math.lgamma(p + 1.0 - a) - math.log(p - a))
+            slack = 1.0 + 1e-13 * alpha * math.log(alpha)  # lgamma's and the terms' rounding
             if log_f - slack > _LOG_DOUBLE_MAX:
                 raise OverflowError
             if log_f + slack < -1075.0 * math.log(2.0):  # below half the least subnormal,
-                return math.copysign(0.0, mantissa)  # so p > a: each step keeps the sign
+                return math.copysign(0.0, mantissa), bound  # so p > a: each step keeps the sign
         for s in range(q - 1, p - 1, -1):
             mantissa, step = math.frexp(mantissa * (s + 1 + a) / (s - a))
             exponent += step
-        return math.ldexp(mantissa, exponent)
+        return math.ldexp(mantissa, exponent), bound
     except OverflowError:
         raise OverflowError(f"element_infinite_closed(alpha={alpha!r}, p={p}) "
                             "exceeds the double range") from None
@@ -323,16 +331,32 @@ def element_infinite_quadrature(order: FractionalOrder, p: int, tol: float = 1e-
     return order.omega_sq * value / (2.0 * math.pi)
 
 
+@functools.lru_cache(maxsize=16)
+def _ring_table(n: int) -> tuple:
+    """The read-only Born-von-Karman eigenvalues 4 sin^2(pi l / n) and phase cosines
+    cos(2 pi k / n), l, k = 0 .. n-1, of a ring of n sites."""
+    k = np.arange(n)
+    lam, phase = 4.0 * np.sin(math.pi * k / n) ** 2, np.cos(2.0 * math.pi * k / n)
+    lam.flags.writeable = phase.flags.writeable = False
+    return lam, phase
+
+
+def ring_axis(n: int, p: int) -> tuple:
+    """Eigenvalues of a ring of n sites and the phases cos(2 pi (l p mod n) / n) of
+    offset p at its modes l = 0 .. n-1, gathered from the ring's one table."""
+    lam, phase = _ring_table(n)
+    return lam, phase[np.arange(n) * (int(p) % n) % n]
+
+
 def element_periodic_bloch(order: FractionalOrder, chain: ChainSpec, p: int) -> float:
     """Profile of a finite ring as a sum over its Bloch modes.
 
-    f_N(p) = omega_sq / N * sum_l cos(2 pi (l p mod N) / N) (4 sin^2(pi l / N))^(alpha/2).
+    f_N(p) = omega_sq / N * sum_l cos(2 pi (l p mod N) / N) (4 sin^2(pi l / N))^(alpha/2),
+    both factors read from the ring's one cached table.
     """
     n = chain.size
-    p = int(p) % n
-    ell = np.arange(n)
-    modes = (4.0 * np.sin(math.pi * ell / n) ** 2) ** (0.5 * order.alpha)
-    return order.omega_sq * float(np.dot(np.cos(2.0 * math.pi * (ell * p % n) / n), modes)) / n
+    lam, phase = ring_axis(n, p)
+    return order.omega_sq * float(np.dot(phase, lam ** (0.5 * order.alpha))) / n
 
 
 def element_periodic_images(
@@ -348,8 +372,8 @@ def element_periodic_images(
     functions, one pair per power.  The powers stop before the first k whose
     bound on all they leave out, sum_{j>=k} |d_j| Q^(-2j) |first power's sum|,
     is below the sum's last place, or after the 16th; that bound is the error
-    estimate, floored at the last place, which tol bounds.  The estimate leaves
-    out the rounding of the head images, which can pass it where they cancel.
+    estimate, plus the head images' own error by element_infinite_closed's
+    stated bound, floored at the last place, which tol bounds.
     """
     require_positive_finite("tol", tol)
     n = chain.size
@@ -371,9 +395,11 @@ def element_periodic_images(
     scale = -order.omega_sq * riesz_amplitude(alpha) * n ** -beta
     q_min = max(_series_terms(alpha)[0], n)
     plus, minus = range(p, q_min, n), range(n - p, q_min, n)
-    total = 0.0
+    total = head = 0.0  # head bounds the head images' own error
     for q in itertools.chain(plus, minus):
-        total += element_infinite_closed(order, q)
+        value, bound = _closed(order, q)
+        total += value
+        head += bound * abs(value)
 
     starts = np.array([len(plus) + p / n, len(minus) + 1 - p / n])
 
@@ -384,13 +410,13 @@ def element_periodic_images(
     lead = tail(0)
     total += lead
     # term k sums d_k q^(-beta-2k) over q >= q_min, within |d_k| q_min^(-2k) |lead|,
-    # so |lead| left_out[k] bounds the powers from k on
+    # so |lead| left_out[k] bounds the powers from k on and |lead| _START_BOUND their rounding
     d, left_out = _tail_series(alpha, q_min)
     k = 1
     while k <= _TAIL_TERMS and abs(lead) * left_out[k] >= math.ulp(total):
         total += d[k] * tail(k)
         k += 1
-    return accept_estimate(total, abs(lead) * left_out[k], tol, "image sum")
+    return accept_estimate(total, head + abs(lead) * (left_out[k] + _START_BOUND), tol, "image sum")
 
 
 def dispersion_1d(order: FractionalOrder, kappa):
@@ -433,11 +459,6 @@ def element_asymptotic(order: FractionalOrder, p: int) -> float:
     return -order.omega_sq * riesz_amplitude(order.alpha) * float(p) ** (-order.alpha - 1.0)
 
 
-def _ring_lambda(n: int) -> np.ndarray:
-    # Born-von-Karman eigenvalues 4 sin^2(pi l / N) of the ring, l = 0 .. N-1
-    return 4.0 * np.sin(math.pi * np.arange(n) / n) ** 2
-
-
 def build_laplacian_1d(order: FractionalOrder, chain: ChainSpec) -> CirculantMatrix:
     """Fractional Laplacian of a ring: first_row[p] = -mass * f_N(p).
 
@@ -446,7 +467,7 @@ def build_laplacian_1d(order: FractionalOrder, chain: ChainSpec) -> CirculantMat
     rounding asymmetry.
     """
     n = chain.size
-    modes = order.omega_sq * _ring_lambda(n) ** (0.5 * order.alpha)
+    modes = order.omega_sq * _ring_table(n)[0] ** (0.5 * order.alpha)
     row = np.fft.ifft(modes).real
     row = 0.5 * (row + np.roll(row[::-1], 1))
     return CirculantMatrix(-chain.mass * row)
@@ -458,4 +479,4 @@ def laplacian_eigenvalues_1d(order: FractionalOrder, chain: ChainSpec) -> np.nda
     The analytic form; CirculantMatrix.eigenvalues() of build_laplacian_1d
     reproduces it to roundoff and stays an independent cross check.
     """
-    return -chain.mass * order.omega_sq * _ring_lambda(chain.size) ** (0.5 * order.alpha) + 0.0
+    return -chain.mass * order.omega_sq * _ring_table(chain.size)[0] ** (0.5 * order.alpha) + 0.0

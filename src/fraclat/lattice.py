@@ -30,6 +30,7 @@ every route here runs on numpy and the standard library alone.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +39,7 @@ import numpy as np
 # name to count Gauss orders and time the routes; no route calls leggauss or jv
 from numpy.polynomial.legendre import leggauss  # noqa: F401
 
-from .chain import FractionalOrder, _half_order_sine, is_integer_half
+from .chain import FractionalOrder, _half_order_sine, _ring_table, is_integer_half, ring_axis
 from .special import (
     _LOG_DOUBLE_MAX,
     accept_estimate,
@@ -134,9 +135,6 @@ class OffsetVector:
     def dim(self) -> int:
         return len(self.components)
 
-    def reduced(self, sizes) -> "OffsetVector":
-        return OffsetVector(tuple(c % n for c, n in zip(self.components, sizes)))
-
 
 def eigenvalue_nd(kappa) -> float:
     """Born-von-Karman eigenvalue 4 sum_j sin^2(kappa_j / 2), in [0, 4n]."""
@@ -151,7 +149,7 @@ def element_periodic_nd(
     """Coupling profile of a finite periodic lattice by the Bloch mode sum.
 
     f(p) = omega_sq / N_total * sum over all Bloch vectors of
-    cos(kappa . p) * lambda(kappa)^(alpha/2), each phase l_j p_j taken mod N_j.
+    cos(kappa . p) * lambda(kappa)^(alpha/2), each axis's from its ring's table.
     """
     if offset.dim != lattice.dim:
         raise ValueError(f"offset has {offset.dim} components, lattice has {lattice.dim}")
@@ -159,14 +157,10 @@ def element_periodic_nd(
         raise SizeLimitError(
             f"spectral sum over {lattice.n_points} points exceeds the cap {SPECTRAL_POINT_CAP}"
         )
-    offset = offset.reduced(lattice.sizes)
     # longest axis first: _tensor_sum blocks the rows of axis 0 and builds
     # the sum over the other axes whole, which is then the smallest
-    axes = []
-    for n_j, p_j in sorted(zip(lattice.sizes, offset.components), key=lambda axis: -axis[0]):
-        ell = np.arange(n_j)
-        axes.append((4.0 * np.sin(math.pi * ell / n_j) ** 2,
-                     np.cos(2.0 * math.pi * (ell * p_j % n_j) / n_j)))
+    axes = [ring_axis(n_j, p_j) for n_j, p_j in
+            sorted(zip(lattice.sizes, offset.components), key=lambda axis: -axis[0])]
     return float(order.omega_sq * _tensor_sum(0.5 * order.alpha, axes) / lattice.n_points)
 
 
@@ -176,11 +170,11 @@ def build_laplacian_nd(order: FractionalOrder, lattice: LatticeSpec):
     Returns (table, eigenvalues), both of shape lattice.sizes: table[p] is
     -mass * f(p) over the fundamental cell, the inverse DFT of the modes
     omega_sq * lambda(kappa)^(alpha/2), and eigenvalues[l] is -mass times
-    the mode at Bloch vector kappa_j = 2 pi l_j / N_j.
+    the mode at Bloch vector kappa_j = 2 pi l_j / N_j, where lambda is the sum
+    of the axes' ring eigenvalues 4 sin^2(pi l_j / N_j).
     """
-    axes = [2.0 * np.pi * np.arange(n) / n for n in lattice.sizes]
-    kappa = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    modes = order.omega_sq * eigenvalue_nd(kappa) ** (0.5 * order.alpha)
+    lam = functools.reduce(np.add.outer, (_ring_table(n)[0] for n in lattice.sizes))
+    modes = order.omega_sq * lam ** (0.5 * order.alpha)
     table = -lattice.mass * np.fft.ifftn(modes).real
     return table, -lattice.mass * modes + 0.0
 

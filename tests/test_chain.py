@@ -21,7 +21,7 @@ from fraclat.chain import (
     is_integer_half,
     riesz_amplitude,
 )
-from fraclat.chain import _series_terms
+from fraclat.chain import _ring_table, _series_terms, ring_axis
 from fraclat.lattice import LatticeSpec, OffsetVector, element_periodic_nd
 from fraclat.special import ToleranceError
 
@@ -318,9 +318,9 @@ class TestQuadratureRoute:
             assert failure.value.achieved > tol.get("tol", 1e-12)
 
 
-def mp_ring(alpha, n, offsets):
-    """f_N(p) = 1/N sum_l cos(2 pi l p / N) (4 sin^2(pi l / N))^(alpha/2) in 30-digit mpmath."""
-    with mpmath.workdps(30):
+def mp_ring(alpha, n, offsets, digits=30):
+    """f_N(p) = 1/N sum_l cos(2 pi l p / N) (4 sin^2(pi l / N))^(alpha/2) in mpmath."""
+    with mpmath.workdps(digits):
         a = mpmath.mpf(alpha) / 2
         modes = [(4 * mpmath.sinpi(mpmath.mpf(l) / n) ** 2) ** a for l in range(n)]
         cosines = [mpmath.cospi(2 * mpmath.mpf(j) / n) for j in range(n)]
@@ -347,8 +347,39 @@ RING_REFERENCES = [
     (12.9, 2048, (0, 607, 1024, 2047)),
 ]
 
+# the image sum's estimate carries its head images' error, (4 (P0 - q) + 64) u
+# of each |f(q)|: at alpha 7.7 and 12.9 near p = 0 it passes the default 1e-12
+RING_TOLERANCES = {(7.7, 31): 1e-9, (12.9, 8): 1e-9, (12.9, 2048): 1e-9}
+
+
+def reference_bloch(order, n, p):
+    # the mode sum with its ring built in place: the table must reproduce it bit for bit
+    p = int(p) % n
+    ell = np.arange(n)
+    modes = (4.0 * np.sin(math.pi * ell / n) ** 2) ** (0.5 * order.alpha)
+    return order.omega_sq * float(np.dot(np.cos(2.0 * math.pi * (ell * p % n) / n), modes)) / n
+
 
 class TestPeriodicRoutes:
+    @pytest.mark.parametrize("n", [2, 3, 101, 4096, 2**20 + 7])
+    def test_bloch_is_bit_identical_to_the_inline_ring(self, n):
+        rng = np.random.default_rng(n)
+        big = n > 5000  # a million-site ring takes about 50 ms a call
+        offsets = [1, n - 1] + rng.integers(-3 * n, 3 * n, 1 if big else 12).tolist()
+        for alpha in (0.1, 16.3) if big else (0.1, 1.3, 16.3):
+            order = FractionalOrder(alpha=alpha, omega_sq=1.3)
+            for p in offsets:
+                assert element_periodic_bloch(order, ChainSpec(size=n), p) == reference_bloch(order, n, p), p
+
+    def test_ring_table_is_cached_and_read_only(self):
+        lam, phase = _ring_table(12)
+        assert _ring_table(12)[0] is lam and _ring_table.cache_info().maxsize <= 16
+        for column in (lam, phase):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+        lam_p, phase_p = ring_axis(12, -7)
+        assert lam_p is lam and np.array_equal(phase_p, phase[np.arange(12) * 5 % 12])
+
     def test_bloch_reduces_offset(self):
         order = FractionalOrder(alpha=1.4)
         chain = ChainSpec(size=10)
@@ -429,6 +460,22 @@ class TestPeriodicRoutes:
             element_periodic_images(order, chain, 1, tol=1e-300)
         assert info.value.achieved >= math.ulp(element_periodic_images(order, chain, 1))
 
+    def test_image_estimate_bounds_the_error(self):
+        # the least tol returns the estimate in the ToleranceError; the error against
+        # the Bloch sum at the double alpha, in 40 digits past its modes' 2^alpha,
+        # stays under it (at most 0.41 of it in scans of 7900 such points); at the
+        # first point the tail's own rounding, 2 last places, passes the rest of it
+        rng = np.random.default_rng(20261019)
+        draws = zip(np.exp(rng.uniform(math.log(0.1), math.log(170.0), 150)).tolist(),
+                    rng.integers(2, 65, 150).tolist(), rng.integers(0, 64, 150).tolist())
+        for alpha, n, p in [(0.10878371392243891, 43, 18), *draws]:
+            order, chain, p = FractionalOrder(alpha=alpha), ChainSpec(size=n), p % n
+            with pytest.raises(ToleranceError) as info:
+                element_periodic_images(order, chain, p, tol=math.ulp(0.0))
+            (expected,) = mp_ring(alpha, n, (p,), digits=40 + int(alpha))
+            images = element_periodic_images(order, chain, p, tol=sys.float_info.max)
+            assert abs(images - expected) <= info.value.achieved, (alpha, n, p)
+
     @pytest.mark.parametrize("alpha,n,offsets", RING_REFERENCES,
                              ids=[f"{alpha}-{n}" for alpha, n, _ in RING_REFERENCES])
     def test_ring_routes_against_30_digit_references(self, alpha, n, offsets):
@@ -437,8 +484,9 @@ class TestPeriodicRoutes:
         # p = 0 (7.6e-14 2^alpha at p = N - 1 before l p was reduced mod N)
         order = FractionalOrder(alpha=alpha)
         chain = ChainSpec(size=n)
+        tol = RING_TOLERANCES.get((alpha, n), 1e-12)
         for p, expected in zip(offsets, mp_ring(alpha, n, offsets)):
-            images = element_periodic_images(order, chain, p)
+            images = element_periodic_images(order, chain, p, tol=tol)
             assert abs(images - expected) <= 1e-14 * max(1.0, abs(expected)), p
             bloch = element_periodic_bloch(order, chain, p)
             assert abs(bloch - expected) <= 1e-15 * 2.0**alpha, p

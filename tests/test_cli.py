@@ -114,8 +114,8 @@ class TestElementsCommand:
         )
         assert code == 1 and not out
         assert err.startswith("fraclat: image sum error estimate above bound 1.000e-300")
-        # f_8(0) = 15706.117391831985 at alpha = 16.3: its last place, 1.8e-12, is above
-        # the default bound, which the route then refuses
+        # f_8(0) = 15706.117391831985 at alpha = 16.3: its error estimate, 4.5e-10 from
+        # the closed form's bound on its head images, is above the default bound
         argv = ("elements", "--alpha", "16.3", "--n", "8", "--p", "0", "--route", "images")
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and not out
@@ -147,6 +147,22 @@ class TestElementsCommand:
         )
         assert code == 2
         assert "dim must be in 1..4" in err
+
+    @pytest.mark.parametrize("alpha,n,p,tol,reference", [
+        ("16.3", "8", "0", "2e-12", 15706.117391831993),
+        ("169.9", "3", "1", "1e25", -1.1332594095125912e40),
+    ])
+    def test_image_estimate_covers_the_head_images(self, capsys, alpha, n, p, tol, reference):
+        # the values are 7.3e-11 and 6.2e33 off the Bloch sum at the double alpha
+        # (60 digits), outside tol, so the estimate must take in the head images'
+        # own rounding (at 169.9 they cancel) and refuse tol
+        argv = ("elements", "--alpha", alpha, "--n", n, "--p", p, "--route", "images")
+        code, out, err = run_cli(capsys, *argv, "--tol", tol)
+        assert code == 1 and not out
+        achieved = float(err.rsplit("estimate ", 1)[1].rstrip(")\n"))
+        code, out, _ = run_cli(capsys, *argv, "--tol", repr(2.0 * achieved))
+        assert code == 0
+        assert float(tol) < abs(parse_csv(out)["rows"][0][1] - reference) <= achieved
 
     def test_images_amplitude_overflow_is_reported_with_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "elements", "--alpha", "171.5", "--n", "8", "--route", "images")

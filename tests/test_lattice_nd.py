@@ -50,7 +50,10 @@ class TestLatticeValidation:
     def test_offset_vector(self):
         off = OffsetVector((3, -2))
         assert off.dim == 2
-        assert off.reduced((8, 8)).components == (3, 6)
+        torus = LatticeSpec(dim=2, sizes=(8, 8))
+        order = FractionalOrder(alpha=1.3)
+        assert element_periodic_nd(order, torus, off) == element_periodic_nd(
+            order, torus, OffsetVector((3, 6)))
         with pytest.raises(ValueError):
             OffsetVector((1.5, 0))
 
@@ -154,6 +157,47 @@ class TestSpectralSum:
             np.testing.assert_allclose(
                 element_periodic_nd(order, cube, OffsetVector(comps)), base3, rtol=1e-12
             )
+
+
+def reference_periodic_nd(order, spec, offset):
+    # the mode sum with each axis's ring built in place: the tables must reproduce it
+    # bit for bit
+    axes = []
+    comps = (c % n for c, n in zip(offset.components, spec.sizes))
+    for n_j, p_j in sorted(zip(spec.sizes, comps), key=lambda axis: -axis[0]):
+        ell = np.arange(n_j)
+        axes.append((4.0 * np.sin(math.pi * ell / n_j) ** 2,
+                     np.cos(2.0 * math.pi * (ell * p_j % n_j) / n_j)))
+    return float(order.omega_sq * lattice._tensor_sum(0.5 * order.alpha, axes) / spec.n_points)
+
+
+RING_TABLE_SHAPES = [(24,), (2048,), (8, 8), (64, 33), (5, 9, 7), (16, 16, 16), (8, 8, 8, 8),
+                     (2, 3, 2, 5)]
+
+
+class TestRingTable:
+    @pytest.mark.parametrize("sizes", RING_TABLE_SHAPES, ids=str)
+    def test_mode_sum_is_bit_identical_to_the_inline_rings(self, sizes):
+        rng = np.random.default_rng(len(sizes) * 1000 + sizes[0])
+        spec = LatticeSpec(dim=len(sizes), sizes=sizes)
+        for alpha in (0.1, 1.3, 9.9):
+            order = FractionalOrder(alpha=alpha, omega_sq=1.3)
+            for comps in rng.integers(-3 * max(sizes), 3 * max(sizes), (3, len(sizes))).tolist():
+                offset = OffsetVector(tuple(comps))
+                assert element_periodic_nd(order, spec, offset) == reference_periodic_nd(order, spec, offset)
+
+    @pytest.mark.parametrize("sizes", [(7,), (6, 4), (64, 64), (3, 5, 4), (16, 16, 16),
+                                       (2, 3, 4, 3), (8, 8, 8, 8)], ids=str)
+    def test_laplacian_is_bit_identical_to_the_kappa_grid(self, sizes):
+        spec = LatticeSpec(dim=len(sizes), sizes=sizes, mass=0.8)
+        axes = [2.0 * np.pi * np.arange(n) / n for n in sizes]
+        kappa = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        for alpha in (0.3, 1.3, 9.9):
+            order = FractionalOrder(alpha=alpha, omega_sq=1.7)
+            modes = order.omega_sq * eigenvalue_nd(kappa) ** (0.5 * alpha)
+            table, eigenvalues = build_laplacian_nd(order, spec)
+            np.testing.assert_array_equal(table, -0.8 * np.fft.ifftn(modes).real)
+            np.testing.assert_array_equal(eigenvalues, -0.8 * modes + 0.0)
 
 
 class TestBuildLaplacianNd:
