@@ -274,6 +274,8 @@ def _closed(order: FractionalOrder, p: int) -> tuple:
         value = -order.omega_sq * amp * scale / q * math.exp(series) if direct else 0.0
         bound = 4 * (q - p) * _UNIT_ROUNDOFF + _START_BOUND
         if direct and q == p:
+            if math.isinf(value):  # omega_sq * amp passed the double range, not f(p)
+                value = -(order.omega_sq * scale) * (amp / q) * math.exp(series)
             return value, bound
         if sys.float_info.min <= abs(value) < math.inf:
             mantissa, exponent = math.frexp(value)
@@ -332,27 +334,33 @@ def element_infinite_quadrature(order: FractionalOrder, p: int, tol: float = 1e-
 
 
 @functools.lru_cache(maxsize=16)
-def _ring_table(n: int) -> tuple:
-    """The read-only Born-von-Karman eigenvalues 4 sin^2(pi l / n) and phase cosines
-    cos(2 pi k / n), l, k = 0 .. n-1, of a ring of n sites."""
-    k = np.arange(n)
-    lam, phase = 4.0 * np.sin(math.pi * k / n) ** 2, np.cos(2.0 * math.pi * k / n)
-    lam.flags.writeable = phase.flags.writeable = False
-    return lam, phase
+def _ring_eigenvalues(n: int) -> np.ndarray:
+    """The read-only Born-von-Karman eigenvalues 4 sin^2(pi l / n), l = 0 .. n-1,
+    of a ring of n sites."""
+    lam = 4.0 * np.sin(math.pi * np.arange(n) / n) ** 2
+    lam.flags.writeable = False
+    return lam
+
+
+@functools.lru_cache(maxsize=16)
+def _ring_phases(n: int) -> np.ndarray:
+    """The read-only phase cosines cos(2 pi k / n), k = 0 .. n-1, of a ring of n sites."""
+    phase = np.cos(2.0 * math.pi * np.arange(n) / n)
+    phase.flags.writeable = False
+    return phase
 
 
 def ring_axis(n: int, p: int) -> tuple:
     """Eigenvalues of a ring of n sites and the phases cos(2 pi (l p mod n) / n) of
-    offset p at its modes l = 0 .. n-1, gathered from the ring's one table."""
-    lam, phase = _ring_table(n)
-    return lam, phase[np.arange(n) * (int(p) % n) % n]
+    offset p at its modes l = 0 .. n-1, gathered from the ring's cached tables."""
+    return _ring_eigenvalues(n), _ring_phases(n)[np.arange(n) * (int(p) % n) % n]
 
 
 def element_periodic_bloch(order: FractionalOrder, chain: ChainSpec, p: int) -> float:
     """Profile of a finite ring as a sum over its Bloch modes.
 
     f_N(p) = omega_sq / N * sum_l cos(2 pi (l p mod N) / N) (4 sin^2(pi l / N))^(alpha/2),
-    both factors read from the ring's one cached table.
+    both factors read from the ring's cached tables.
     """
     n = chain.size
     lam, phase = ring_axis(n, p)
@@ -467,7 +475,7 @@ def build_laplacian_1d(order: FractionalOrder, chain: ChainSpec) -> CirculantMat
     rounding asymmetry.
     """
     n = chain.size
-    modes = order.omega_sq * _ring_table(n)[0] ** (0.5 * order.alpha)
+    modes = order.omega_sq * _ring_eigenvalues(n) ** (0.5 * order.alpha)
     row = np.fft.ifft(modes).real
     row = 0.5 * (row + np.roll(row[::-1], 1))
     return CirculantMatrix(-chain.mass * row)
@@ -479,4 +487,4 @@ def laplacian_eigenvalues_1d(order: FractionalOrder, chain: ChainSpec) -> np.nda
     The analytic form; CirculantMatrix.eigenvalues() of build_laplacian_1d
     reproduces it to roundoff and stays an independent cross check.
     """
-    return -chain.mass * order.omega_sq * _ring_table(chain.size)[0] ** (0.5 * order.alpha) + 0.0
+    return -chain.mass * order.omega_sq * _ring_eigenvalues(chain.size) ** (0.5 * order.alpha) + 0.0

@@ -173,9 +173,9 @@ def cmd_elements(args):
     bound = bound if args.tol is None else args.tol
     tol = {} if bound in (None, "own") else {"tol": bound}
     parameters.update(tol)
-    values = [element(*lead, argument(point), **tol) for point in points]
-    rows = [point + (value, route) for point, value in zip(points, values)]
-    return OutputRecord("elements", parameters, columns + ("value", "route"), rows, _metadata()), 0
+    values = np.array([element(*lead, argument(point), **tol) for point in points])
+    table = (*np.array(points).T, values, [route] * len(points))
+    return OutputRecord("elements", parameters, columns + ("value", "route"), table, _metadata()), 0
 
 
 def cmd_matrix(args):
@@ -187,12 +187,11 @@ def cmd_matrix(args):
             raise UsageError(f"--n {args.n} exceeds the matrix export limit {MATRIX_MAX_SITES_1D}")
         order = FractionalOrder(alpha, omega_sq=args.omega_sq)
         chain = ChainSpec(args.n, mass=args.mu)
-        row = build_laplacian_1d(order, chain).first_row.tolist()
-        eigenvalues = laplacian_eigenvalues_1d(order, chain).tolist()
+        values = np.concatenate([build_laplacian_1d(order, chain).first_row,
+                                 laplacian_eigenvalues_1d(order, chain)])
         parameters = {"alpha": alpha, "n": args.n, "mu": args.mu, "omega_sq": args.omega_sq}
-        rows = [("row", p, v) for p, v in enumerate(row)]
-        rows += [("eigenvalue", l, v) for l, v in enumerate(eigenvalues)]
-        return OutputRecord("matrix", parameters, ("kind", "i", "value"), rows, _metadata()), 0
+        table = (["row"] * args.n + ["eigenvalue"] * args.n, np.tile(np.arange(args.n), 2), values)
+        return OutputRecord("matrix", parameters, ("kind", "i", "value"), table, _metadata()), 0
 
     sizes = _parse_dims(args.dims)
     if math.prod(sizes) > MATRIX_MAX_SITES_ND:
@@ -200,13 +199,14 @@ def cmd_matrix(args):
             f"--dims {args.dims} has {math.prod(sizes)} sites, over the export limit {MATRIX_MAX_SITES_ND}"
         )
     lattice = LatticeSpec(len(sizes), sizes, mass=args.mu)
-    table, eigenvalues = build_laplacian_nd(FractionalOrder(alpha, omega_sq=args.omega_sq), lattice)
+    laplacian, eigenvalues = build_laplacian_nd(FractionalOrder(alpha, omega_sq=args.omega_sq), lattice)
     parameters = {"alpha": alpha, "dims": args.dims, "mu": args.mu, "omega_sq": args.omega_sq}
     columns = ("kind",) + tuple(f"i{j + 1}" for j in range(len(sizes))) + ("value",)
-    cells = list(np.ndindex(*sizes))
-    rows = [("element",) + idx + (v,) for idx, v in zip(cells, table.ravel().tolist())]
-    rows += [("eigenvalue",) + idx + (v,) for idx, v in zip(cells, eigenvalues.ravel().tolist())]
-    return OutputRecord("matrix", parameters, columns, rows, _metadata()), 0
+    sites = laplacian.size
+    indices = np.tile(np.indices(sizes).reshape(len(sizes), sites), 2)  # C order, as np.ndindex
+    table = (["element"] * sites + ["eigenvalue"] * sites, *indices,
+             np.concatenate([laplacian.ravel(), eigenvalues.ravel()]))
+    return OutputRecord("matrix", parameters, columns, table, _metadata()), 0
 
 
 def cmd_dispersion(args):
@@ -225,25 +225,23 @@ def cmd_dispersion(args):
     }
     if args.dim == 2 and args.cut == "full":
         columns = ("alpha", "kappa1", "kappa2", "omega_normalized")
-        rows = []
-        for alpha in alphas:
-            surface = dispersion_surface(FractionalOrder(alpha), args.grid)
-            rows += [(alpha, k1, k2, v) for k1, k2, v in zip(*surface.T.tolist())]
-        return OutputRecord("dispersion", parameters, columns, rows, _metadata()), 0
+        surfaces = np.concatenate([dispersion_surface(FractionalOrder(a), args.grid) for a in alphas])
+        table = (np.repeat(alphas, args.grid**2), *surfaces.T)
+        return OutputRecord("dispersion", parameters, columns, table, _metadata()), 0
 
     # a path over [0, pi]: the 1D zone, or the 2D axis or diagonal cut
     path = np.linspace(0.0, math.pi, args.grid)
     columns = ("alpha", "kappa" if args.dim == 1 else "kappa_path", "omega_normalized")
-    rows = []
+    values = []
     for alpha in alphas:
         order = FractionalOrder(alpha)
         if args.dim == 1:
-            values = normalized_dispersion_1d(order, path)
+            values.append(normalized_dispersion_1d(order, path))
         else:
             across = np.zeros_like(path) if args.cut == "plane_010" else path
-            values = normalized_dispersion_2d(order, path, across)
-        rows += [(alpha, k, v) for k, v in zip(path.tolist(), values.tolist())]
-    return OutputRecord("dispersion", parameters, columns, rows, _metadata()), 0
+            values.append(normalized_dispersion_2d(order, path, across))
+    table = (np.repeat(alphas, args.grid), np.tile(path, len(alphas)), np.concatenate(values))
+    return OutputRecord("dispersion", parameters, columns, table, _metadata()), 0
 
 
 def cmd_kernel(args):
@@ -275,8 +273,8 @@ def cmd_kernel(args):
     if not args.infinite:
         table[0, ~singular] = riesz_kernel_periodic(alpha, length, points[~singular])
     table[-1, ~singular] = riesz_kernel_infinite(alpha, points[~singular])
-    rows = list(zip(points.tolist(), *table.tolist(), np.where(singular, "singular", "ok").tolist()))
-    return OutputRecord("kernel", parameters, columns, rows, _metadata()), 0
+    flags = np.where(singular, "singular", "ok").tolist()
+    return OutputRecord("kernel", parameters, columns, (points, *table, flags), _metadata()), 0
 
 
 def cmd_verify(args):
@@ -293,9 +291,11 @@ def cmd_verify(args):
     parameters = {"suite": args.suite}
     if overrides:
         parameters["overrides"] = ";".join(f"{k}={v:g}" for k, v in sorted(overrides.items()))
-    rows = [(r.name, r.suite, r.status, r.achieved, r.tolerance) for r in results]
+    table = ([r.name for r in results], [r.suite for r in results], [r.status for r in results],
+             np.array([r.achieved for r in results], dtype=float),
+             np.array([r.tolerance for r in results], dtype=float))
     columns = ("check", "suite", "status", "achieved", "tolerance")
-    record = OutputRecord("verify", parameters, columns, rows, _metadata())
+    record = OutputRecord("verify", parameters, columns, table, _metadata())
     return record, (0 if all(r.passed for r in results) else 1)
 
 

@@ -39,7 +39,7 @@ import numpy as np
 # name to count Gauss orders and time the routes; no route calls leggauss or jv
 from numpy.polynomial.legendre import leggauss  # noqa: F401
 
-from .chain import FractionalOrder, _half_order_sine, _ring_table, is_integer_half, ring_axis
+from .chain import FractionalOrder, _half_order_sine, _ring_eigenvalues, is_integer_half, ring_axis
 from .special import (
     _LOG_DOUBLE_MAX,
     accept_estimate,
@@ -173,7 +173,7 @@ def build_laplacian_nd(order: FractionalOrder, lattice: LatticeSpec):
     the mode at Bloch vector kappa_j = 2 pi l_j / N_j, where lambda is the sum
     of the axes' ring eigenvalues 4 sin^2(pi l_j / N_j).
     """
-    lam = functools.reduce(np.add.outer, (_ring_table(n)[0] for n in lattice.sizes))
+    lam = functools.reduce(np.add.outer, (_ring_eigenvalues(n) for n in lattice.sizes))
     modes = order.omega_sq * lam ** (0.5 * order.alpha)
     table = -lattice.mass * np.fft.ifftn(modes).real
     return table, -lattice.mass * modes + 0.0

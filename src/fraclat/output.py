@@ -7,21 +7,23 @@ single object).  Real cells are always written through the same fixed format
 so identical inputs give byte identical payloads and parsing recovers every
 float bit exactly.
 
-Data rows are encoded by runs: consecutive rows with one tuple of cell types,
-at most _RUN_ROWS of them, go through a single % operation whose format is
-the row's format repeated once per row.  A float cell's slot is %.17g (as
-format_real), every other cell's is %s (as str).  JSON quotes string cells
-beforehand, and a float column of a run that holds NaN or an infinity gets a
-%s slot over cells spelled by _json_scalar, since % spells those nan and inf.
-The bytes equal a per-cell encoding; header and comment lines are encoded
-per cell.
+A record stores its table by column: numpy float64 or int64 arrays for
+numbers, lists of str for text.  The encoders spell each column on its own,
+and each distinct cell of a column once: float arrays are keyed by their bits
+(so -0.0 stays apart from 0.0), int arrays by value and str lists through a
+dict.  A distinct cell is spelled with its row separator folded into its
+text, the texts are gathered back by the inverse index and interleaved row
+by row, and all rows are one join.  Any other column (an object or mixed
+list, or an array of another dtype) is spelled cell by cell.  The bytes equal a per-cell encoding of the
+rows.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, groupby, islice
+
+import numpy as np
 
 __all__ = [
     "OutputRecord",
@@ -31,9 +33,6 @@ __all__ = [
     "parse_csv",
     "parse_json",
 ]
-
-# rows formatted by one % operation: a bound on the size of each format string
-_RUN_ROWS = 4096
 
 
 def format_real(value: float) -> str:
@@ -66,9 +65,10 @@ def _parse_cell(text: str):
 
 @dataclass(frozen=True)
 class OutputRecord:
-    """One tabular result: command name, parameters, columns, rows, metadata.
+    """One tabular result: command name, parameters, columns, table, metadata.
 
-    Rows hold ints, floats and short strings; metadata carries the tool
+    The table holds one equal-length sequence per column: a numpy float64 or
+    int64 array, or a list of short strings.  Metadata carries the tool
     version, never timestamps, so that repeated runs stay byte identical.  A
     route's error bound is a parameter.
     """
@@ -76,35 +76,53 @@ class OutputRecord:
     command: str
     parameters: dict
     columns: tuple
-    rows: tuple
+    table: tuple
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))
-        rows = tuple(tuple(row) for row in self.rows)
-        for row in rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"row width {len(row)} does not match {len(self.columns)} columns"
-                )
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "table", tuple(self.table))
+        if len(self.table) != len(self.columns):
+            raise ValueError(f"{len(self.table)} table columns do not match {len(self.columns)} columns")
+        if len({len(column) for column in self.table}) > 1:
+            raise ValueError("table columns differ in length")
+
+    @property
+    def rows(self) -> tuple:
+        """The table as row tuples of Python scalars."""
+        return tuple(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.table)))
 
 
-def _row_runs(rows):
-    """Consecutive rows with one tuple of cell types, cut into runs of at most _RUN_ROWS.
+def _spelled(column, spell, before: str, after: str) -> list:
+    """before + spell(cell) + after for each cell, each distinct cell spelled once."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:  # by bits, so -0.0 stays apart from 0.0
+            keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+            distinct, real = keys.view(np.float64), before + "%.17g" + after
+            texts = [real % v for v in distinct.tolist()]
+            for i in np.flatnonzero(~np.isfinite(distinct)).tolist():  # JSON's NaN and Infinity
+                texts[i] = before + spell(distinct[i].item()) + after
+        elif column.dtype.kind in "iu":
+            distinct, inverse = np.unique(column, return_inverse=True)
+            integer = before + "%d" + after
+            texts = [integer % v for v in distinct.tolist()]
+        else:  # any other dtype (bool, object): its cells as Python scalars
+            return _spelled(column.tolist(), spell, before, after)
+        return np.array(texts, dtype=object)[inverse].tolist()
+    if set(map(type, column)) <= {str}:
+        texts = {s: before + spell(s) + after for s in dict.fromkeys(column)}
+        return list(map(texts.__getitem__, column))
+    return [before + spell(v) + after for v in column]
 
-    Yields (types, run); a boolean cell type raises TypeError.
-    """
-    for types, group in groupby(rows, key=lambda row: tuple(map(type, row))):
-        if bool in types:
-            raise TypeError("boolean cells are not part of the table contract")
-        while run := list(islice(group, _RUN_ROWS)):
-            yield types, run
 
-
-def _slots(types) -> list:
-    """One % conversion per cell: format_real for floats, str for the rest."""
-    return ["%.17g" if issubclass(t, float) else "%s" for t in types]
+def _rows_text(table: tuple, spell, first: str, between: str, last: str) -> str:
+    """All data rows as one string: the cells of the first column spelled after
+    `first`, of the others after `between`, and of the last one before `last`."""
+    width = len(table)
+    cells = [None] * (width * len(table[0])) if table else []
+    for j, column in enumerate(table):
+        cells[j::width] = _spelled(column, spell, between if j else first, last if j == width - 1 else "")
+    return "".join(cells)
 
 
 def record_to_csv(record: OutputRecord) -> str:
@@ -114,11 +132,7 @@ def record_to_csv(record: OutputRecord) -> str:
     for key, value in record.metadata.items():
         lines.append(f"# metadata {key}: {_format_cell(value)}")
     lines.append(",".join(record.columns))
-    pieces = ["\n".join(lines) + "\n"]
-    for types, run in _row_runs(record.rows):
-        row = ",".join(_slots(types)) + "\n"
-        pieces.append((row * len(run)) % tuple(chain.from_iterable(run)))
-    return "".join(pieces)
+    return "\n".join(lines) + "\n" + _rows_text(record.table, _format_cell, "", ",", "\n")
 
 
 def _json_scalar(value) -> str:
@@ -135,38 +149,6 @@ def _json_scalar(value) -> str:
     return json.dumps(str(value))
 
 
-def _all_finite(values) -> bool:
-    try:
-        return math.isfinite(math.fsum(values))
-    except (OverflowError, ValueError):  # partial sums overflowed, or inf + -inf
-        return False
-
-
-def _json_rows(rows):
-    """JSON row arrays, one text per run; every text after the first starts with ", "."""
-    sep = ""
-    for types, run in _row_runs(rows):
-        width = len(types)
-        cells = list(chain.from_iterable(run))
-        slots = _slots(types)
-        for j, t in enumerate(types):
-            if issubclass(t, float):
-                column = cells[j::width]
-                if not _all_finite(column):
-                    # NaN and the infinities have no %-conversion in JSON's spelling
-                    slots[j] = "%s"
-                    cells[j::width] = map(_json_scalar, column)
-            elif t is str:  # equal strings quote equally: quote each distinct one once
-                column = cells[j::width]
-                quoted = {s: json.dumps(s) for s in set(column)}
-                cells[j::width] = map(quoted.__getitem__, column)
-            elif not issubclass(t, int):
-                cells[j::width] = [json.dumps(str(v)) for v in cells[j::width]]
-        row = "[" + ", ".join(slots) + "]"
-        yield (sep + ", ".join([row] * len(run))) % tuple(cells)
-        sep = ", "
-
-
 def record_to_json(record: OutputRecord) -> str:
     # hand assembled so float cells go through the same 17 digit format as
     # the CSV encoder
@@ -180,9 +162,9 @@ def record_to_json(record: OutputRecord) -> str:
         f'"columns": {json.dumps(list(record.columns))}, '
         '"rows": ['
     )
-    rows = list(_json_rows(record.rows))
+    rows = _rows_text(record.table, _json_scalar, "[", ", ", "], ")[:-2]  # no ", " after the last row
     tail = f'], "metadata": {obj(record.metadata)}}}\n'
-    return "".join([head, *rows, tail])
+    return "".join([head, rows, tail])
 
 
 def parse_csv(text: str) -> dict:

@@ -19,10 +19,11 @@ from fraclat.chain import (
     element_periodic_bloch,
     element_periodic_images,
     is_integer_half,
+    laplacian_eigenvalues_1d,
     riesz_amplitude,
 )
-from fraclat.chain import _ring_table, _series_terms, ring_axis
-from fraclat.lattice import LatticeSpec, OffsetVector, element_periodic_nd
+from fraclat.chain import _closed, _ring_eigenvalues, _ring_phases, _series_terms, ring_axis
+from fraclat.lattice import LatticeSpec, OffsetVector, build_laplacian_nd, element_periodic_nd
 from fraclat.special import ToleranceError
 
 
@@ -185,6 +186,16 @@ class TestClosedFormBatch:
         assert math.isfinite(element_infinite_closed(FractionalOrder(alpha=1000.5), 0))
         with pytest.raises(OverflowError, match=r"^element_infinite_closed\(alpha=1100\.5, p=3\) exceeds"):
             element_infinite_closed(FractionalOrder(alpha=1100.5), 3)
+
+    def test_huge_omega_sq_from_the_series_start(self):
+        # omega_sq * A passes the double range at alpha 30.5 while f(p), p >= P0 = 92,
+        # stays finite: the value meets its stated bound against 40-digit mpmath
+        for omega_sq in (1e300, 1e308):
+            order = FractionalOrder(alpha=30.5, omega_sq=omega_sq)
+            for p in (92, 99, 100, 1000, 10**6):
+                value, bound = _closed(order, p)
+                reference = omega_sq * mp_closed(30.5, p)
+                assert math.isfinite(value) and abs(value - reference) <= bound * abs(reference), p
 
     def test_huge_even_orders(self):
         # at alpha/2 = m the stencil (-1)^p C(2m, m+p) is bounded before it is
@@ -372,13 +383,21 @@ class TestPeriodicRoutes:
                 assert element_periodic_bloch(order, ChainSpec(size=n), p) == reference_bloch(order, n, p), p
 
     def test_ring_table_is_cached_and_read_only(self):
-        lam, phase = _ring_table(12)
-        assert _ring_table(12)[0] is lam and _ring_table.cache_info().maxsize <= 16
+        lam, phase = _ring_eigenvalues(12), _ring_phases(12)
+        for table in (_ring_eigenvalues, _ring_phases):
+            assert table(12) is table(12) and table.cache_info().maxsize <= 16
         for column in (lam, phase):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 1.0
         lam_p, phase_p = ring_axis(12, -7)
         assert lam_p is lam and np.array_equal(phase_p, phase[np.arange(12) * 5 % 12])
+
+    def test_laplacians_build_no_phases(self):
+        misses = _ring_phases.cache_info().misses
+        order, chain = FractionalOrder(alpha=1.3), ChainSpec(size=9973)
+        build_laplacian_1d(order, chain), laplacian_eigenvalues_1d(order, chain)
+        build_laplacian_nd(order, LatticeSpec(2, (9967, 2)))
+        assert _ring_phases.cache_info().misses == misses
 
     def test_bloch_reduces_offset(self):
         order = FractionalOrder(alpha=1.4)

@@ -31,6 +31,14 @@ class TestElementsCommand:
         values = {row[0]: row[1] for row in record["rows"]}
         assert values == {0: 2, 1: -1, 2: 0, 3: 0, 4: 0}
 
+    def test_closed_form_with_huge_omega_sq_is_finite(self, capsys):
+        # omega_sq * A passes the double range here, f(p) does not
+        code, out, _ = run_cli(capsys, "elements", "--alpha", "30.5", "--omega-sq", "1e308",
+                               "--infinite", "--p", "99..100", "--route", "closed")
+        assert code == 0
+        values = [row[1] for row in parse_csv(out)["rows"]]
+        assert values == pytest.approx([5.194071850339423e277, 3.774433991027564e277], rel=1e-15)
+
     def test_bloch_images_identity(self, capsys):
         code_a, out_a, _ = run_cli(capsys, "elements", "--alpha", "0.5", "--n", "16", "--route", "bloch")
         code_b, out_b, _ = run_cli(

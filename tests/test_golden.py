@@ -1,4 +1,4 @@
-"""Golden bytes of CLI tables, small ones and a few longer than one encoder run.
+"""Golden bytes of CLI tables, small ones and a few of thousands of rows.
 
 The sha256 digests were recorded from the CLI before the matrix and
 dispersion tables moved into library builders; any change in a single
@@ -77,8 +77,8 @@ GOLDEN = [
          "--omega-sq", "1.3"),
         "d48d2ac36dc4cb907b35c12c4c429f3ce709567997d7f1b5ba467dab010b2a1d",
     ),
-    # tables longer than one run of the row encoder, recorded from the
-    # per-cell encoder; the periodic kernel's 1001 singular rows carry NaN
+    # tables of thousands of rows, recorded from the per-cell encoder; the
+    # periodic kernel's 1001 singular rows carry NaN
     (
         ("matrix", "--n", "5000", "--alpha", "1.3"),
         "cda674a149fba5714a4a2a97af66459a95ebdb2eebe27de95db81d55d8559b89",
@@ -96,6 +96,17 @@ GOLDEN = [
         ("dispersion", "--alpha", "0.7", "--dim", "2", "--grid", "70", "--cut", "full",
          "--format", "json"),
         "cb43c96aa5481f8d987e953700c6508707d839e1a7a378de05e2a1c744883508",
+    ),
+    # tables at benchmark scale, recorded from the row encoder before the
+    # records moved to columns
+    (
+        ("dispersion", "--dim", "2", "--grid", "257", "--cut", "full", "--alpha", "1.1",
+         "--alpha", "3.3"),
+        "5dfd08241e07407231f548adadbbc6d4f0e3d40d95f16c3a15e7c803b455db9b",
+    ),
+    (
+        ("matrix", "--dims", "16x16x16", "--alpha", "1.4", "--format", "json"),
+        "624368cde2f4cad92b9ab5fff7c5134753f70c126e9ef20b8c5b1a444624c08a",
     ),
 ]
 

@@ -1,10 +1,12 @@
-"""The run encoders of fraclat.output against a per-cell reference.
+"""The column encoders of fraclat.output against a per-cell reference.
 
-`reference_csv` and `reference_json` keep the per-cell encoders the run
-encoders replaced; every table must encode to the same bytes.  Tables are
-drawn as segments of repeated rows so that row counts around the run size
-and type changes inside a run both occur.  Derandomised, so every run draws
-the same examples.
+`reference_csv` and `reference_json` keep the per-cell encoders that the
+column encoders replaced; every table must encode to the same bytes as the
+reference applied to its rows of Python scalars.  Numeric columns are drawn
+as numpy arrays, contiguous or strided, whose cells repeat so that each
+column has few distinct values; text columns as lists of str; and mixed
+columns as lists of any cell type, which the encoders spell cell by cell.
+Derandomised, so every run draws the same examples.
 """
 import json
 import math
@@ -16,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclat.output import (
-    _RUN_ROWS,
     OutputRecord,
     format_real,
     parse_csv,
@@ -25,11 +26,11 @@ from fraclat.output import (
     record_to_json,
 )
 
-K = _RUN_ROWS
-ROW_COUNTS = (0, 1, K - 1, K, K + 1, 2 * K + 1)
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, 1.0, 0.1, 1e16, 1e17,
-               math.nan, math.inf, -math.inf)
-STRINGS = ("ok", "singular", "", "a%sb", "%d%%", "x,y", '"q"', "é∞", "%(k)s")
+               math.nan, -math.nan, NAN_PAYLOAD, math.inf, -math.inf)
+EDGE_INTS = (0, 1, -1, 2**53 + 1, 2**63 - 1, -(2**63))
+STRINGS = ("ok", "singular", "", "a%sb", "%s", "%d%%", "x,y", '"q"', "é∞", "%(k)s", "\x00", "a\x00")
 
 
 def _reference_cell(value) -> str:
@@ -86,58 +87,111 @@ def reference_json(record: OutputRecord) -> str:
     return "{" + ", ".join(parts) + "}\n"
 
 
-def make_record(columns: int, rows) -> OutputRecord:
+def make_record(table) -> OutputRecord:
     return OutputRecord(
-        "table", {"alpha": 1.3, "cut": "plane_110"}, tuple(f"c{j}" for j in range(columns)),
-        rows, {"version": "1.0.0", "tol": 1e-12},
+        "table", {"alpha": 1.3, "cut": "plane_110"}, tuple(f"c{j}" for j in range(len(table))),
+        table, {"version": "1.0.0", "tol": 1e-12},
     )
 
 
+def assert_encodes_as_reference(record: OutputRecord) -> None:
+    assert record_to_csv(record) == reference_csv(record)
+    assert record_to_json(record) == reference_json(record)
+
+
 floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
-cells = st.one_of(
-    floats,
-    floats.map(np.float64),
-    st.integers(min_value=-(10**30), max_value=10**30),
-    st.integers(min_value=-5, max_value=5).map(np.int64),
-    st.sampled_from(STRINGS),
-    st.text(max_size=4),
-)
+ints = st.one_of(st.sampled_from(EDGE_INTS), st.integers(min_value=-(2**63), max_value=2**63 - 1))
+strings = st.one_of(st.sampled_from(STRINGS), st.text(max_size=4))
+
+
+@st.composite
+def columns(draw, length):
+    """A float64 or int64 array, contiguous or strided, or a list of str, of
+    `length` cells drawn from a pool of 1-5 values, so cells repeat."""
+    kind = draw(st.sampled_from(("float", "int", "str")))
+    pool = draw(st.lists({"float": floats, "int": ints, "str": strings}[kind], min_size=1, max_size=5))
+    cells = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=length, max_size=length))]
+    if kind == "str":
+        return cells
+    array = np.array(cells, dtype=np.float64 if kind == "float" else np.int64)
+    if draw(st.booleans()):  # a strided view, as a column of a 2D array
+        array = np.repeat(array, 2)[::2]
+    return array
 
 
 @st.composite
 def tables(draw):
-    """0-4 columns; segments of a few distinct rows repeated up to 2K+1 times."""
-    width = draw(st.integers(min_value=0, max_value=4))
-    rows = []
-    for _ in range(draw(st.integers(min_value=1, max_value=2))):
-        distinct = draw(st.lists(st.tuples(*[cells] * width), min_size=1, max_size=3))
-        count = draw(st.one_of(st.sampled_from(ROW_COUNTS), st.integers(0, 9)))
-        rows += [distinct[i % len(distinct)] for i in range(count)]
-    return make_record(width, rows)
+    """1-4 columns of 0-40 rows."""
+    length = draw(st.integers(min_value=0, max_value=40))
+    width = draw(st.integers(min_value=1, max_value=4))
+    return make_record([draw(columns(length)) for _ in range(width)])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(record=tables())
+def test_column_encoders_match_per_cell_reference(record):
+    assert_encodes_as_reference(record)
+
+
+mixed_cells = st.one_of(
+    floats,
+    floats.map(np.float64),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers(min_value=-5, max_value=5).map(np.int64),
+    strings,
+)
+
+
+@st.composite
+def mixed_tables(draw):
+    """1-4 columns, each a list of cells of any type, of 0-12 rows."""
+    length = draw(st.integers(min_value=0, max_value=12))
+    width = draw(st.integers(min_value=1, max_value=4))
+    return make_record([draw(st.lists(mixed_cells, min_size=length, max_size=length)) for _ in range(width)])
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
-@given(record=tables())
+@given(record=mixed_tables())
 def test_encoders_match_per_cell_reference(record):
-    assert record_to_csv(record) == reference_csv(record)
-    assert record_to_json(record) == reference_json(record)
+    assert_encodes_as_reference(record)
 
 
-@pytest.mark.parametrize("count", ROW_COUNTS)
-def test_run_boundaries(count):
-    # a type change and a NaN land in different runs as the count grows
-    rows = [(p, 0.1 * p, "ok" if p % 7 else "s%,\"") for p in range(count)]
-    rows += [(1.5, math.nan if p == count // 2 else -0.0, np.float64(p)) for p in range(count)]
-    record = make_record(3, rows)
-    assert record_to_csv(record) == reference_csv(record)
-    assert record_to_json(record) == reference_json(record)
+def test_each_bit_pattern_keeps_its_spelling():
+    # 0.0 and -0.0 compare equal but are spelled apart; each NaN is spelled NaN in JSON
+    values = np.array([0.0, -0.0, 0.0, math.nan, NAN_PAYLOAD, -math.inf, 1e16, -0.0])
+    record = make_record([values, np.arange(8) % 3, ["%s", "\x00", "%s", "é∞", "", "\x00", "a", "a"]])
+    assert record_to_csv(record).splitlines()[-8:] == [
+        "0,0,%s", "-0,1,\x00", "0,2,%s", "nan,0,é∞", "nan,1,", "-inf,2,\x00", "10000000000000000,0,a",
+        "-0,1,a",
+    ]
+    assert record_to_json(record).endswith(
+        '"rows": [[0, 0, "%s"], [-0, 1, "\\u0000"], [0, 2, "%s"], [NaN, 0, "\\u00e9\\u221e"], '
+        '[NaN, 1, ""], [-Infinity, 2, "\\u0000"], [10000000000000000, 0, "a"], [-0, 1, "a"]], '
+        '"metadata": {"version": "1.0.0", "tol": 9.9999999999999998e-13}}\n'
+    )
+    assert_encodes_as_reference(record)
+
+
+def test_record_checks_its_table():
+    with pytest.raises(ValueError, match="2 table columns do not match 3 columns"):
+        OutputRecord("t", {}, ("a", "b", "c"), (np.zeros(2), np.zeros(2)))
+    with pytest.raises(ValueError, match="differ in length"):
+        OutputRecord("t", {}, ("a", "b"), (np.zeros(2), ["x"]))
+
+
+def test_rows_are_python_scalars():
+    record = make_record([np.array([1.5, -0.0]), np.array([7, 8]), ["ok", "singular"]])
+    assert record.rows == ((1.5, 7, "ok"), (-0.0, 8, "singular"))
+    assert [type(cell) for cell in record.rows[0]] == [float, int, str]
+    # a table of no columns has no rows: an empty header line ends its CSV
+    assert make_record([]).rows == () and record_to_csv(make_record([])).endswith("e-13\n\n")
 
 
 @pytest.mark.parametrize("encode", [record_to_csv, record_to_json])
 def test_boolean_cells_raise(encode):
-    record = make_record(2, [(1.0, 2)] * (K + 3) + [(1.0, True)])
-    with pytest.raises(TypeError, match="boolean cells"):
-        encode(record)
+    for column in (np.array([False, True]), [1.0, True], ["ok", False]):
+        with pytest.raises(TypeError, match="boolean cells"):
+            encode(make_record([np.array([1.0, 2.0]), column]))
 
 
 def _bits(value) -> bytes:
@@ -151,7 +205,7 @@ def _bits(value) -> bytes:
     max_size=40,
 ))
 def test_round_trips_are_bit_exact_for_finite_floats(values):
-    record = make_record(2, [(i, v) for i, v in enumerate(values)])
+    record = make_record([np.arange(len(values)), np.array(values, dtype=np.float64)])
     for parsed in (parse_csv(record_to_csv(record)), parse_json(record_to_json(record))):
         assert parsed["columns"] == record.columns
         assert [row[0] for row in parsed["rows"]] == list(range(len(values)))
