@@ -248,13 +248,15 @@ def element_infinite_closed(order: FractionalOrder, p: int) -> float:
     the amplitude of riesz_amplitude; at integer a the signed binomial stencil.
     From P0 = max(13, ceil(3 alpha)) on, the gamma ratio's log is its even series
     -(alpha+1) ln p + sum_{j<=8} c_2j p^(-2j) (DLMF 5.11.8; Tricomi, Erdelyi 1951;
-    Fields 1966), from its base-2 log where A or p^(-alpha) is not normal.  Below P0
+    Fields 1966), with p^(-alpha/2) taken twice where p^(-alpha) alone is not normal,
+    and from its base-2 log where the start is still not a normal double.  Below P0
     it walks down from f(P0) by f(s) = f(s+1) (s+1+a) / (s-a) (DLMF 5.5.1) in a
     frexp mantissa and exponent; a walk of over 100 steps first bounds ln|f(p)| by
     math.lgamma and raises, or returns a signed zero, where f(p) leaves the range.
     Its stated relative error bound is (4 max(0, P0 - p) + 64) u, u = 2^-53, plus
-    4 (|ln|A|| + alpha ln q) u where the start at q = max(p, P0) is built in log
-    space; 2 u at integer a.
+    ln(alpha + 1) times the rounding of alpha + 1 where the start at q = max(p, P0)
+    takes q^(-alpha/2) twice, and 4 (|ln|A|| + alpha ln q) u where it is built in
+    log space; 2 u at integer a.
     """
     return _closed(order, p)[0]
 
@@ -270,13 +272,21 @@ def _closed(order: FractionalOrder, p: int) -> tuple:
         q = max(p, start)
         series = _even_sum(coeffs, q)
         scale = q ** -alpha
-        direct = scale >= sys.float_info.min and math.isfinite(amp)
-        value = -order.omega_sq * amp * scale / q * math.exp(series) if direct else 0.0
         bound = 4 * (q - p) * _UNIT_ROUNDOFF + _START_BOUND
-        if direct and q == p:
-            if math.isinf(value):  # omega_sq * amp passed the double range, not f(p)
+        if math.isinf(amp):
+            value = 0.0  # A passed the double range: the start is built in log space below
+        elif scale >= sys.float_info.min:
+            value = -order.omega_sq * amp * scale / q * math.exp(series)
+            if math.isinf(value):  # omega_sq * amp passed the double range, not f(q)
                 value = -(order.omega_sq * scale) * (amp / q) * math.exp(series)
-            return value, bound
+            if q == p:
+                return value, bound
+        else:  # q^-alpha alone is not normal, A q^-alpha may be
+            half = q ** (-0.5 * alpha)
+            value = -order.omega_sq * amp * half / q * math.exp(series) * half
+            # A is gamma of the rounded alpha + 1: off by up to psi(alpha + 1) < ln(alpha + 1)
+            # times that rounding, 620 u for alpha in [127, 128)
+            bound += math.log(alpha + 1.0) * abs(alpha + 1.0 - alpha - 1.0)
         if sys.float_info.min <= abs(value) < math.inf:
             mantissa, exponent = math.frexp(value)
         else:

@@ -5,13 +5,24 @@ builds one OutputRecord and writes it as CSV (default) or JSON to stdout or
 a file.  Exit codes: 0 success, 1 verification or tolerance failure, 2 usage
 or parameter error (with a one line reason on stderr).  Output is byte
 identical for identical flags.
+
+Importing this module loads numpy with its BLAS on one thread unless one of
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set: no route
+gains from a threaded BLAS, whose workers cost each process start-up time and
+CPU, and whose split sums would make the bytes depend on the core count.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import operator
+import os
 import sys
+
+# before numpy loads: the variables OpenBLAS reads, in its order of precedence
+if not any(name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                           "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

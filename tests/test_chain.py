@@ -155,9 +155,11 @@ class TestClosedFormBatch:
 
     # worst relative error below the series start per band of alpha, about twice
     # what the walk down from the series measures on the scan's draws (9.5e-15,
-    # 3.1e-14, 5.2e-13); the log-space walk up from s = 0 that it replaced
-    # measured 9.9e-14, 1.0e-12 and 8.9e-12 on the same draws
-    WALK_BANDS = ((0.1, 20.0, 2e-14), (20.0, 100.0, 6e-14), (100.0, 400.0, 1e-12))
+    # 3.1e-14, 7.6e-14, 5.2e-13; 2.9e-13 for 100-170 while the start there was
+    # built in log space); the log-space walk up from s = 0 that it replaced
+    # measured 9.9e-14, 1.0e-12 and 8.9e-12 on the same draws (100-400 as one)
+    WALK_BANDS = ((0.1, 20.0, 2e-14), (20.0, 100.0, 6e-14), (100.0, 170.0, 1.5e-13),
+                  (170.0, 400.0, 1e-12))
 
     def test_walk_below_the_series_start_per_band(self):
         rng = np.random.default_rng(20261019)
@@ -196,6 +198,27 @@ class TestClosedFormBatch:
                 value, bound = _closed(order, p)
                 reference = omega_sq * mp_closed(30.5, p)
                 assert math.isfinite(value) and abs(value - reference) <= bound * abs(reference), p
+
+    def test_huge_omega_sq_below_the_series_start(self):
+        # below P0 = 92 the start at P0 is re-formed as above rather than built in
+        # log space, which was 1.8e-14 off on these rows (1.6e-15 now)
+        order = FractionalOrder(alpha=30.5, omega_sq=1e300)
+        for p in (90, 91):
+            value, bound = _closed(order, p)
+            reference = 1e300 * mp_closed(30.5, p)
+            assert abs(value - reference) <= min(bound, 4e-15) * abs(reference), p
+
+    # q^-alpha alone is not a normal double where A q^-alpha is: the start takes
+    # q^(-alpha/2) twice rather than its log, which was 1.5e-13, 9.2e-14 and
+    # 1.8e-13 off here (5.2e-15, 4.1e-15 and 5.7e-15 now); at 127.3, where
+    # gamma(alpha + 1) takes the rounded alpha + 1, the bound carries that rounding
+    @pytest.mark.parametrize("alpha, p, most", ((158.4, 476, 1e-14), (120.3, 361, 1e-14),
+                                                (168.2, 505, 1e-14), (127.3, 382, 8e-14),
+                                                (127.3, 1382, 8e-14)))
+    def test_start_where_the_power_alone_is_not_normal(self, alpha, p, most):
+        value, bound = _closed(FractionalOrder(alpha=alpha), p)
+        reference = mp_closed(alpha, p)
+        assert abs(value - reference) <= min(bound, most) * abs(reference)
 
     def test_huge_even_orders(self):
         # at alpha/2 = m the stencil (-1)^p C(2m, m+p) is bounded before it is

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end and its serialization."""
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -628,6 +629,27 @@ print(json.dumps({
 }))
 """
 
+# the variables OpenBLAS reads for its thread count, in its order of precedence
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# Runs in a fresh interpreter, as pytest's own numpy has its BLAS threads:
+# imports the module named by argv[1] and reports the interpreter's threads,
+# the BLAS variables it sees, and whether numpy or a fraclat module is loaded.
+THREAD_PROBE = """
+import importlib, json, os, sys
+importlib.import_module(sys.argv[1])
+print(json.dumps({
+    "threads": len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None,
+    "variables": {name: os.environ[name] for name in %r if name in os.environ},
+    "loaded": sorted(m for m in sys.modules if m == "numpy" or m.startswith("fraclat.")),
+}))
+""" % (BLAS_VARIABLES,)
+
+
+def blas_env(**variables):
+    """This process's environment without the BLAS variables, plus `variables`."""
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_VARIABLES}
+    return {**env, **variables}
+
 
 class TestStartup:
     # digest of this table since its head images, below the closed form's
@@ -666,3 +688,38 @@ class TestStartup:
     def test_verify_suites_load_no_scipy(self):
         report = self.probe("verify", "--suite", "all")
         assert (report["at_import"], report["after_run"], report["code"]) == ([], [], 0)
+
+    def thread_probe(self, module, env):
+        result = subprocess.run([sys.executable, "-c", THREAD_PROBE, module], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+    def test_cli_import_runs_one_thread(self):
+        report = self.thread_probe("fraclat.cli", blas_env())
+        assert (report["threads"], report["variables"]) == (1, {"OPENBLAS_NUM_THREADS": "1"})
+        assert "numpy" in report["loaded"]
+
+    @pytest.mark.parametrize("variable", BLAS_VARIABLES)
+    def test_cli_import_keeps_a_chosen_thread_count(self, variable):
+        report = self.thread_probe("fraclat.cli", blas_env(**{variable: "2"}))
+        assert report["variables"] == {variable: "2"}
+
+    def test_package_import_is_lazy(self):
+        report = self.thread_probe("fraclat", blas_env())
+        assert (report["variables"], report["loaded"]) == ({}, [])
+        code = "import fraclat; print(fraclat.FractionalOrder.__module__)"
+        result = subprocess.run([sys.executable, "-c", code], env=blas_env(),
+                                capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stdout) == (0, "fraclat.chain\n"), result.stderr
+
+    def test_quadrature_bytes_do_not_depend_on_the_thread_count(self):
+        # the zone quadrature's w @ f(x) is a BLAS dot product, whose threads
+        # would split the sum: p = 9927 moved in its last places with them
+        argv = [sys.executable, "-m", "fraclat.cli", "elements", "--infinite", "--route",
+                "quadrature", "--alpha", "0.2", "--p", "3,9,161,9927"]
+        outputs = [subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+                   for env in (blas_env(), blas_env(OPENBLAS_NUM_THREADS="1"))]
+        assert [result.returncode for result in outputs] == [0, 0]
+        assert outputs[0].stdout == outputs[1].stdout
