@@ -34,6 +34,7 @@ from .special import (
     hurwitz_zeta,
     integrate_even_periodic,
     require_positive_finite,
+    within_double_range,
 )
 
 __all__ = [
@@ -76,18 +77,18 @@ def _half_order_sine(alpha: float) -> float:
     return (-1.0) ** (round(a) % 2) * math.sin(math.pi * (a - round(a)))
 
 
+@functools.lru_cache(maxsize=64)
 def riesz_amplitude(alpha: float) -> float:
     """Power law amplitude gamma(alpha + 1) sin(alpha pi / 2) / pi.
 
     It sets the chain tail f(p) ~ -A p^(-alpha-1) and the continuum Riesz
     kernel A |x|^(-alpha-1); neither exists at integer alpha/2.  The sine is
-    taken of the reduced alpha/2 - round(alpha/2).
+    taken of the reduced alpha/2 - round(alpha/2).  OverflowError from alpha 170.6 on;
+    cached per order, as the image sum takes it once per offset.
     """
     require_non_integer_half(alpha)
-    try:
-        return math.gamma(alpha + 1.0) * _half_order_sine(alpha) / math.pi
-    except OverflowError:  # gamma(alpha + 1) passes the double range near alpha = 170.6
-        raise OverflowError(f"riesz_amplitude(alpha={alpha!r}) exceeds the double range") from None
+    return within_double_range(f"riesz_amplitude(alpha={alpha!r})",
+                               lambda: math.gamma(alpha + 1.0) * _half_order_sine(alpha) / math.pi)
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def _binomial_element(m: int, q: int) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _series_terms(alpha: float) -> tuple:
-    """(P0, A, ln|A|, (c_16, c_14, .. c_2)) of the closed form's series from offset P0.
+    """(P0, A, A's relative error, ln|A|, (c_16, c_14, .. c_2)) of the series from offset P0.
 
     A is riesz_amplitude's, +-inf from alpha = 170; c_n = 2 B_{n+1}(a+1) / (n (n+1)),
     a = alpha/2.
@@ -203,7 +204,10 @@ def _series_terms(alpha: float) -> tuple:
     coeffs = tuple(2.0 * sum(math.comb(n + 1, i) * _BERNOULLI[i] * (a + 1.0) ** (n + 1 - i)
                              for i in range(n + 2)) / (n * (n + 1)) for n in range(16, 0, -2))
     log_amp = math.lgamma(alpha + 1.0) + math.log(abs(sine) / math.pi)
-    return max(13, math.ceil(3.0 * alpha)), amp, log_amp, coeffs
+    # A is gamma of the rounded alpha + 1: off by up to psi(alpha + 1) < ln(alpha + 1)
+    # times that rounding, 620 u for alpha in [127, 128)
+    amp_error = _START_BOUND + math.log(alpha + 1.0) * abs(alpha + 1.0 - alpha - 1.0)
+    return max(13, math.ceil(3.0 * alpha)), amp, amp_error, log_amp, coeffs
 
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -223,7 +227,7 @@ def _tail_series(alpha: float, q_min: int) -> tuple:
     |d_j| r^j at r = q_min^-2.  Past d_32 by Cauchy's estimate: the |d_j| are at most
     the coefficients of exp(sum_j |c_2j| r^j), so on the circle of radius 4r the
     powers past the 32nd sum to at most exp(sum_j |c_2j| (4r)^j) 4^-32 / 3."""
-    c = _series_terms(alpha)[3][::-1]
+    c = _series_terms(alpha)[4][::-1]
     d = [1.0]
     for k in range(1, 2 * _TAIL_TERMS + 1):
         d.append(sum(j * c[j - 1] * d[k - j] for j in range(1, min(k, len(c)) + 1)) / k)
@@ -254,9 +258,9 @@ def element_infinite_closed(order: FractionalOrder, p: int) -> float:
     frexp mantissa and exponent; a walk of over 100 steps first bounds ln|f(p)| by
     math.lgamma and raises, or returns a signed zero, where f(p) leaves the range.
     Its stated relative error bound is (4 max(0, P0 - p) + 64) u, u = 2^-53, plus
-    ln(alpha + 1) times the rounding of alpha + 1 where the start at q = max(p, P0)
-    takes q^(-alpha/2) twice, and 4 (|ln|A|| + alpha ln q) u where it is built in
-    log space; 2 u at integer a.
+    ln(alpha + 1) times the rounding of alpha + 1, which gamma(alpha + 1) takes, plus
+    4 (|ln|A|| + alpha ln q) u where the start at q = max(p, P0) is built in log
+    space; 2 u at integer a.
     """
     return _closed(order, p)[0]
 
@@ -268,11 +272,11 @@ def _closed(order: FractionalOrder, p: int) -> tuple:
     try:
         if order.is_integer_half:
             return order.omega_sq * _binomial_element(round(0.5 * alpha), p), 2.0 * _UNIT_ROUNDOFF
-        start, amp, log_amp, coeffs = _series_terms(alpha)
+        start, amp, amp_error, log_amp, coeffs = _series_terms(alpha)
         q = max(p, start)
         series = _even_sum(coeffs, q)
         scale = q ** -alpha
-        bound = 4 * (q - p) * _UNIT_ROUNDOFF + _START_BOUND
+        bound = 4 * (q - p) * _UNIT_ROUNDOFF + amp_error
         if math.isinf(amp):
             value = 0.0  # A passed the double range: the start is built in log space below
         elif scale >= sys.float_info.min:
@@ -284,9 +288,6 @@ def _closed(order: FractionalOrder, p: int) -> tuple:
         else:  # q^-alpha alone is not normal, A q^-alpha may be
             half = q ** (-0.5 * alpha)
             value = -order.omega_sq * amp * half / q * math.exp(series) * half
-            # A is gamma of the rounded alpha + 1: off by up to psi(alpha + 1) < ln(alpha + 1)
-            # times that rounding, 620 u for alpha in [127, 128)
-            bound += math.log(alpha + 1.0) * abs(alpha + 1.0 - alpha - 1.0)
         if sys.float_info.min <= abs(value) < math.inf:
             mantissa, exponent = math.frexp(value)
         else:
@@ -325,6 +326,7 @@ def element_infinite_quadrature(order: FractionalOrder, p: int, tol: float = 1e-
     the default 1e-12 cannot be met at small offsets.  The bound is verified
     for p <= 10^4 only: beyond that the rounding of cos(kappa p) can pass it
     unseen, as at alpha = 3.9, p = 5 10^4, which returns 3.9e-13 for 1e-23.
+    OverflowError where omega_sq times the integral passes the double range.
     """
     require_positive_finite("tol", tol)
     p = abs(int(p))
@@ -340,7 +342,8 @@ def element_infinite_quadrature(order: FractionalOrder, p: int, tol: float = 1e-
         value = integrate_even_periodic(integrand, scaled_tol)
     except ToleranceError as exc:
         raise ToleranceError("adaptive_gauss tolerance not met", order.omega_sq * exc.achieved)
-    return order.omega_sq * value / (2.0 * math.pi)
+    return within_double_range(f"element_infinite_quadrature(alpha={order.alpha!r}, p={p})",
+                               lambda: order.omega_sq * value / (2.0 * math.pi))
 
 
 @functools.lru_cache(maxsize=16)
@@ -370,11 +373,20 @@ def element_periodic_bloch(order: FractionalOrder, chain: ChainSpec, p: int) -> 
     """Profile of a finite ring as a sum over its Bloch modes.
 
     f_N(p) = omega_sq / N * sum_l cos(2 pi (l p mod N) / N) (4 sin^2(pi l / N))^(alpha/2),
-    both factors read from the ring's cached tables.
+    both factors read from the ring's cached tables.  OverflowError past the double
+    range, as from alpha 1024 on.
     """
     n = chain.size
     lam, phase = ring_axis(n, p)
-    return order.omega_sq * float(np.dot(phase, lam ** (0.5 * order.alpha))) / n
+
+    def bloch_sum():
+        return order.omega_sq * float(np.dot(phase, lam ** (0.5 * order.alpha))) / n
+
+    # a term is at most omega_sq 2^alpha: where n of them stay below the double range,
+    # nothing can overflow and the sum skips the guard's errstate
+    if order.alpha + math.log2(order.omega_sq * n) < 1023.0:
+        return bloch_sum()
+    return within_double_range(f"element_periodic_bloch(alpha={order.alpha!r}, n={n}, p={p})", bloch_sum)
 
 
 def element_periodic_images(
@@ -401,12 +413,10 @@ def element_periodic_images(
 
     if order.is_integer_half:
         m = round(0.5 * order.alpha)
-        try:
-            return order.omega_sq * sum(_binomial_element(m, q) for q in itertools.chain(
-                range(p, m + 1, n), range(n - p, m + 1, n)))
-        except OverflowError:
-            raise OverflowError(f"element_periodic_images(alpha={order.alpha!r}, n={n}, p={p}) "
-                                "exceeds the double range") from None
+        return within_double_range(
+            f"element_periodic_images(alpha={order.alpha!r}, n={n}, p={p})",
+            lambda: order.omega_sq * sum(_binomial_element(m, q) for q in itertools.chain(
+                range(p, m + 1, n), range(n - p, m + 1, n))))
 
     alpha = order.alpha
     beta = alpha + 1.0
@@ -428,23 +438,26 @@ def element_periodic_images(
     lead = tail(0)
     total += lead
     # term k sums d_k q^(-beta-2k) over q >= q_min, within |d_k| q_min^(-2k) |lead|,
-    # so |lead| left_out[k] bounds the powers from k on and |lead| _START_BOUND their rounding
+    # so |lead| left_out[k] bounds the powers from k on and |lead| times A's error their rounding
     d, left_out = _tail_series(alpha, q_min)
     k = 1
     while k <= _TAIL_TERMS and abs(lead) * left_out[k] >= math.ulp(total):
         total += d[k] * tail(k)
         k += 1
-    return accept_estimate(total, head + abs(lead) * (left_out[k] + _START_BOUND), tol, "image sum")
+    estimate = head + abs(lead) * (left_out[k] + _series_terms(alpha)[2])
+    return accept_estimate(total, estimate, tol, "image sum")
 
 
 def dispersion_1d(order: FractionalOrder, kappa):
     """Squared mode frequency omega_sq * (4 sin^2(kappa/2))^(alpha/2).
 
     Accepts scalars or arrays; the value at kappa = pi is omega_sq * 2**alpha.
+    OverflowError past the double range.
     """
     kappa = np.asarray(kappa, dtype=float)
-    value = order.omega_sq * (4.0 * np.sin(0.5 * kappa) ** 2) ** (0.5 * order.alpha)
-    return float(value) if value.ndim == 0 else value
+    return within_double_range(
+        f"dispersion_1d(alpha={order.alpha!r})",
+        lambda: order.omega_sq * (4.0 * np.sin(0.5 * kappa) ** 2) ** (0.5 * order.alpha))
 
 
 def normalized_dispersion_1d(order: FractionalOrder, kappa) -> np.ndarray:
@@ -452,14 +465,11 @@ def normalized_dispersion_1d(order: FractionalOrder, kappa) -> np.ndarray:
 
     (4 sin^2(kappa/2))^(alpha/4) / 2; the frequency scale cancels in the
     ratio.  Every order crosses 1/2 where the Born-von-Karman eigenvalue
-    equals one.
+    equals one.  A float for a scalar kappa; OverflowError from alpha 2048 on.
     """
     kappa = np.asarray(kappa, dtype=float)
-    with np.errstate(over="ignore"):
-        value = (4.0 * np.sin(0.5 * kappa) ** 2) ** (0.25 * order.alpha) / 2.0
-    if not np.isfinite(value).all():  # 4^(alpha/4) passes the double range near alpha = 2048
-        raise OverflowError(f"normalized_dispersion_1d(alpha={order.alpha!r}) exceeds the double range")
-    return value
+    return within_double_range(f"normalized_dispersion_1d(alpha={order.alpha!r})",
+                               lambda: (4.0 * np.sin(0.5 * kappa) ** 2) ** (0.25 * order.alpha) / 2.0)
 
 
 def element_asymptotic(order: FractionalOrder, p: int) -> float:
@@ -467,14 +477,16 @@ def element_asymptotic(order: FractionalOrder, p: int) -> float:
 
     f(p) -> -omega_sq * gamma(alpha+1) sin(alpha pi / 2) / pi * p^(-alpha-1).
     Undefined for integer half orders, where the profile has finite support
-    and no power law tail exists.
+    and no power law tail exists.  OverflowError past the double range.
     """
     if order.is_integer_half:
         raise ValueError("no power law tail exists at integer alpha/2")
     p = abs(int(p))
     if p == 0:
         raise ValueError("the asymptotic form needs a nonzero offset")
-    return -order.omega_sq * riesz_amplitude(order.alpha) * float(p) ** (-order.alpha - 1.0)
+    amplitude = riesz_amplitude(order.alpha)
+    return within_double_range(f"element_asymptotic(alpha={order.alpha!r}, p={p})",
+                               lambda: -order.omega_sq * amplitude * float(p) ** (-order.alpha - 1.0))
 
 
 def build_laplacian_1d(order: FractionalOrder, chain: ChainSpec) -> CirculantMatrix:
@@ -482,19 +494,26 @@ def build_laplacian_1d(order: FractionalOrder, chain: ChainSpec) -> CirculantMat
 
     Built spectrally: the Bloch eigenvalues of the characteristic matrix are
     transformed back to the first row in O(N log N), then symmetrised to kill
-    rounding asymmetry.
+    rounding asymmetry.  OverflowError past the double range, as from alpha 1024 on.
     """
     n = chain.size
-    modes = order.omega_sq * _ring_eigenvalues(n) ** (0.5 * order.alpha)
-    row = np.fft.ifft(modes).real
-    row = 0.5 * (row + np.roll(row[::-1], 1))
-    return CirculantMatrix(-chain.mass * row)
+
+    def first_row():
+        modes = order.omega_sq * _ring_eigenvalues(n) ** (0.5 * order.alpha)
+        row = np.fft.ifft(modes).real
+        return -chain.mass * (0.5 * (row + np.roll(row[::-1], 1)))
+
+    return CirculantMatrix(within_double_range(f"build_laplacian_1d(alpha={order.alpha!r}, n={n})",
+                                               first_row))
 
 
 def laplacian_eigenvalues_1d(order: FractionalOrder, chain: ChainSpec) -> np.ndarray:
     """Ring Laplacian spectrum -mass * omega_sq * lambda_l^(alpha/2), l = 0 .. N-1.
 
     The analytic form; CirculantMatrix.eigenvalues() of build_laplacian_1d
-    reproduces it to roundoff and stays an independent cross check.
+    reproduces it to roundoff and stays an independent cross check.  OverflowError
+    past the double range, as from alpha 1024 on.
     """
-    return -chain.mass * order.omega_sq * _ring_eigenvalues(chain.size) ** (0.5 * order.alpha) + 0.0
+    return within_double_range(
+        f"laplacian_eigenvalues_1d(alpha={order.alpha!r}, n={chain.size})",
+        lambda: -chain.mass * order.omega_sq * _ring_eigenvalues(chain.size) ** (0.5 * order.alpha) + 0.0)

@@ -25,7 +25,7 @@ from .chain import (
     require_non_integer_half,
     riesz_amplitude,
 )
-from .special import hurwitz_zeta, require_positive_finite
+from .special import first_entry, hurwitz_zeta, require_positive_finite, within_double_range
 
 __all__ = [
     "ConvergenceReport",
@@ -38,17 +38,12 @@ __all__ = [
 def riesz_kernel_infinite(alpha: float, x):
     """Whole line kernel amplitude * |x|^(-alpha-1), singular at x = 0; x a scalar or an array."""
     x = np.asarray(x, dtype=float)
-    bad = ~(np.abs(x) > 0.0)
-    if bad.any():
-        raise ValueError("kernel is singular at x = 0 and undefined at NaN, "
-                         f"got x = {float(x[bad][0])}")
-    with np.errstate(over="ignore"):  # raised below
-        value = riesz_amplitude(alpha) * np.abs(x) ** (-alpha - 1.0)
-    bad = ~np.isfinite(value)
-    if bad.any():
-        raise OverflowError(f"riesz_kernel_infinite({alpha!r}, {float(x[bad][0])!r}) "
-                            "exceeds the double range")
-    return float(value) if x.ndim == 0 else value
+    bad = first_entry(x, ~(np.abs(x) > 0.0))
+    if bad is not None:
+        raise ValueError(f"kernel is singular at x = 0 and undefined at NaN, got x = {bad}")
+    amplitude = riesz_amplitude(alpha)
+    return within_double_range(lambda entry: f"riesz_kernel_infinite({alpha!r}, {entry!r})",
+                               lambda: amplitude * np.abs(x) ** (-alpha - 1.0), at=x)
 
 
 def riesz_kernel_periodic(alpha: float, period: float, x):
@@ -63,22 +58,18 @@ def riesz_kernel_periodic(alpha: float, period: float, x):
     require_non_integer_half(alpha)
     require_positive_finite("period", period)
     x = np.asarray(x, dtype=float)
-    bad = ~np.isfinite(x)
-    if bad.any():
-        raise ValueError(f"kernel point x must be finite, got {float(x[bad][0])}")
+    bad = first_entry(x, ~np.isfinite(x))
+    if bad is not None:
+        raise ValueError(f"kernel point x must be finite, got {bad}")
     d = np.fmod(np.abs(x), period)
-    bad = d == 0.0
-    if bad.any():
-        raise ValueError(f"kernel is singular on the lattice x in {period} * integers, "
-                         f"got x = {float(x[bad][0])}")
+    bad = first_entry(x, d == 0.0)
+    if bad is not None:
+        raise ValueError(f"kernel is singular on the lattice x in {period} * integers, got x = {bad}")
     beta = alpha + 1.0
     bracket = hurwitz_zeta(beta, d / period) + hurwitz_zeta(beta, (period - d) / period)
-    with np.errstate(over="ignore"):  # raised below
-        value = riesz_amplitude(alpha) * np.float64(period) ** -beta * bracket
-    if not np.isfinite(value).all():
-        raise OverflowError(f"riesz_kernel_periodic({alpha!r}, {period!r}, "
-                            f"{float(x[~np.isfinite(value)][0])!r}) exceeds the double range")
-    return float(value) if x.ndim == 0 else value
+    amplitude = riesz_amplitude(alpha)
+    return within_double_range(lambda entry: f"riesz_kernel_periodic({alpha!r}, {period!r}, {entry!r})",
+                               lambda: amplitude * np.float64(period) ** -beta * bracket, at=x)
 
 
 @dataclass(frozen=True)
@@ -113,7 +104,8 @@ def continuum_convergence_check(alpha: float, x: float, h_values) -> Convergence
     Under the continuum scaling the coupling of sites x apart at spacing h is
     -rho0 a_alpha h^(-1-alpha) f(p) with p = round(x / h) and unit scale
     elements f; the density and coupling factors drop out of the relative
-    error, so the scan runs in dimensionless mode.
+    error, so the scan runs in dimensionless mode.  OverflowError naming the
+    spacing where the scaled element passes the double range.
     """
     require_non_integer_half(alpha)
     require_positive_finite("probe point", x)
@@ -125,6 +117,8 @@ def continuum_convergence_check(alpha: float, x: float, h_values) -> Convergence
         p = round(x / h)
         if p < 1:
             raise ValueError(f"spacing {h} is too coarse for probe point {x}")
-        scaled = -(h ** (-1.0 - alpha)) * element_infinite_closed(order, p)
+        element = element_infinite_closed(order, p)
+        scaled = within_double_range(f"continuum_convergence_check(alpha={alpha!r}, x={x!r}, h={h!r})",
+                                     lambda: -(h ** (-1.0 - alpha)) * element)
         entries.append((float(h), p, scaled, abs(scaled / kernel - 1.0)))
     return ConvergenceReport(alpha=alpha, x=x, kernel=kernel, entries=tuple(entries))

@@ -49,6 +49,7 @@ from .special import (
     hankel_coefficients,
     ive,
     require_positive_finite,
+    within_double_range,
 )
 
 __all__ = [
@@ -150,6 +151,7 @@ def element_periodic_nd(
 
     f(p) = omega_sq / N_total * sum over all Bloch vectors of
     cos(kappa . p) * lambda(kappa)^(alpha/2), each axis's from its ring's table.
+    OverflowError past the double range, as from alpha 2048 / log2(4 dim) on.
     """
     if offset.dim != lattice.dim:
         raise ValueError(f"offset has {offset.dim} components, lattice has {lattice.dim}")
@@ -161,7 +163,9 @@ def element_periodic_nd(
     # the sum over the other axes whole, which is then the smallest
     axes = [ring_axis(n_j, p_j) for n_j, p_j in
             sorted(zip(lattice.sizes, offset.components), key=lambda axis: -axis[0])]
-    return float(order.omega_sq * _tensor_sum(0.5 * order.alpha, axes) / lattice.n_points)
+    return within_double_range(
+        f"element_periodic_nd(alpha={order.alpha!r}, sizes={lattice.sizes}, offset={offset.components})",
+        lambda: order.omega_sq * _tensor_sum(0.5 * order.alpha, axes) / lattice.n_points)
 
 
 def build_laplacian_nd(order: FractionalOrder, lattice: LatticeSpec):
@@ -171,12 +175,16 @@ def build_laplacian_nd(order: FractionalOrder, lattice: LatticeSpec):
     -mass * f(p) over the fundamental cell, the inverse DFT of the modes
     omega_sq * lambda(kappa)^(alpha/2), and eigenvalues[l] is -mass times
     the mode at Bloch vector kappa_j = 2 pi l_j / N_j, where lambda is the sum
-    of the axes' ring eigenvalues 4 sin^2(pi l_j / N_j).
+    of the axes' ring eigenvalues 4 sin^2(pi l_j / N_j).  OverflowError past
+    the double range, as from alpha 2048 / log2(4 dim) on.
     """
     lam = functools.reduce(np.add.outer, (_ring_eigenvalues(n) for n in lattice.sizes))
-    modes = order.omega_sq * lam ** (0.5 * order.alpha)
-    table = -lattice.mass * np.fft.ifftn(modes).real
-    return table, -lattice.mass * modes + 0.0
+
+    def build():
+        modes = order.omega_sq * lam ** (0.5 * order.alpha)
+        return -lattice.mass * np.fft.ifftn(modes).real, -lattice.mass * modes + 0.0
+
+    return within_double_range(f"build_laplacian_nd(alpha={order.alpha!r}, sizes={lattice.sizes})", build)
 
 
 # elements of the largest lambda^(alpha/2) array built at once (1 MB)
@@ -410,7 +418,7 @@ def asymptotic_constant_nd(dim: int, alpha: float) -> float:
     C = 2^(alpha-1) alpha gamma((alpha+dim)/2) / (pi^(dim/2) gamma(1-alpha/2)),
     evaluated through the reflection of gamma(1 - alpha/2) so the expression
     stays finite across alpha = 2; at even integer alpha the sine factor is an
-    exact zero and 0.0 is returned.
+    exact zero and 0.0 is returned.  OverflowError past the double range.
     """
     if not (isinstance(dim, int) and 1 <= dim <= _MAX_DIM):
         raise ValueError(f"dim must be in 1..{_MAX_DIM}, got {dim}")
@@ -424,7 +432,8 @@ def asymptotic_constant_nd(dim: int, alpha: float) -> float:
         + math.lgamma(0.5 * alpha)
         - (0.5 * dim + 1.0) * math.log(math.pi)
     )
-    return math.exp(log_mag) * _half_order_sine(alpha)
+    return within_double_range(f"asymptotic_constant_nd(dim={dim}, alpha={alpha!r})",
+                               math.exp, log_mag) * _half_order_sine(alpha)
 
 
 def normalized_dispersion_2d(order: FractionalOrder, kappa1, kappa2):
@@ -432,20 +441,13 @@ def normalized_dispersion_2d(order: FractionalOrder, kappa1, kappa2):
 
     2^((alpha-3)/2) (sin^2(kappa1/2) + sin^2(kappa2/2))^(alpha/4); the
     frequency scale cancels in the ratio.  Every order crosses 2^(-3/2) where
-    the Born-von-Karman eigenvalue equals one.
+    the Born-von-Karman eigenvalue equals one.  OverflowError from alpha 2051 on.
     """
     kappa1 = np.asarray(kappa1, dtype=float)
     kappa2 = np.asarray(kappa2, dtype=float)
     base = np.sin(0.5 * kappa1) ** 2 + np.sin(0.5 * kappa2) ** 2
-    try:
-        scale = 2.0 ** (0.5 * (order.alpha - 3.0))
-    except OverflowError:  # raised by the float power itself, near alpha = 2051
-        scale = math.inf
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 gives NaN at the origin
-        value = scale * base ** (0.25 * order.alpha)
-    if not np.isfinite(value).all():
-        raise OverflowError(f"normalized_dispersion_2d(alpha={order.alpha!r}) exceeds the double range")
-    return float(value) if value.ndim == 0 else value
+    return within_double_range(f"normalized_dispersion_2d(alpha={order.alpha!r})",
+                               lambda: 2.0 ** (0.5 * (order.alpha - 3.0)) * base ** (0.25 * order.alpha))
 
 
 def dispersion_surface(order: FractionalOrder, grid: int) -> np.ndarray:

@@ -12,7 +12,8 @@ oscillating factor cos(kappa p) is resolved.
 The routes that take an error bound share its contract from here: a plain
 positive finite tol (require_positive_finite), an estimate never below the
 value's last place, and ToleranceError carrying that estimate when it does
-not meet the bound (accept_estimate).
+not meet the bound (accept_estimate).  A value past the double range raises
+OverflowError naming its call, never inf or NaN (within_double_range).
 
 ive is the exponentially scaled modified Bessel function e^(-x) I_n(x) of
 integer order that the heat kernel route multiplies out; hankel_coefficients
@@ -35,6 +36,8 @@ __all__ = [
     "require_positive_finite",
     "as_integer",
     "accept_estimate",
+    "first_entry",
+    "within_double_range",
     "hurwitz_zeta",
     "hankel_coefficients",
     "ive",
@@ -85,6 +88,29 @@ def accept_estimate(value: float, estimate: float, tol: float, route: str) -> fl
     return value
 
 
+def first_entry(x: np.ndarray, bad):
+    """x's first entry where the mask bad holds, as a float; None where none does."""
+    return float(x[bad][0]) if bad.any() else None
+
+
+def within_double_range(call, compute: Callable, *args, at=None):
+    """compute(*args), numpy's overflow and invalid-value warnings held back, a float where
+    0-d; OverflowError "<call> exceeds the double range" where float arithmetic raises one
+    or a value (also of a tuple of same-shape arrays) is not finite.  Given at, the inputs
+    behind the values of a numpy compute, call maps the entry behind the first such value
+    to the text."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = compute(*args)
+    except OverflowError:
+        raise OverflowError(f"{call} exceeds the double range") from None
+    finite = np.isfinite(value)
+    if finite.all():
+        return value if finite.ndim else float(value)
+    name = call if at is None else call(first_entry(at, ~finite))
+    raise OverflowError(f"{name} exceeds the double range")
+
+
 # Bernoulli numbers B_0 .. B_17
 _BERNOULLI = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0,
               5 / 66, 0.0, -691 / 2730, 0.0, 7 / 6, 0.0, -3617 / 510, 0.0)
@@ -115,16 +141,13 @@ def hurwitz_zeta(beta: float, x):
     if not beta > 1:
         raise ValueError(f"hurwitz_zeta requires beta > 1, got {beta}")
     x = np.asarray(x, dtype=float)
-    bad = ~((x > 0.0) & (x < math.inf))
-    if bad.any():
-        raise ValueError(f"hurwitz_zeta requires finite x > 0, got {float(x[bad][0])}")
+    bad = first_entry(x, ~((x > 0.0) & (x < math.inf)))
+    if bad is not None:
+        raise ValueError(f"hurwitz_zeta requires finite x > 0, got {bad}")
     shifts, exponents, coefficients = _zeta_terms(beta)
-    with np.errstate(over="ignore"):  # raised below
-        total = (np.power(x[..., None] + shifts, exponents) * coefficients).sum(axis=-1)
-    bad = total == math.inf
-    if bad.any():
-        raise OverflowError(f"hurwitz_zeta({beta!r}, {float(x[bad][0])!r}) exceeds the double range")
-    return float(total) if x.ndim == 0 else total
+    return within_double_range(
+        lambda entry: f"hurwitz_zeta({beta!r}, {entry!r})",
+        lambda: (np.power(x[..., None] + shifts, exponents) * coefficients).sum(axis=-1), at=x)
 
 
 def hankel_coefficients(n: int, count: int) -> np.ndarray:

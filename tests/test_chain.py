@@ -20,6 +20,7 @@ from fraclat.chain import (
     element_periodic_images,
     is_integer_half,
     laplacian_eigenvalues_1d,
+    normalized_dispersion_1d,
     riesz_amplitude,
 )
 from fraclat.chain import _closed, _ring_eigenvalues, _ring_phases, _series_terms, ring_axis
@@ -219,6 +220,15 @@ class TestClosedFormBatch:
         value, bound = _closed(FractionalOrder(alpha=alpha), p)
         reference = mp_closed(alpha, p)
         assert abs(value - reference) <= min(bound, most) * abs(reference)
+
+    # A = gamma(alpha + 1) sin(pi alpha / 2) / pi takes the rounded alpha + 1: every start
+    # built from A carries that rounding in its stated bound, not the half-power start
+    # alone; these direct starts at p = P0 were 3.3e-14 and 1.4e-14 off against 7.1e-15
+    @pytest.mark.parametrize("alpha, p", ((63.5803000460125, 191), (31.974692531175993, 96)))
+    def test_bound_carries_the_rounding_of_alpha_plus_one(self, alpha, p):
+        value, bound = _closed(FractionalOrder(alpha=alpha), p)
+        reference = mp_closed(alpha, p)
+        assert abs(value - reference) <= bound * abs(reference)
 
     def test_huge_even_orders(self):
         # at alpha/2 = m the stencil (-1)^p C(2m, m+p) is bounded before it is
@@ -564,6 +574,9 @@ class TestDispersion:
     def test_zone_centre_and_arrays(self):
         order = FractionalOrder(alpha=1.5)
         assert dispersion_1d(order, 0.0) == 0.0
+        # a scalar gives a float, also the normalized curve's
+        assert type(normalized_dispersion_1d(order, math.pi)) is float
+        assert normalized_dispersion_1d(order, math.pi) == 2.0**0.75 / 2.0
         kappa = np.linspace(-math.pi, math.pi, 7)
         values = dispersion_1d(order, kappa)
         assert values.shape == kappa.shape
@@ -635,6 +648,54 @@ class TestAmplitude:
             riesz_amplitude(171.5)
 
 
+# 4^(alpha/2) passes the double range from alpha = 1024, omega_sq * 4^(alpha/2) sooner
+BIG = FractionalOrder(alpha=1100.0)
+HUGE_SCALE = FractionalOrder(alpha=3.0, omega_sq=1e308)
+
+
+class TestDoubleRange:
+    """Past the double range each chain function raises OverflowError naming its call
+    and order; none returns inf or NaN, and no numpy warning escapes."""
+
+    @pytest.mark.parametrize("call, compute", [
+        ("element_periodic_bloch(alpha=1100.5, n=4, p=0)",
+         lambda: element_periodic_bloch(FractionalOrder(alpha=1100.5), ChainSpec(size=4), 0)),
+        ("element_periodic_bloch(alpha=3.3, n=4, p=1)",
+         lambda: element_periodic_bloch(FractionalOrder(alpha=3.3, omega_sq=1e308), ChainSpec(size=4), 1)),
+        ("build_laplacian_1d(alpha=1100.0, n=4)", lambda: build_laplacian_1d(BIG, ChainSpec(size=4))),
+        ("build_laplacian_1d(alpha=3.0, n=4)", lambda: build_laplacian_1d(HUGE_SCALE, ChainSpec(size=4))),
+        ("laplacian_eigenvalues_1d(alpha=1100.0, n=4)", lambda: laplacian_eigenvalues_1d(BIG, ChainSpec(size=4))),
+        ("laplacian_eigenvalues_1d(alpha=3.0, n=4)",
+         lambda: laplacian_eigenvalues_1d(HUGE_SCALE, ChainSpec(size=4))),
+        ("dispersion_1d(alpha=1100.0)", lambda: dispersion_1d(BIG, [0.5, math.pi])),
+        ("element_periodic_images(alpha=2000.0, n=3, p=0)",
+         lambda: element_periodic_images(FractionalOrder(alpha=2000.0), ChainSpec(size=3), 0)),
+        ("element_periodic_images(alpha=4.0, n=3, p=0)",
+         lambda: element_periodic_images(FractionalOrder(alpha=4.0, omega_sq=1e308), ChainSpec(size=3), 0)),
+        ("element_infinite_quadrature(alpha=3.0, p=0)",
+         lambda: element_infinite_quadrature(HUGE_SCALE, 0, tol=1e300)),
+        ("element_asymptotic(alpha=3.3, p=1)",
+         lambda: element_asymptotic(FractionalOrder(alpha=3.3, omega_sq=1e308), 1)),
+    ])
+    def test_past_the_range_names_the_call(self, call, compute):
+        with pytest.raises(OverflowError, match=f"^{re.escape(call)} exceeds the double range$"):
+            compute()
+
+    @pytest.mark.parametrize("alpha, omega_sq", [(1020.0, 1.0), (1021.5, 1.0), (1023.5, 1.0), (3.3, 1e307)])
+    def test_bloch_is_the_inline_ring_on_both_sides_of_the_guard(self, alpha, omega_sq):
+        # below omega_sq n 2^alpha = 2^1023 the sum runs without the guard, above it inside
+        # it: each value that fits is the inline ring's, bit for bit, and the rest raise
+        order = FractionalOrder(alpha=alpha, omega_sq=omega_sq)
+        for p in range(5):
+            with np.errstate(over="ignore"):
+                expected = reference_bloch(order, 5, p)
+            if math.isfinite(expected):
+                assert element_periodic_bloch(order, ChainSpec(size=5), p) == expected, p
+            else:
+                with pytest.raises(OverflowError, match=r"^element_periodic_bloch\("):
+                    element_periodic_bloch(order, ChainSpec(size=5), p)
+
+
 class TestLaplacianMatrix:
     def test_classical_ring(self):
         matrix = build_laplacian_1d(FractionalOrder(alpha=2.0), ChainSpec(size=5))
@@ -691,6 +752,13 @@ class TestLaplacianMatrix:
         bad = CirculantMatrix(np.array([0.5, -1.0, 0.5, -1.0]))
         with pytest.raises(ValueError):
             bad.validate()
+
+    def test_validate_on_a_zero_row_and_a_mixed_spectrum(self):
+        # a zero row has nothing to check; [0, 1, -2, 1] is symmetric with a zero row sum
+        # and its spectrum 0, 2, -4, 2 has both signs (the row above fails on its sum first)
+        CirculantMatrix(np.zeros(4)).validate()
+        with pytest.raises(ValueError, match="^spectrum has eigenvalues of both signs$"):
+            CirculantMatrix(np.array([0.0, 1.0, -2.0, 1.0])).validate()
 
     def test_toarray_is_symmetric_circulant(self):
         matrix = build_laplacian_1d(FractionalOrder(alpha=0.9), ChainSpec(size=6))

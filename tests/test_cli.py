@@ -193,6 +193,20 @@ class TestElementsCommand:
         assert not out
         assert err.strip() == "fraclat: element_infinite_closed(alpha=1100.5, p=0) exceeds the double range"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, call", [
+        (("--alpha", "1100.5", "--n", "4", "--route", "bloch"), "element_periodic_bloch(alpha=1100.5, n=4, p=0)"),
+        (("--alpha", "3.3", "--omega-sq", "1e308", "--n", "4", "--route", "bloch"),
+         "element_periodic_bloch(alpha=3.3, n=4, p=0)"),
+        (("--alpha", "2000", "--n", "3", "--route", "images"), "element_periodic_images(alpha=2000.0, n=3, p=0)"),
+        (("--alpha", "3", "--omega-sq", "1e308", "--infinite", "--p", "0", "--route", "quadrature", "--tol", "1e300"),
+         "element_infinite_quadrature(alpha=3.0, p=0)"),
+    ])
+    def test_route_overflow_names_the_call(self, capsys, argv, call):
+        # the Bloch and quadrature rows printed inf and exited 0
+        code, out, err = run_cli(capsys, "elements", *argv)
+        assert (code, out, err) == (1, "", f"fraclat: {call} exceeds the double range\n")
+
     def test_huge_even_order_overflow_is_named_at_once(self, capsys):
         # C(2m, m) is bounded before math.comb builds it: this took 13 s and
         # then failed to convert an integer, and alpha = 1e19 never finished
@@ -252,7 +266,7 @@ class TestElementsCommand:
             ("elements", "--alpha", "1.5", "--route", "quadrature"),
             ("elements", "--alpha", "1.5", "--infinite", "--route", "nd_bz"),
             ("elements", "--alpha", "1.5", "--n", "8", "--route", "images", "--offset", "1,1"),
-            ("elements", "--alpha", "1.5", "--infinite", "--p", "-3..2", "--route", "closed"),
+            ("elements", "--alpha", "1.5", "--infinite", "--p=-3..2", "--route", "closed"),
             ("elements", "--alpha", "1.5", "--infinite", "--p", "junk", "--route", "closed"),
             ("elements", "--alpha", "1.5", "--alpha", "2.5", "--infinite", "--route", "closed"),
             ("elements", "--alpha", "1.5", "--infinite", "--route", "nd_bz",
@@ -263,6 +277,22 @@ class TestElementsCommand:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, argv
             assert err.strip(), argv
+
+    @pytest.mark.parametrize("argv, message", [
+        (("elements", "--alpha", "1.5", "--infinite", "--p=-3..2", "--route", "closed"),
+         "--p offsets must be >= 0"),
+        (("elements", "--alpha", "1.5", "--infinite", "--p", "5..3", "--route", "closed"),
+         "--p expects 'a..b', 'v', or 'v1,v2,...', got '5..3'"),
+        (("matrix", "--alpha", "1.5", "--dims", "4xa"), "--dims expects N1xN2[xN3[xN4]], got '4xa'"),
+        (("elements", "--alpha", "1.5", "--infinite", "--offset", "1,a", "--route", "nd_bz"),
+         "--offset expects comma separated integers, got '1,a'"),
+        (("kernel", "--alpha", "1.5", "--infinite", "--x-range", "1..a"), "--x-range expects 'a..b', got '1..a'"),
+        (("verify", "--override", "closed_vs_quadrature=abc"),
+         "--override tolerance must be a real number, got 'abc'"),
+    ])
+    def test_parse_errors_exit_2_with_one_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"fraclat: {message}\n")
 
     @pytest.mark.parametrize("argv,message", [
         (("--infinite", "--p", "0..2", "--route", "closed", "--tol", "1e-3"), "route closed has no error bound"),
@@ -335,6 +365,18 @@ class TestMatrixCommand:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, argv
             assert err.strip(), argv
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, call", [
+        (("--alpha", "1100", "--n", "4"), "build_laplacian_1d(alpha=1100.0, n=4)"),
+        (("--alpha", "3", "--omega-sq", "1e308", "--n", "4"), "build_laplacian_1d(alpha=3.0, n=4)"),
+        (("--alpha", "1100", "--dims", "2x2"), "build_laplacian_nd(alpha=1100.0, sizes=(2, 2))"),
+        (("--alpha", "3", "--omega-sq", "1e308", "--dims", "2x2"), "build_laplacian_nd(alpha=3.0, sizes=(2, 2))"),
+    ])
+    def test_overflow_names_the_call(self, capsys, argv, call):
+        # these printed inf and NaN rows, after numpy's warnings, and exited 0
+        code, out, err = run_cli(capsys, "matrix", *argv)
+        assert (code, out, err) == (1, "", f"fraclat: {call} exceeds the double range\n")
 
 
 class TestDispersionCommand:

@@ -217,6 +217,12 @@ class TestConvergenceCheck:
         with pytest.raises(ValueError):
             continuum_convergence_check(0.5, 1.0, [-0.1])
 
+    def test_scaled_element_past_the_double_range_names_the_spacing(self):
+        # h^(-1 - alpha) raised a bare "(34, 'Numerical result out of range')" here
+        message = r"^continuum_convergence_check\(alpha=30\.5, x=1\.0, h=1e-11\) exceeds the double range$"
+        with pytest.raises(OverflowError, match=message):
+            continuum_convergence_check(30.5, 1.0, [1e-11])
+
     def test_report_is_frozen(self):
         report = continuum_convergence_check(0.5, 1.0, [1 / 10])
         assert isinstance(report, ConvergenceReport)

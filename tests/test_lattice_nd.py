@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import mpmath
@@ -226,6 +227,19 @@ class TestBuildLaplacianNd:
     def test_requires_finite_lattice(self):
         with pytest.raises(ValueError):
             build_laplacian_nd(FractionalOrder(1.0), LatticeSpec(2, (math.inf, math.inf)))
+
+    @pytest.mark.parametrize("alpha, omega_sq", [(1100.0, 1.0), (3.0, 1e308)])
+    def test_past_the_double_range_names_the_call(self, alpha, omega_sq):
+        # the modes (8^(alpha/2) at the corner) or their scale pass the double range: no
+        # inf or NaN table, and no numpy warning
+        order, lattice = FractionalOrder(alpha, omega_sq=omega_sq), LatticeSpec(2, (2, 2))
+        message = re.escape(f"build_laplacian_nd(alpha={alpha!r}, sizes=(2, 2)) exceeds the double range")
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            build_laplacian_nd(order, lattice)
+        message = re.escape(f"element_periodic_nd(alpha={alpha!r}, sizes=(2, 2), offset=(0, 1)) "
+                            "exceeds the double range")
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            element_periodic_nd(order, lattice, OffsetVector((0, 1)))
 
 
 def reference_bz(order, comps, gauss_order):
@@ -596,6 +610,13 @@ class TestAsymptoticConstant:
             asymptotic_constant_nd(0, 1.0)
         with pytest.raises(ValueError):
             asymptotic_constant_nd(2, -1.0)
+
+    def test_past_the_double_range_names_the_call(self):
+        # C passes the double range in 4D from alpha about 170; exp of its log magnitude
+        # raised a bare "math range error" there
+        assert math.isfinite(asymptotic_constant_nd(4, 168.5))
+        with pytest.raises(OverflowError, match=r"^asymptotic_constant_nd\(dim=4, alpha=300\.5\) exceeds the double range$"):
+            asymptotic_constant_nd(4, 300.5)
 
 
 class TestDispersionSurface:

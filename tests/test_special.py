@@ -10,10 +10,12 @@ from fraclat.chain import FractionalOrder, element_infinite_quadrature
 from fraclat.lattice import OffsetVector, element_infinite_nd_bessel, element_infinite_nd_bz
 from fraclat.special import (
     ToleranceError,
+    first_entry,
     hankel_coefficients,
     hurwitz_zeta,
     integrate_even_periodic,
     ive,
+    within_double_range,
 )
 
 
@@ -124,6 +126,41 @@ class TestHurwitzZeta:
         for x in (0.0, -3.0, math.inf, math.nan):
             with pytest.raises(ValueError, match=f"finite x > 0, got {x}"):
                 hurwitz_zeta(2.0, x)
+
+
+class TestWithinDoubleRange:
+    """The one guard at the double range; pyproject turns any numpy RuntimeWarning
+    that escapes it into a failure."""
+
+    def test_finite_values_pass_as_they_are(self):
+        x = np.array([1.0, 2.0])
+        assert within_double_range("f()", np.multiply, x, 3.0).tolist() == [3.0, 6.0]
+        zero_d = within_double_range("f()", np.multiply, np.array(2.0), 3.0)
+        assert type(zero_d) is float and zero_d == 6.0
+        table, spectrum = within_double_range("f()", lambda: (x, -x))
+        assert table is x and spectrum.tolist() == [-1.0, -2.0]
+
+    def test_overflow_and_invalid_values_raise_naming_the_call(self):
+        for compute in (lambda: np.power(np.array([2.0, 4.0]), 600.0),  # inf
+                        lambda: np.float64(1e308) * 10.0 * np.array([1.0, 0.0]),  # inf, NaN
+                        lambda: (np.ones(2), np.array([1.0, math.inf])),
+                        lambda: math.pow(10.0, 400.0),  # the float power's own OverflowError
+                        lambda: math.exp(710.0)):
+            with pytest.raises(OverflowError, match=r"^f\(alpha=2\.5\) exceeds the double range$"):
+                within_double_range("f(alpha=2.5)", compute)
+
+    def test_at_names_the_input_behind_the_first_bad_value(self):
+        x = np.array([[1.0, 1e-300], [1e-310, 2.0]])
+        with pytest.raises(OverflowError, match=r"^k\(2\.5, 1e-300\) exceeds the double range$"):
+            within_double_range(lambda entry: f"k(2.5, {entry!r})", lambda: x ** -2.0, at=x)
+        with pytest.raises(OverflowError, match=r"^k\(2\.5, 1e-300\) exceeds"):
+            within_double_range(lambda entry: f"k(2.5, {entry!r})", lambda: x[0, 1] ** -2.0, at=x[0, 1])
+
+    def test_first_entry(self):
+        x = np.array([[1.0, -2.0], [-3.0, 4.0]])
+        assert first_entry(x, x < 0.0) == -2.0 and type(first_entry(x, x < 0.0)) is float
+        assert first_entry(x, x > 9.0) is None
+        assert first_entry(np.array(0.0), np.array(0.0) == 0.0) == 0.0
 
 
 def ive_reference(n, x):

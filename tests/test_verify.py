@@ -1,5 +1,6 @@
 """The verify runner: suite composition, per-row bars and the NaN rule."""
 import math
+import re
 
 import pytest
 
@@ -11,6 +12,12 @@ def test_all_is_the_single_suites_concatenated():
     rows = [(r.name, r.suite) for r in run_suite("all")]
     assert rows == [(r.name, r.suite) for suite in SUITES for r in run_suite(suite)]
     assert {suite for _, suite in rows} == set(SUITES)
+
+
+def test_unknown_suite_names_the_suites():
+    message = re.escape(f"unknown suite 'nope'; expected one of {('all',) + SUITES}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_suite("nope")
 
 
 def test_convergence_override_moves_only_the_finest_bar():
