@@ -363,6 +363,16 @@ def _ring_phases(n: int) -> np.ndarray:
     return phase
 
 
+@functools.lru_cache(maxsize=16)
+def _ring_powers(n: int, alpha: float) -> np.ndarray:
+    """The read-only powers (4 sin^2(pi l / n))^(alpha/2), l = 0 .. n-1, of a ring of
+    n sites: inf where one passes the double range, which its readers' guards report."""
+    with np.errstate(over="ignore"):
+        power = _ring_eigenvalues(n) ** (0.5 * alpha)
+    power.flags.writeable = False
+    return power
+
+
 def ring_axis(n: int, p: int) -> tuple:
     """Eigenvalues of a ring of n sites and the phases cos(2 pi (l p mod n) / n) of
     offset p at its modes l = 0 .. n-1, gathered from the ring's cached tables."""
@@ -377,10 +387,10 @@ def element_periodic_bloch(order: FractionalOrder, chain: ChainSpec, p: int) -> 
     range, as from alpha 1024 on.
     """
     n = chain.size
-    lam, phase = ring_axis(n, p)
+    power, phase = _ring_powers(n, order.alpha), ring_axis(n, p)[1]
 
     def bloch_sum():
-        return order.omega_sq * float(np.dot(phase, lam ** (0.5 * order.alpha))) / n
+        return order.omega_sq * float(np.dot(phase, power)) / n
 
     # a term is at most omega_sq 2^alpha: where n of them stay below the double range,
     # nothing can overflow and the sum skips the guard's errstate
@@ -403,7 +413,8 @@ def element_periodic_images(
     bound on all they leave out, sum_{j>=k} |d_j| Q^(-2j) |first power's sum|,
     is below the sum's last place, or after the 16th; that bound is the error
     estimate, plus the head images' own error by element_infinite_closed's
-    stated bound, floored at the last place, which tol bounds.
+    stated bound, floored at the last place, which tol bounds.  OverflowError
+    naming this sum where its head images or its finite support pass the double range.
     """
     require_positive_finite("tol", tol)
     n = chain.size
@@ -411,11 +422,11 @@ def element_periodic_images(
     if not 0 <= p <= n - 1:
         raise ValueError(f"offset must satisfy 0 <= p <= {n - 1}, got {p}")
 
+    call = f"element_periodic_images(alpha={order.alpha!r}, n={n}, p={p})"
     if order.is_integer_half:
         m = round(0.5 * order.alpha)
         return within_double_range(
-            f"element_periodic_images(alpha={order.alpha!r}, n={n}, p={p})",
-            lambda: order.omega_sq * sum(_binomial_element(m, q) for q in itertools.chain(
+            call, lambda: order.omega_sq * sum(_binomial_element(m, q) for q in itertools.chain(
                 range(p, m + 1, n), range(n - p, m + 1, n))))
 
     alpha = order.alpha
@@ -423,11 +434,16 @@ def element_periodic_images(
     scale = -order.omega_sq * riesz_amplitude(alpha) * n ** -beta
     q_min = max(_series_terms(alpha)[0], n)
     plus, minus = range(p, q_min, n), range(n - p, q_min, n)
+    # _closed raises where a head image passes the double range; a plain try, as
+    # within_double_range's errstate would add about 5 us to every offset's sum
     total = head = 0.0  # head bounds the head images' own error
-    for q in itertools.chain(plus, minus):
-        value, bound = _closed(order, q)
-        total += value
-        head += bound * abs(value)
+    try:
+        for q in itertools.chain(plus, minus):
+            value, bound = _closed(order, q)
+            total += value
+            head += bound * abs(value)
+    except OverflowError:
+        raise OverflowError(f"{call} exceeds the double range") from None
 
     starts = np.array([len(plus) + p / n, len(minus) + 1 - p / n])
 
@@ -499,7 +515,7 @@ def build_laplacian_1d(order: FractionalOrder, chain: ChainSpec) -> CirculantMat
     n = chain.size
 
     def first_row():
-        modes = order.omega_sq * _ring_eigenvalues(n) ** (0.5 * order.alpha)
+        modes = order.omega_sq * _ring_powers(n, order.alpha)
         row = np.fft.ifft(modes).real
         return -chain.mass * (0.5 * (row + np.roll(row[::-1], 1)))
 
@@ -516,4 +532,4 @@ def laplacian_eigenvalues_1d(order: FractionalOrder, chain: ChainSpec) -> np.nda
     """
     return within_double_range(
         f"laplacian_eigenvalues_1d(alpha={order.alpha!r}, n={chain.size})",
-        lambda: -chain.mass * order.omega_sq * _ring_eigenvalues(chain.size) ** (0.5 * order.alpha) + 0.0)
+        lambda: -chain.mass * order.omega_sq * _ring_powers(chain.size, order.alpha) + 0.0)

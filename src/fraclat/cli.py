@@ -10,10 +10,17 @@ Importing this module loads numpy with its BLAS on one thread unless one of
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set: no route
 gains from a threaded BLAS, whose workers cost each process start-up time and
 CPU, and whose split sums would make the bytes depend on the core count.
+
+Run as the program (`main()` with no argv, as `python -m fraclat.cli` and the
+`fraclat` console script call it), it first moves the objects its imports left
+into the collector's permanent generation with `gc.freeze()`, so no collection,
+the ones at interpreter exit included, walks them again.  Importing the module
+and calling `main(argv)` leave the collector as they found it.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import operator
 import os
@@ -396,6 +403,11 @@ def _write_output(text: str, destination: str) -> None:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # the program's own process: the tens of thousands of objects its imports
+        # left are never garbage, yet every collection up to interpreter exit would
+        # walk them again; frozen, they stay out of every generation
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

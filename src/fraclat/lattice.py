@@ -265,7 +265,8 @@ def element_infinite_nd_bz(
     and an explicit tol is needed, which at the origin happens from alpha
     about 17.86 in 2D and 15.26 in 3D.  Where the two orders differ by two
     last places, the default already fails at some orders from about 17.1
-    in 2D and 14.9 in 3D.
+    in 2D and 14.9 in 3D.  OverflowError where omega_sq times the integral
+    passes the double range.
     """
     require_positive_finite("tol", tol)
     if not (isinstance(dim, int) and 1 <= dim <= 3):
@@ -275,8 +276,9 @@ def element_infinite_nd_bz(
     comps = offset.components
     coarse = _bz_value(order, comps, _GAUSS_ORDER)
     fine = _bz_value(order, comps, _GAUSS_ORDER + 8)
-    value, estimate = order.omega_sq * fine, order.omega_sq * abs(fine - coarse)
-    return accept_estimate(value, estimate, tol, "zone integral")
+    value = within_double_range(f"element_infinite_nd_bz(alpha={order.alpha!r}, offset={comps})",
+                                lambda: order.omega_sq * fine)
+    return accept_estimate(value, order.omega_sq * abs(fine - coarse), tol, "zone integral")
 
 
 # the log t panels end at T = t0 e^U <= 2.5e8, so the Bessel argument 2t stays
@@ -383,7 +385,8 @@ def element_infinite_nd_bessel(
     origin from alpha about 17.86 in 2D and 15.26 in 3D.  The series and
     the integral cancel like e^a: at the default tol the rounding alone
     refuses a few 1D elements below 2^23 from alpha about 35, a third of
-    them from 100 and two thirds from 200.
+    them from 100 and two thirds from 200.  OverflowError where the value
+    passes the double range.
     """
     require_positive_finite("tol", tol)
     if order.is_integer_half:
@@ -403,7 +406,8 @@ def element_infinite_nd_bessel(
     tail, last = _heat_tail(a, t0 * math.exp(panels), comps)
     scale = order.omega_sq / math.gamma(-a)  # finite for non integer 0 < a <= 128
     series, magnitude = _heat_series(a, t0, comps, fine)
-    value = scale * (series + fine + tail)
+    call = f"element_infinite_nd_bessel(alpha={order.alpha!r}, offset={offset.components})"
+    value = within_double_range(call, lambda: scale * (series + fine + tail))
     estimate = abs(scale) * (abs(fine - coarse) + last + _HALF_EPSILON * dim * magnitude)
     return accept_estimate(value, estimate, tol, "heat kernel integral")
 

@@ -23,7 +23,7 @@ from fraclat.chain import (
     normalized_dispersion_1d,
     riesz_amplitude,
 )
-from fraclat.chain import _closed, _ring_eigenvalues, _ring_phases, _series_terms, ring_axis
+from fraclat.chain import _closed, _ring_eigenvalues, _ring_phases, _ring_powers, _series_terms, ring_axis
 from fraclat.lattice import LatticeSpec, OffsetVector, build_laplacian_nd, element_periodic_nd
 from fraclat.special import ToleranceError
 
@@ -424,6 +424,19 @@ class TestPeriodicRoutes:
                 column[0] = 1.0
         lam_p, phase_p = ring_axis(12, -7)
         assert lam_p is lam and np.array_equal(phase_p, phase[np.arange(12) * 5 % 12])
+        power = _ring_powers(12, 1.3)
+        assert power is _ring_powers(12, 1.3) and np.array_equal(power, lam ** 0.65)
+        assert _ring_powers.cache_info().maxsize == _ring_eigenvalues.cache_info().maxsize
+        with pytest.raises(ValueError, match="read-only"):
+            power[0] = 1.0
+
+    def test_ring_powers_are_taken_once_per_ring_and_order(self):
+        order, chain = FractionalOrder(alpha=1.71, omega_sq=1.3), ChainSpec(size=101)
+        misses = _ring_powers.cache_info().misses
+        for p in range(chain.size):
+            assert element_periodic_bloch(order, chain, p) == reference_bloch(order, chain.size, p)
+        build_laplacian_1d(order, chain), laplacian_eigenvalues_1d(order, chain)
+        assert _ring_powers.cache_info().misses == misses + 1
 
     def test_laplacians_build_no_phases(self):
         misses = _ring_phases.cache_info().misses

@@ -201,9 +201,16 @@ class TestElementsCommand:
         (("--alpha", "2000", "--n", "3", "--route", "images"), "element_periodic_images(alpha=2000.0, n=3, p=0)"),
         (("--alpha", "3", "--omega-sq", "1e308", "--infinite", "--p", "0", "--route", "quadrature", "--tol", "1e300"),
          "element_infinite_quadrature(alpha=3.0, p=0)"),
+        (("--alpha", "3", "--omega-sq", "1e308", "--infinite", "--offset", "0,0", "--route", "nd_bz",
+          "--tol", "1e300"), "element_infinite_nd_bz(alpha=3.0, offset=(0, 0))"),
+        (("--alpha", "3.3", "--omega-sq", "1e308", "--infinite", "--offset", "1,0", "--route", "nd_bessel",
+          "--tol", "1e300"), "element_infinite_nd_bessel(alpha=3.3, offset=(1, 0))"),
+        (("--alpha", "3.3", "--omega-sq", "1e308", "--n", "8", "--route", "images", "--p", "0"),
+         "element_periodic_images(alpha=3.3, n=8, p=0)"),
     ])
     def test_route_overflow_names_the_call(self, capsys, argv, call):
-        # the Bloch and quadrature rows printed inf and exited 0
+        # the Bloch and quadrature rows printed inf and exited 0; the nD routes
+        # reported an inf error estimate, and the image sum named a head image
         code, out, err = run_cli(capsys, "elements", *argv)
         assert (code, out, err) == (1, "", f"fraclat: {call} exceeds the double range\n")
 
@@ -687,6 +694,24 @@ print(json.dumps({
 """ % (BLAS_VARIABLES,)
 
 
+# Runs in a fresh interpreter, whose collector no test has touched: reports
+# gc.isenabled() and gc.get_freeze_count() before and after the import of the
+# CLI, after main(argv), and after main() as the program, with its exit code.
+GC_PROBE = """
+import contextlib, gc, io, json, sys
+states = [(gc.isenabled(), gc.get_freeze_count())]
+import fraclat.cli
+states.append((gc.isenabled(), gc.get_freeze_count()))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [fraclat.cli.main(["elements", "--alpha", "1.3", "--infinite", "--route", "closed"])]
+    states.append((gc.isenabled(), gc.get_freeze_count()))
+    sys.argv = ["fraclat", "--version"]
+    codes.append(fraclat.cli.main())
+states.append((gc.isenabled(), gc.get_freeze_count()))
+print(json.dumps({"states": states, "codes": codes}))
+"""
+
+
 def blas_env(**variables):
     """This process's environment without the BLAS variables, plus `variables`."""
     env = {key: value for key, value in os.environ.items() if key not in BLAS_VARIABLES}
@@ -755,6 +780,16 @@ class TestStartup:
         result = subprocess.run([sys.executable, "-c", code], env=blas_env(),
                                 capture_output=True, text=True, timeout=120)
         assert (result.returncode, result.stdout) == (0, "fraclat.chain\n"), result.stderr
+
+    def test_only_the_program_freezes_the_import_heap(self):
+        result = subprocess.run([sys.executable, "-c", GC_PROBE], capture_output=True, text=True,
+                                timeout=120)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        initial, imported, called, program = report["states"]
+        assert report["codes"] == [0, 0]
+        assert initial[0] and initial == imported == called
+        assert program[0] and program[1] > initial[1]
 
     def test_quadrature_bytes_do_not_depend_on_the_thread_count(self):
         # the zone quadrature's w @ f(x) is a BLAS dot product, whose threads
