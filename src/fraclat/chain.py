@@ -432,6 +432,8 @@ def element_periodic_images(
     alpha = order.alpha
     beta = alpha + 1.0
     scale = -order.omega_sq * riesz_amplitude(alpha) * n ** -beta
+    if not math.isfinite(scale):  # omega_sq * A passed the double range, not the scale
+        scale = -(order.omega_sq * n ** -beta) * riesz_amplitude(alpha)
     q_min = max(_series_terms(alpha)[0], n)
     plus, minus = range(p, q_min, n), range(n - p, q_min, n)
     # _closed raises where a head image passes the double range; a plain try, as

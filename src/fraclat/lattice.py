@@ -18,7 +18,11 @@ h = pi, pi/2, ..., each the union of n boxes on which the integrand is
 analytic with its kink about a box width away, so a tensor Gauss rule of
 fixed order converges fast on each, and the nodes grow with the number of
 shells rather than with its n-th power (nested cubes as in M. G. Duffy,
-SIAM J. Numer. Anal. 19 (1982) 1260-1262).
+SIAM J. Numer. Anal. 19 (1982) 1260-1262).  Below the first few shells
+every shell has the same panels scaled by h, so those shells are stacked
+and summed in one tensor pass per box.  The shells are summed from the
+outside in, and those whose whole cube [0, h]^n is below the value's last
+place are left out; a bound on them joins the error estimate.
 
 The heat kernel route is Balakrishnan's subordination formula for lambda^a,
 a = alpha/2 (Pacific J. Math. 10 (1960) 419-437), over the lattice heat
@@ -31,6 +35,7 @@ every route here runs on numpy and the standard library alone.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -191,60 +196,106 @@ def build_laplacian_nd(order: FractionalOrder, lattice: LatticeSpec):
 _BZ_BLOCK = 1 << 17
 
 
-def _tensor_sum(a: float, axes) -> float:
+def _tensor_sum(a: float, axes):
     """Tensor product rule sum of prod_j cw_j * (sum_j s2_j)^a.
 
     axes holds one (s2, cw) pair per axis: the values of 4 sin^2(kappa / 2)
     and of cos(p_j kappa) times the weight (one in a Bloch sum) at that
-    axis's nodes.  The grid is evaluated in row blocks of axis 0 of at most
+    axis's nodes.  Pairs of arrays of shape (stack, nodes) hold a stack of
+    grids of one shape, and give an array of their sums.  The grids are
+    evaluated in row blocks of axis 0, all grids at once, of at most
     _BZ_BLOCK points (at least one row) and contracted axis by axis.
     """
-    rest = np.zeros(())
+    if axes[0][0].ndim == 1:
+        return float(_tensor_sum(a, [(s2[None], cw[None]) for s2, cw in axes])[0])
+    stack = len(axes[0][0])
+    rest = np.zeros(stack)
     for s2, _ in axes[1:]:
-        rest = np.add.outer(rest, s2)
+        rest = rest[..., None] + s2.reshape(stack, *(1,) * (rest.ndim - 1), -1)
     rows = max(1, _BZ_BLOCK // rest.size)
+    expand = (None,) * (rest.ndim - 1)
     s2_0, cw_0 = axes[0]
-    total = 0.0
-    for i0 in range(0, len(s2_0), rows):
-        lam = np.add.outer(s2_0[i0 : i0 + rows], rest)
+    totals = np.zeros(stack)
+    for i0 in range(0, s2_0.shape[1], rows):
+        block = slice(i0, i0 + rows)
+        lam = s2_0[(slice(None), block) + expand] + rest[:, None]
         np.power(lam, a, out=lam)
         for _, cw in axes[:0:-1]:
-            lam = lam.reshape(-1, cw.size) @ cw
-        total += float(cw_0[i0 : i0 + rows] @ lam)
-    return total
+            lam = lam.reshape(stack, -1, cw.shape[1]) @ cw[:, :, None]
+        totals += (cw_0[:, None, block] @ lam.reshape(stack, -1, 1))[:, 0, 0]
+    return totals
 
 
-def _bz_value(order: FractionalOrder, comps, gauss_order: int) -> float:
-    """Zone integral over [0, pi]^n without the scale, on dyadic shells.
+def _halves(x):
+    """Veltkamp's split of x into a 26 bit head and the rest, x = head + rest exactly."""
+    c = 134217729.0 * x  # 2^27 + 1
+    head = c - (c - x)
+    return head, x - head
 
-    The radii h run over the geometric panel edges pi, pi/2, ... down to the
-    1e-8 floor.  On each axis, low is [0, h/2], high is [h/2, h] and full is
-    [0, h], each split into equal panels no wider than pi / (2 (|p_j| + 1)),
-    under half a period of cos(p_j kappa_j).  The shell [0, h]^n minus
-    [0, h/2]^n is the union of the boxes low^j x high x full^(n-j-1),
-    j = 0..n-1; the innermost cube, low on every axis of the smallest shell,
-    closes the sum.
+
+def _cos_of_product(p: int, x: np.ndarray) -> np.ndarray:
+    """cos(p x) at the nodes x, from the exact product p x.
+
+    Rounding p x to a double moves the phase by up to half its last place,
+    5.7e-14 at p x = 300 pi, the larger part of a far offset's rounding
+    error.  Dekker's product gives that rounding e exactly (Numer. Math. 18
+    (1971) 224-242), and cos(p x) = cos(q) - e sin(q) to within e^2 / 2,
+    q = p x rounded.
     """
-    a = 0.5 * order.alpha
-    caps = [math.pi / (2.0 * (abs(p) + 1.0)) for p in comps]
-    radii = geometric_panel_edges(math.pi)
-    total = 0.0
-    for h in radii[2:]:
-        low, high, full = [], [], []
-        for p, cap in zip(comps, caps):
-            k = max(1, math.ceil(0.5 * h / cap))
-            x, w = gauss_panel_rule(h * np.arange(2 * k + 1) / (2 * k), gauss_order)
-            axis = (4.0 * np.sin(0.5 * x) ** 2, np.cos(p * x) * w)
-            split = k * gauss_order
-            low.append(tuple(v[:split] for v in axis))
-            high.append(tuple(v[split:] for v in axis))
-            full.append(axis)
-        boxes = [low[:j] + [high[j]] + full[j + 1 :] for j in range(len(comps))]
-        if h == radii[2]:
-            boxes.append(low)
-        for box in boxes:
-            total += _tensor_sum(a, box)
-    return total / math.pi ** len(comps)
+    q = p * x
+    (p_head, p_rest), (x_head, x_rest) = _halves(float(p)), _halves(x)
+    e = ((p_head * x_head - q) + p_head * x_rest + p_rest * x_head) + p_rest * x_rest
+    return np.cos(q) - e * np.sin(q)
+
+
+def _bz_value(a: float, comps, gauss_order: int) -> tuple[float, float]:
+    """Zone integral over [0, pi]^n without the scale, on dyadic shells, and a
+    bound on the part of it left out.
+
+    The shells [0, h]^n minus [0, h/2]^n run outside in over the geometric
+    panel edges h = pi, pi/2, ... down to the 1e-8 floor.  On each axis, low
+    is [0, h/2], high is [h/2, h] and full is [0, h], low and high each split
+    into equal panels no wider than 2 pi / (|p_j| + 1), one period of
+    cos(p_j kappa_j).  A shell is the union of the boxes
+    low^j x high x full^(n-j-1), j = 0..n-1.  Shells with the same panel
+    counts on every axis scale one rule by h and are stacked, one
+    _tensor_sum pass per box and block of shells.  The sum stops before the
+    first h where the cube [0, h]^n is at most a quarter of the running
+    value's last place.  Since 4 sin^2(kappa / 2) <= kappa^2 and |cos| <= 1,
+    that cube is at most (h / pi)^n (n h^2)^a, the bound returned.  Where no
+    h stops it, the innermost cube, low on every axis of the smallest shell,
+    closes the sum and the bound is 0.  The shells' sums are added exactly
+    (math.fsum), so their order adds no rounding.
+    """
+    dim, scale = len(comps), math.pi ** len(comps)
+    caps = [2.0 * math.pi / (abs(p) + 1.0) for p in comps]
+    radii = geometric_panel_edges(math.pi)[:1:-1]
+    parts = []  # the shells' sums, added exactly
+    for counts, run in itertools.groupby(
+            radii, key=lambda h: tuple(max(1, math.ceil(0.5 * h / cap)) for cap in caps)):
+        shells = np.array(list(run))
+        axes, low = [], [k * gauss_order for k in counts]  # nodes on low, as on high
+        for p, k in zip(comps, counts):
+            x, w = gauss_panel_rule(np.arange(2 * k + 1) / (2 * k), gauss_order)
+            x = np.multiply.outer(shells, x)
+            axes.append((4.0 * np.sin(0.5 * x) ** 2, _cos_of_product(p, x) * np.multiply.outer(shells, w)))
+        boxes = [[slice(m) for m in low[:j]] + [slice(low[j], None)] + [slice(None)] * (dim - j - 1)
+                 for j in range(dim)]
+        chunk = max(1, _BZ_BLOCK // (math.prod(low) * (2**dim - 1)))  # shells a block holds
+        for i, h in enumerate(shells):
+            value = math.fsum(parts) / scale
+            log_cube = dim * math.log(h / math.pi) + a * math.log(dim * h * h)
+            if value != 0.0 and log_cube <= math.log(math.ulp(value)) - math.log(4.0):
+                return value, math.exp(log_cube)
+            if i % chunk == 0:
+                stack = slice(i, i + chunk)
+                sums = sum(_tensor_sum(a, [(s2[stack, part], cw[stack, part])
+                                           for part, (s2, cw) in zip(box, axes)]) for box in boxes)
+            parts.append(float(sums[i % chunk]))
+            if not math.isfinite(parts[-1]):  # before fsum, which refuses inf - inf
+                raise OverflowError
+    parts.extend(_tensor_sum(a, [(s2[-1:, :m], cw[-1:, :m]) for m, (s2, cw) in zip(low, axes)]))
+    return math.fsum(parts) / scale, 0.0
 
 
 def element_infinite_nd_bz(
@@ -258,27 +309,30 @@ def element_infinite_nd_bz(
     at the zone centre, h = pi, pi/2, ... down to 1e-8, plus the innermost
     cube; each shell is a few boxes on which the integrand is analytic,
     integrated by a tensor Gauss rule whose panels are capped per axis so
-    each sees under half an oscillation period.  Gauss orders n and n + 8,
-    n = _GAUSS_ORDER, give the error estimate omega_sq |difference|, floored
-    at the value's last place and checked against tol.  The default tol is
+    each sees at most one period of its cosine.  The shells are summed from
+    the outside in and stop where the whole cube left, bounded by
+    (h / pi)^n (n h^2)^(alpha/2), is at most a quarter of the value's last
+    place.  Gauss orders n and n + 8, n = _GAUSS_ORDER, give the error
+    estimate omega_sq (|difference| + that bound), floored at the value's
+    last place and checked against tol.  The default tol is
     absolute: once |f| reaches 2^23 (about 8.4e6) its last place exceeds it
     and an explicit tol is needed, which at the origin happens from alpha
     about 17.86 in 2D and 15.26 in 3D.  Where the two orders differ by two
     last places, the default already fails at some orders from about 17.1
-    in 2D and 14.9 in 3D.  OverflowError where omega_sq times the integral
-    passes the double range.
+    in 2D and 14.9 in 3D.  OverflowError where lambda^(alpha/2) or omega_sq
+    times the integral passes the double range.
     """
     require_positive_finite("tol", tol)
     if not (isinstance(dim, int) and 1 <= dim <= 3):
         raise ValueError(f"the zone integral supports dim 1..3, got {dim}")
     if offset.dim != dim:
         raise ValueError(f"offset has {offset.dim} components, expected {dim}")
-    comps = offset.components
-    coarse = _bz_value(order, comps, _GAUSS_ORDER)
-    fine = _bz_value(order, comps, _GAUSS_ORDER + 8)
-    value = within_double_range(f"element_infinite_nd_bz(alpha={order.alpha!r}, offset={comps})",
-                                lambda: order.omega_sq * fine)
-    return accept_estimate(value, order.omega_sq * abs(fine - coarse), tol, "zone integral")
+    comps, a = offset.components, 0.5 * order.alpha
+    call = f"element_infinite_nd_bz(alpha={order.alpha!r}, offset={comps})"
+    coarse, _ = within_double_range(call, _bz_value, a, comps, _GAUSS_ORDER)
+    fine, left_out = within_double_range(call, _bz_value, a, comps, _GAUSS_ORDER + 8)
+    value = within_double_range(call, lambda: order.omega_sq * fine)
+    return accept_estimate(value, order.omega_sq * (abs(fine - coarse) + left_out), tol, "zone integral")
 
 
 # the log t panels end at T = t0 e^U <= 2.5e8, so the Bessel argument 2t stays

@@ -108,7 +108,7 @@ def _check_nd_bz_vs_chain():
     # infinite lattice Brillouin quadrature in one dimension vs closed form
     for alpha in (0.5, 1.5, 3.1):
         order = FractionalOrder(alpha)
-        for p in (0, 1, 7):
+        for p in (0, 1, 7, 300):
             a = element_infinite_nd_bz(order, 1, OffsetVector((p,)))
             yield abs(a - element_infinite_closed(order, p))
 
@@ -124,7 +124,7 @@ def _check_nd_bessel_vs_chain():
 
 def _check_nd_bessel_vs_nd_bz():
     # heat kernel route vs Brillouin zone integral on the square lattice
-    for alpha, comps in ((0.3, (0, 0)), (1.3, (1, 4)), (2.7, (3, 1))):
+    for alpha, comps in ((0.3, (0, 0)), (1.3, (1, 4)), (2.7, (3, 1)), (1.3, (40, 3))):
         order, offset = FractionalOrder(alpha), OffsetVector(comps)
         yield _relative_gap(element_infinite_nd_bessel(order, 2, offset),
                             element_infinite_nd_bz(order, 2, offset))

@@ -525,6 +525,14 @@ class TestPeriodicRoutes:
             element_periodic_images(order, chain, 1, tol=1e-300)
         assert info.value.achieved >= math.ulp(element_periodic_images(order, chain, 1))
 
+    def test_images_scale_past_the_amplitude_range(self):
+        # omega_sq A passes the double range at omega_sq = 1e308, the tail's
+        # scale omega_sq A N^-(alpha + 1) and the element do not
+        chain = ChainSpec(size=1000)
+        big = element_periodic_images(FractionalOrder(alpha=3.3, omega_sq=1e308), chain, 500, tol=1e300)
+        unit = element_periodic_images(FractionalOrder(alpha=3.3), chain, 500, tol=1e300)
+        assert big == pytest.approx(1e308 * unit, rel=1e-15, abs=0.0)
+
     def test_image_estimate_bounds_the_error(self):
         # the least tol returns the estimate in the ToleranceError; the error against
         # the Bloch sum at the double alpha, in 40 digits past its modes' 2^alpha,

@@ -203,6 +203,9 @@ class TestElementsCommand:
          "element_infinite_quadrature(alpha=3.0, p=0)"),
         (("--alpha", "3", "--omega-sq", "1e308", "--infinite", "--offset", "0,0", "--route", "nd_bz",
           "--tol", "1e300"), "element_infinite_nd_bz(alpha=3.0, offset=(0, 0))"),
+        # lambda^(alpha/2) overflows to -inf on the outer shell and +inf on the next
+        (("--alpha", "4000", "--infinite", "--offset", "1", "--route", "nd_bz", "--tol", "1e300"),
+         "element_infinite_nd_bz(alpha=4000.0, offset=(1,))"),
         (("--alpha", "3.3", "--omega-sq", "1e308", "--infinite", "--offset", "1,0", "--route", "nd_bessel",
           "--tol", "1e300"), "element_infinite_nd_bessel(alpha=3.3, offset=(1, 0))"),
         (("--alpha", "3.3", "--omega-sq", "1e308", "--n", "8", "--route", "images", "--p", "0"),

@@ -319,18 +319,31 @@ class TestZoneIntegral:
                 )
 
     def test_work_of_a_3d_element(self, monkeypatch):
-        # the shells take about 1.6e7 power evaluations here, a tensor product of
+        # the shells take about 5.2e6 power evaluations here, a tensor product of
         # the per axis refined rules (reference_bz) about 1.4e9
         evaluations = []
         tensor_sum = lattice._tensor_sum
 
         def counting_tensor_sum(a, axes):
-            evaluations.append(math.prod(len(s2) for s2, _ in axes))
+            # stacked shells times the nodes of one shell's box
+            evaluations.append(len(axes[0][0]) * math.prod(s2.shape[-1] for s2, _ in axes))
             return tensor_sum(a, axes)
 
         monkeypatch.setattr(lattice, "_tensor_sum", counting_tensor_sum)
         element_infinite_nd_bz(FractionalOrder(alpha=1.3), 3, OffsetVector((2, 1, 2)))
-        assert 0 < sum(evaluations) <= 2e7
+        assert 0 < sum(evaluations) <= 8e6
+
+    def test_estimate_covers_the_cube_left_out(self):
+        # at the origin the two Gauss orders differ by one last place; the cube
+        # the shells leave out, at most a quarter of a last place, raises the
+        # estimate above it
+        order = FractionalOrder(alpha=0.3)
+        coarse, _ = lattice._bz_value(0.15, (0, 0), lattice._GAUSS_ORDER)
+        fine, left_out = lattice._bz_value(0.15, (0, 0), lattice._GAUSS_ORDER + 8)
+        assert 0.0 < left_out <= 0.25 * math.ulp(fine)
+        with pytest.raises(ToleranceError) as failure:
+            element_infinite_nd_bz(order, 2, OffsetVector((0, 0)), tol=1e-30)
+        assert failure.value.achieved == abs(fine - coarse) + left_out > math.ulp(fine)
 
     def test_classical_2d_diagonal(self):
         order = FractionalOrder(alpha=2.0)
