@@ -28,6 +28,7 @@ import numpy as np
 from .special import (
     _BERNOULLI,
     _LOG_DOUBLE_MAX,
+    _UNIT_ROUNDOFF,
     ToleranceError,
     accept_estimate,
     as_integer,
@@ -210,7 +211,6 @@ def _series_terms(alpha: float) -> tuple:
     return max(13, math.ceil(3.0 * alpha)), amp, amp_error, log_amp, coeffs
 
 
-_UNIT_ROUNDOFF = 2.0**-53
 # relative error bound of the closed form's direct series start and of the image sum's
 # tail, each built from A at once: A's own error (math.gamma is up to 48 u off near
 # alpha = 16), a power, an exp or a hurwitz_zeta (at most 4 u measured), the products

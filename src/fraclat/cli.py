@@ -171,7 +171,7 @@ def cmd_elements(args):
 
     if domain == "lattice":
         if not args.offset:
-            raise UsageError(f"route {route} requires at least one --offset p1,p2[,p3]")
+            raise UsageError(f"route {route} requires at least one --offset p1[,p2[,p3[,p4]]]")
         points = [_parse_offset(text) for text in args.offset]
         dim = parameters["dim"] = len(points[0])
         if any(len(point) != dim for point in points):
@@ -340,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--offset",
         action="append",
-        metavar="p1,p2[,p3]",
-        help="nD offset vector (repeatable), for routes nd_bz and nd_bessel",
+        metavar="p1[,p2[,p3[,p4]]]",
+        help="offset vector of 1 to 4 components (repeatable), for routes nd_bz and nd_bessel",
     )
     sub.add_argument("--route", required=True, choices=tuple(_routes()))
     sub.add_argument("--omega-sq", type=float, default=1.0, dest="omega_sq")
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("matrix", help="finite Laplacian table plus eigenvalues")
     sub.add_argument("--alpha", type=float, action="append", required=True)
     sub.add_argument("--n", type=int, metavar="INT", help="ring size (1D periodic)")
-    sub.add_argument("--dims", metavar="N1xN2[xN3]", help="finite lattice sizes per axis")
+    sub.add_argument("--dims", metavar="N1xN2[xN3[xN4]]", help="finite lattice sizes per axis")
     sub.add_argument("--mu", type=float, default=1.0, help="mass prefactor of the Laplacian")
     sub.add_argument("--omega-sq", type=float, default=1.0, dest="omega_sq")
     add_output_flags(sub)

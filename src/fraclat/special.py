@@ -115,6 +115,7 @@ def within_double_range(call, compute: Callable, *args, at=None):
 _BERNOULLI = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0,
               5 / 66, 0.0, -691 / 2730, 0.0, 7 / 6, 0.0, -3617 / 510, 0.0)
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @functools.lru_cache(maxsize=128)

@@ -131,8 +131,8 @@ def _check_nd_bessel_vs_nd_bz():
 
 
 def _check_nd_bessel_vs_periodic_4d():
-    # 4D, where no zone integral exists, vs a 16^4 periodic sum: its images
-    # are about 16^-13.9 at alpha = 9.9
+    # 4D heat kernel route vs a 16^4 periodic sum: its images are about
+    # 16^-13.9 at alpha = 9.9
     order, offset = FractionalOrder(9.9), OffsetVector((1, 0, 0, 0))
     yield _relative_gap(element_infinite_nd_bessel(order, 4, offset),
                         element_periodic_nd(order, LatticeSpec(4, (16,) * 4), offset))

@@ -10,7 +10,13 @@ import pytest
 
 from fraclat.chain import ChainSpec, FractionalOrder, element_periodic_bloch
 from fraclat.cli import main
-from fraclat.lattice import LatticeSpec, OffsetVector, element_infinite_nd_bz, element_periodic_nd
+from fraclat.lattice import (
+    LatticeSpec,
+    OffsetVector,
+    element_infinite_nd_bessel,
+    element_infinite_nd_bz,
+    element_periodic_nd,
+)
 from fraclat.output import parse_csv, parse_json
 
 
@@ -87,6 +93,17 @@ class TestElementsCommand:
             assert route == "nd_bz"
             expected = element_infinite_nd_bz(order, 2, OffsetVector((p1, p2)))
             np.testing.assert_allclose(value, expected, rtol=1e-12)
+
+    def test_nd_bz_four_dimensions(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "elements", "--alpha", "9.9", "--infinite", "--route", "nd_bz", "--offset", "1,1,0,0",
+        )
+        assert code == 0
+        record = parse_csv(out)
+        assert record["columns"] == ("p1", "p2", "p3", "p4", "value", "route")
+        reference = element_infinite_nd_bessel(FractionalOrder(9.9), 4, OffsetVector((1, 1, 0, 0)))
+        assert abs(record["rows"][0][4] - reference) <= 1e-12 * abs(reference)
 
     def test_nd_bessel_one_dimension(self, capsys):
         code, out, _ = run_cli(
@@ -294,6 +311,8 @@ class TestElementsCommand:
         (("elements", "--alpha", "1.5", "--infinite", "--p", "5..3", "--route", "closed"),
          "--p expects 'a..b', 'v', or 'v1,v2,...', got '5..3'"),
         (("matrix", "--alpha", "1.5", "--dims", "4xa"), "--dims expects N1xN2[xN3[xN4]], got '4xa'"),
+        (("elements", "--alpha", "1.5", "--infinite", "--route", "nd_bz"),
+         "route nd_bz requires at least one --offset p1[,p2[,p3[,p4]]]"),
         (("elements", "--alpha", "1.5", "--infinite", "--offset", "1,a", "--route", "nd_bz"),
          "--offset expects comma separated integers, got '1,a'"),
         (("kernel", "--alpha", "1.5", "--infinite", "--x-range", "1..a"), "--x-range expects 'a..b', got '1..a'"),

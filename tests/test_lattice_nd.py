@@ -1,6 +1,8 @@
+import itertools
 import math
 import re
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -360,10 +362,41 @@ class TestZoneIntegral:
 
     def test_dim_limit(self):
         order = FractionalOrder(alpha=1.0)
-        with pytest.raises(ValueError):
-            element_infinite_nd_bz(order, 4, OffsetVector((0, 0, 0, 0)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dim must be in 1..4"):
+            element_infinite_nd_bz(order, 5, OffsetVector((0, 0, 0, 0, 0)))
+        with pytest.raises(ValueError, match="offset has 1 components"):
             element_infinite_nd_bz(order, 2, OffsetVector((1,)))
+
+    @pytest.mark.parametrize("alpha, comps", [(9.9, (1, 0, 0, 0)), (1.4, (1, 1, 0, 0))])
+    def test_matches_heat_kernel_route_4d(self, alpha, comps):
+        order, offset = FractionalOrder(alpha), OffsetVector(comps)
+        reference = element_infinite_nd_bessel(order, 4, offset)
+        value = element_infinite_nd_bz(order, 4, offset)
+        assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
+
+    @pytest.mark.parametrize("alpha, comps", [(2.0, (1, 0, 0, 0)), (4.0, (0, 0, 0, 0))])
+    def test_integer_orders_match_the_stencil_4d(self, alpha, comps):
+        # (-Laplacian)^m is the m-th power of the 4D stencil: a sum over the
+        # ways m steps split among the axes of the 1D binomial stencils
+        m = round(alpha / 2)
+        exact = sum(
+            math.factorial(m) // math.prod(math.factorial(k) for k in split)
+            * math.prod((-1) ** abs(p) * math.comb(2 * k, k + abs(p)) for k, p in zip(split, comps))
+            for split in itertools.product(range(m + 1), repeat=4) if sum(split) == m
+        )
+        value = element_infinite_nd_bz(FractionalOrder(alpha), 4, OffsetVector(comps))
+        assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    def test_tensor_pass_stays_in_its_block(self):
+        # with both far components beside axis 0 the grid of the other axes
+        # holds 1024^2 points, 8 MB; no array may pass _BZ_BLOCK (1 MB)
+        tracemalloc.start()
+        try:
+            element_infinite_nd_bz(FractionalOrder(alpha=1.3), 3, OffsetVector((0, 60, 60)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_tolerance_failure_reported(self):
         order = FractionalOrder(alpha=0.3)
