@@ -31,9 +31,9 @@ from .special import (
     _UNIT_ROUNDOFF,
     ToleranceError,
     accept_estimate,
-    as_integer,
     hurwitz_zeta,
     integrate_even_periodic,
+    require_integer,
     require_positive_finite,
     within_double_range,
 )
@@ -52,6 +52,8 @@ __all__ = [
     "build_laplacian_1d",
     "laplacian_eigenvalues_1d",
 ]
+
+_OFFSET = "offset must be an integer"  # what a 1D route says of a fractional offset
 
 # tolerance for recognising alpha/2 as an integer; below this the profile
 # truncates to a finite stencil and several formulas degenerate
@@ -120,10 +122,7 @@ class ChainSpec:
     mass: float = 1.0
 
     def __post_init__(self):
-        size = as_integer(self.size)
-        if size is None or size < 2:
-            raise ValueError(f"size must be an integer >= 2, got {self.size}")
-        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "size", require_integer(self.size, "size must be an integer >= 2", low=2))
         require_positive_finite("mass", self.mass)
 
 
@@ -267,7 +266,7 @@ def element_infinite_closed(order: FractionalOrder, p: int) -> float:
 
 def _closed(order: FractionalOrder, p: int) -> tuple:
     """(f(p), relative error bound) of element_infinite_closed."""
-    p = abs(int(p))
+    p = abs(require_integer(p, _OFFSET))
     alpha = order.alpha
     try:
         if order.is_integer_half:
@@ -329,7 +328,7 @@ def element_infinite_quadrature(order: FractionalOrder, p: int, tol: float = 1e-
     OverflowError where omega_sq times the integral passes the double range.
     """
     require_positive_finite("tol", tol)
-    p = abs(int(p))
+    p = abs(require_integer(p, _OFFSET))
     a = 0.5 * order.alpha
 
     def integrand(kappa):
@@ -376,7 +375,7 @@ def _ring_powers(n: int, alpha: float) -> np.ndarray:
 def ring_axis(n: int, p: int) -> tuple:
     """Eigenvalues of a ring of n sites and the phases cos(2 pi (l p mod n) / n) of
     offset p at its modes l = 0 .. n-1, gathered from the ring's cached tables."""
-    return _ring_eigenvalues(n), _ring_phases(n)[np.arange(n) * (int(p) % n) % n]
+    return _ring_eigenvalues(n), _ring_phases(n)[np.arange(n) * (require_integer(p, _OFFSET) % n) % n]
 
 
 def element_periodic_bloch(order: FractionalOrder, chain: ChainSpec, p: int) -> float:
@@ -418,9 +417,7 @@ def element_periodic_images(
     """
     require_positive_finite("tol", tol)
     n = chain.size
-    p = int(p)
-    if not 0 <= p <= n - 1:
-        raise ValueError(f"offset must satisfy 0 <= p <= {n - 1}, got {p}")
+    p = require_integer(p, f"offset must satisfy 0 <= p <= {n - 1}", low=0, high=n - 1)
 
     call = f"element_periodic_images(alpha={order.alpha!r}, n={n}, p={p})"
     if order.is_integer_half:
@@ -499,7 +496,7 @@ def element_asymptotic(order: FractionalOrder, p: int) -> float:
     """
     if order.is_integer_half:
         raise ValueError("no power law tail exists at integer alpha/2")
-    p = abs(int(p))
+    p = abs(require_integer(p, _OFFSET))
     if p == 0:
         raise ValueError("the asymptotic form needs a nonzero offset")
     amplitude = riesz_amplitude(order.alpha)

@@ -20,6 +20,7 @@ and calling `main(argv)` leave the collector as they found it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import math
 import operator
@@ -394,12 +395,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# characters per write: the text layer encodes one slice at a time, never a whole table
+_WRITE_SLICE = 1 << 20
+
+
 def _write_output(text: str, destination: str) -> None:
-    if destination == "-":
-        sys.stdout.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    with contextlib.nullcontext(sys.stdout) if destination == "-" else open(
+            destination, "w", encoding="utf-8") as handle:
+        for start in range(0, len(text), _WRITE_SLICE):
+            handle.write(text[start:start + _WRITE_SLICE])
 
 
 def main(argv=None) -> int:

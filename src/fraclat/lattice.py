@@ -53,11 +53,11 @@ from .special import (
     _LOG_DOUBLE_MAX,
     _UNIT_ROUNDOFF,
     accept_estimate,
-    as_integer,
     gauss_panel_rule,
     geometric_panel_edges,
     hankel_coefficients,
     ive,
+    require_integer,
     require_positive_finite,
     within_double_range,
 )
@@ -94,12 +94,12 @@ def jv(order, x):
     return scipy.special.jv(order, x)
 
 
-def _check_domain(dim, offset=None) -> None:
-    """ValueError unless dim is an integer in 1.._MAX_DIM and offset, if given, has dim components."""
-    if not (isinstance(dim, int) and 1 <= dim <= _MAX_DIM):
-        raise ValueError(f"dim must be in 1..{_MAX_DIM}, got {dim}")
+def _check_domain(dim, offset=None) -> int:
+    """dim as an int in 1.._MAX_DIM, offset, if given, of dim components; ValueError otherwise."""
+    dim = require_integer(dim, f"dim must be in 1..{_MAX_DIM}", low=1, high=_MAX_DIM)
     if offset is not None and offset.dim != dim:
         raise ValueError(f"offset has {offset.dim} components, expected {dim}")
+    return dim
 
 
 class SizeLimitError(ValueError):
@@ -120,15 +120,11 @@ class LatticeSpec:
     mass: float = 1.0
 
     def __post_init__(self):
-        _check_domain(self.dim)
-        sizes = tuple(self.sizes)
+        object.__setattr__(self, "dim", _check_domain(self.dim))
+        sizes = tuple(require_integer(s, "sizes must be integers >= 2", low=2) for s in self.sizes)
         if len(sizes) != self.dim:
             raise ValueError(f"sizes must have {self.dim} entries, got {len(sizes)}")
-        for s in sizes:
-            size = as_integer(s)
-            if size is None or size < 2:
-                raise ValueError(f"sizes must be integers >= 2, got {s}")
-        object.__setattr__(self, "sizes", tuple(int(s) for s in sizes))
+        object.__setattr__(self, "sizes", sizes)
         require_positive_finite("mass", self.mass)
 
     @property
@@ -143,11 +139,8 @@ class OffsetVector:
     components: tuple
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        for c in comps:
-            if as_integer(c) is None:
-                raise ValueError(f"offset components must be integers, got {c}")
-        object.__setattr__(self, "components", tuple(int(c) for c in comps))
+        object.__setattr__(self, "components", tuple(
+            require_integer(c, "offset components must be integers") for c in self.components))
 
     @property
     def dim(self) -> int:
@@ -462,7 +455,7 @@ def element_infinite_nd_bessel(
         raise ValueError("the Bessel representation requires non integer alpha/2")
     if order.alpha > _HEAT_MAX_ALPHA:
         raise ValueError(f"the Bessel route needs alpha <= {_HEAT_MAX_ALPHA:g}, got {order.alpha}")
-    _check_domain(dim, offset)
+    dim = _check_domain(dim, offset)
     a = 0.5 * order.alpha
     # sorted, so permuted and sign flipped offsets multiply in one order
     comps = sorted(abs(c) for c in offset.components)
@@ -490,7 +483,7 @@ def asymptotic_constant_nd(dim: int, alpha: float) -> float:
     stays finite across alpha = 2; at even integer alpha the sine factor is an
     exact zero and 0.0 is returned.  OverflowError past the double range.
     """
-    _check_domain(dim)
+    dim = _check_domain(dim)
     require_positive_finite("alpha", alpha)
     if is_integer_half(alpha):
         return 0.0
@@ -524,9 +517,7 @@ def dispersion_surface(order: FractionalOrder, grid: int) -> np.ndarray:
 
     Returns rows (kappa1, kappa2, normalized frequency), kappa2 fastest.
     """
-    if not (isinstance(grid, int) and grid >= 2):
-        raise ValueError(f"grid must be an integer >= 2, got {grid}")
-    axis = np.linspace(0.0, math.pi, grid)
+    axis = np.linspace(0.0, math.pi, require_integer(grid, "grid must be an integer >= 2", low=2))
     k1, k2 = np.meshgrid(axis, axis, indexing="ij")
     values = normalized_dispersion_2d(order, k1, k2)
     return np.column_stack([k1.ravel(), k2.ravel(), values.ravel()])

@@ -13,7 +13,8 @@ The routes that take an error bound share its contract from here: a plain
 positive finite tol (require_positive_finite), an estimate never below the
 value's last place, and ToleranceError carrying that estimate when it does
 not meet the bound (accept_estimate).  A value past the double range raises
-OverflowError naming its call, never inf or NaN (within_double_range).
+OverflowError naming its call, never inf or NaN (within_double_range).  An
+integer argument is any integer valued number, 2.0 included (require_integer).
 
 ive is the exponentially scaled modified Bessel function e^(-x) I_n(x) of
 integer order that the heat kernel route multiplies out; hankel_coefficients
@@ -34,7 +35,7 @@ from numpy.polynomial.legendre import leggauss
 __all__ = [
     "ToleranceError",
     "require_positive_finite",
-    "as_integer",
+    "require_integer",
     "accept_estimate",
     "first_entry",
     "within_double_range",
@@ -64,13 +65,18 @@ def require_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def as_integer(value):
-    """value as an int when it is a finite integer (2.0 counts), else None."""
+def require_integer(value, what: str, low=None, high=None) -> int:
+    """value as an int where it is integer valued (a Python or numpy integer, or a float
+    such as 2.0) and within low..high, each bound where given; ValueError
+    "<what>, got <value>" otherwise, as for 2.7, inf, NaN, None or "2"."""
     try:
         integer = int(value)
+        valid = integer == value and (low is None or integer >= low) and (high is None or integer <= high)
     except (OverflowError, TypeError, ValueError):  # inf, None, NaN
-        return None
-    return integer if integer == value else None
+        valid = False
+    if not valid:
+        raise ValueError(f"{what}, got {value}")
+    return integer
 
 
 def _last_place_floor(value: float, estimate: float) -> float:
@@ -233,7 +239,7 @@ def _ive_debye(n: int, x: np.ndarray) -> np.ndarray:
 
 
 def ive(n: int, x) -> np.ndarray:
-    """e^(-x) I_n(x) for an integer order n >= 0 at an array of x >= 0.
+    """e^(-x) I_n(x) for an integer order n >= 0 (2.0 counts) at an array of x >= 0.
 
     Below order 20: the power series for x < max(20, n^2 / 4), the periodic
     trapezoid rule on n + sqrt(n^2 + 80 x) nodes up to max(40, 2 n^2), and
@@ -241,8 +247,7 @@ def ive(n: int, x) -> np.ndarray:
     at every x.  Within 1e-15 (4 + |ln ive|) relative of 40-digit values: a
     tiny value is e^E with |E| near |ln ive|, and E carries its rounding.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
-        raise ValueError(f"ive needs an integer order n >= 0, got {n!r}")
+    n = require_integer(n, "ive needs an integer order n >= 0", low=0)
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0.0):
         raise ValueError("ive needs x >= 0 (NaN is not)")

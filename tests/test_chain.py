@@ -54,6 +54,38 @@ class TestValidation:
         with pytest.raises(ValueError):
             ChainSpec(size=8, mass=-1.0)
 
+    # every 1D route that takes an offset, as a call of (order, ring, p)
+    OFFSET_ROUTES = {
+        "closed": lambda order, ring, p: element_infinite_closed(order, p),
+        "quadrature": lambda order, ring, p: element_infinite_quadrature(order, p),
+        "asymptotic": lambda order, ring, p: element_asymptotic(order, p),
+        "bloch": element_periodic_bloch,
+        "images": element_periodic_images,
+    }
+
+    @pytest.mark.parametrize("p", [2.7, np.float64(2.7)], ids=["float", "np.float64"])
+    @pytest.mark.parametrize("route", list(OFFSET_ROUTES))
+    def test_a_fractional_offset_raises(self, route, p):
+        # 2.7 is no offset: no route truncates it to 2
+        with pytest.raises(ValueError, match=r"offset must (be an integer|satisfy 0 <= p <= 7), got 2\.7$"):
+            self.OFFSET_ROUTES[route](FractionalOrder(1.3), ChainSpec(8), p)
+
+    @pytest.mark.parametrize("p", [np.int64(3), 3.0, np.uint8(3)], ids=["np.int64", "float", "np.uint8"])
+    @pytest.mark.parametrize("route", list(OFFSET_ROUTES))
+    def test_an_integer_valued_offset_is_the_int(self, route, p):
+        order, call = FractionalOrder(1.3), self.OFFSET_ROUTES[route]
+        assert call(order, ChainSpec(8), p) == call(order, ChainSpec(8), 3)
+
+    @pytest.mark.parametrize("size", [np.int64(8), 8.0, np.int32(8)], ids=["np.int64", "float", "np.int32"])
+    def test_an_integer_valued_ring_size_is_the_int(self, size):
+        ring = ChainSpec(size)
+        assert type(ring.size) is int and ring == ChainSpec(8)
+        order = FractionalOrder(1.3)
+        for route in ("bloch", "images"):
+            assert self.OFFSET_ROUTES[route](order, ring, 3) == self.OFFSET_ROUTES[route](order, ChainSpec(8), 3)
+        assert np.array_equal(build_laplacian_1d(order, ring).first_row,
+                              build_laplacian_1d(order, ChainSpec(8)).first_row)
+
 
 class TestClosedForm:
     def test_classical_stencil(self):

@@ -72,6 +72,38 @@ class TestLatticeValidation:
             with pytest.raises(ValueError, match=message):
                 build()
 
+    @pytest.mark.parametrize("value", [2.7, np.float64(2.7)], ids=["float", "np.float64"])
+    def test_a_fractional_integer_argument_raises(self, value):
+        order = FractionalOrder(1.3)
+        cases = [
+            (lambda: OffsetVector((value, 0)), "offset components must be integers"),
+            (lambda: LatticeSpec(value, (8, 8)), "dim must be in 1..4"),
+            (lambda: element_infinite_nd_bz(order, value, OffsetVector((1, 0))), "dim must be in 1..4"),
+            (lambda: dispersion_surface(order, value), "grid must be an integer >= 2"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError, match=rf"^{message}, got 2\.7$"):
+                build()
+
+    @pytest.mark.parametrize("dim", [np.int64(2), 2.0], ids=["np.int64", "float"])
+    def test_an_integer_valued_dim_is_the_int(self, dim):
+        order, offset = FractionalOrder(1.3), OffsetVector((1, 0))
+        assert element_infinite_nd_bz(order, dim, offset) == element_infinite_nd_bz(order, 2, offset)
+        assert element_infinite_nd_bessel(order, dim, offset) == element_infinite_nd_bessel(order, 2, offset)
+        assert asymptotic_constant_nd(dim, 1.3) == asymptotic_constant_nd(2, 1.3)
+        spec = LatticeSpec(dim, (8, 6))
+        assert type(spec.dim) is int and spec == LatticeSpec(2, (8, 6))
+
+    @pytest.mark.parametrize("value", [np.int64(5), 5.0], ids=["np.int64", "float"])
+    def test_integer_valued_sizes_offsets_and_grids_are_the_int(self, value):
+        order = FractionalOrder(1.3)
+        spec, offset = LatticeSpec(2, (value, 8)), OffsetVector((value, -value))
+        assert spec.sizes == (5, 8) and all(type(s) is int for s in spec.sizes)
+        assert offset.components == (5, -5) and all(type(c) is int for c in offset.components)
+        assert element_periodic_nd(order, spec, offset) == element_periodic_nd(
+            order, LatticeSpec(2, (5, 8)), OffsetVector((5, -5)))
+        assert np.array_equal(dispersion_surface(order, value), dispersion_surface(order, 5))
+
 
 class TestEigenvalue:
     def test_reference_points(self):

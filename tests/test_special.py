@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import mpmath
@@ -15,6 +16,7 @@ from fraclat.special import (
     hurwitz_zeta,
     integrate_even_periodic,
     ive,
+    require_integer,
     within_double_range,
 )
 
@@ -222,12 +224,19 @@ class TestIve:
         assert ive(4, np.zeros((2, 3))).shape == (2, 3)
 
     def test_domain(self):
-        for n in (-1, 2.0, 1.5, None):
+        # an integral float is an integer order (2.0 counts); a negative one is not
+        for n in (-1, -2.0, 1.5, None):
             with pytest.raises(ValueError, match="integer order n >= 0"):
                 ive(n, np.array([1.0]))
         for bad in (-1e-300, math.nan):
             with pytest.raises(ValueError, match="x >= 0"):
                 ive(1, np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("n", [np.int64(2), 2.0, np.uint16(2), np.int64(25), 25.0],
+                             ids=["np.int64", "float", "np.uint16", "np.int64-debye", "float-debye"])
+    def test_an_integer_valued_order_is_the_int(self, n):
+        x = np.geomspace(1e-3, 1e3, 50)
+        assert np.array_equal(ive(n, x), ive(int(n), x))
 
     def test_hankel_coefficients(self):
         # c_k = (-1)^k a_k(n): 1, (1 - 4n^2) / 8, (1 - 4n^2)(9 - 4n^2) / 128, ...
@@ -235,6 +244,26 @@ class TestIve:
             mu = 4.0 * n * n
             expected = [1.0, (1 - mu) / 8, (1 - mu) * (9 - mu) / 128, (1 - mu) * (9 - mu) * (25 - mu) / 3072]
             np.testing.assert_allclose(hankel_coefficients(n, 4), expected, rtol=1e-15)
+
+
+class TestRequireInteger:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), 3.0, np.float64(3.0), np.array(3)])
+    def test_integer_values_give_the_int(self, value):
+        got = require_integer(value, "n must be an integer")
+        assert got == 3 and type(got) is int
+
+    @pytest.mark.parametrize("value", [2.7, np.float64(2.7), math.inf, -math.inf, math.nan, None, "3",
+                                       3 + 0j, np.array([3, 3])])
+    def test_anything_else_raises_its_message(self, value):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(str(value))}$"):
+            require_integer(value, "n must be an integer")
+
+    def test_bounds(self):
+        assert require_integer(2.0, "what", low=2, high=2) == 2
+        assert require_integer(-10**30, "what", high=0) == -10**30
+        for value, low, high in ((1, 2, None), (5, None, 4), (np.int64(-1), 0, 7)):
+            with pytest.raises(ValueError, match=f"^what, got {value}$"):
+                require_integer(value, "what", low=low, high=high)
 
 
 class TestTolContract:
