@@ -3,8 +3,10 @@
 Subcommands: elements, matrix, dispersion, kernel, verify.  Every command
 builds one OutputRecord and writes it as CSV (default) or JSON to stdout or
 a file.  Exit codes: 0 success, 1 verification or tolerance failure, 2 usage
-or parameter error (with a one line reason on stderr).  Output is byte
-identical for identical flags.
+or parameter error, an oversized request or a destination that cannot be
+written; each failure leaves one `fraclat: <reason>` line on stderr, except a
+closed stdout, which exits 1 silently.  Output is byte identical for
+identical flags.
 
 Importing this module loads numpy with its BLAS on one thread unless one of
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set: no route
@@ -419,14 +421,25 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         record, exit_code = args.func(args)
+        text = record_to_csv(record) if args.format == "csv" else record_to_json(record)
+        _write_output(text, args.output)
+        sys.stdout.flush()
     except (ToleranceError, OverflowError) as exc:
-        print(f"fraclat: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"fraclat: {exc}", file=sys.stderr)
-        return 2
-    text = record_to_csv(record) if args.format == "csv" else record_to_json(record)
-    _write_output(text, args.output)
+        reason, exit_code = exc, 1
+    except (ValueError, MemoryError) as exc:
+        reason, exit_code = exc, 2
+    except OSError as exc:  # only the write opens or writes a file
+        if argv is None and args.output == "-":
+            # stdout keeps what it could not write; pointed at /dev/null, the
+            # interpreter's final flush of it cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):  # the reader has gone: nothing is left to tell it
+            return 1
+        destination = "stdout" if args.output == "-" else args.output
+        reason, exit_code = f"cannot write {destination}: {exc.strerror or exc}", 2
+    else:
+        return exit_code
+    print(f"fraclat: {reason}", file=sys.stderr)
     return exit_code
 
 

@@ -12,15 +12,15 @@ numbers, lists of str for text.  The encoders spell each column on its own,
 and each distinct cell of a column once: float arrays are keyed by their bits
 (so -0.0 stays apart from 0.0), int arrays by value and str lists through a
 dict.  A distinct cell is spelled with its row separator folded into its
-text, the texts are gathered back by the inverse index and interleaved row
-by row, and all rows are one join.  Any other column (an object or mixed
-list, or an array of another dtype) is spelled cell by cell.  The bytes equal a per-cell encoding of the
+text, and the texts are gathered back by the inverse index and interleaved
+row by row between the table's head and tail: head, rows and tail are one
+join.  Any other column (an object or mixed list, or an array of another
+dtype) is spelled cell by cell.  The bytes equal a per-cell encoding of the
 rows.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,14 +40,21 @@ def format_real(value: float) -> str:
     return "%.17g" % value
 
 
-def _format_cell(value) -> str:
+def _csv_cell(value) -> str:
     if isinstance(value, bool):
         raise TypeError("boolean cells are not part of the table contract")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_real(value)
-    return str(value)
+    return format_real(value) if isinstance(value, float) else str(value)
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cell(value) -> str:
+    """The CSV spelling, but NaN and Infinity as JSON spells them, and a string quoted."""
+    text = _csv_cell(value)
+    if isinstance(value, (int, float)):
+        return _JSON_NON_FINITE.get(text, text)
+    return json.dumps(text)
 
 
 def _parse_cell(text: str):
@@ -115,91 +122,70 @@ def _spelled(column, spell, before: str, after: str) -> list:
     return [before + spell(v) + after for v in column]
 
 
-def _rows_text(table: tuple, spell, first: str, between: str, last: str) -> str:
-    """All data rows as one string: the cells of the first column spelled after
-    `first`, of the others after `between`, and of the last one before `last`."""
-    width = len(table)
-    cells = [None] * (width * len(table[0])) if table else []
+def _joined(record: OutputRecord, spell, head: list, first: str, between: str, last: str,
+            end: str, tail: str) -> str:
+    """The strings of `head`, the data rows and `tail` as one join.  A row spells
+    its first cell after `first`, each other cell after `between`, and ends in
+    `last`; the final row ends in `end` instead."""
+    table, width, start = record.table, len(record.table), len(head)
+    stop = start + width * len(table[0]) if table else start
+    parts = [None] * (stop + 1)
+    parts[:start], parts[stop] = head, tail
     for j, column in enumerate(table):
-        cells[j::width] = _spelled(column, spell, between if j else first, last if j == width - 1 else "")
-    return "".join(cells)
+        parts[start + j:stop:width] = _spelled(column, spell, between if j else first,
+                                               last if j == width - 1 else "")
+    if stop > start:
+        parts[stop - 1] = parts[stop - 1][:-len(last)] + end
+    return "".join(parts)
 
 
 def record_to_csv(record: OutputRecord) -> str:
-    lines = [f"# command: {record.command}"]
-    for key, value in record.parameters.items():
-        lines.append(f"# parameter {key}: {_format_cell(value)}")
-    for key, value in record.metadata.items():
-        lines.append(f"# metadata {key}: {_format_cell(value)}")
-    lines.append(",".join(record.columns))
-    return "\n".join(lines) + "\n" + _rows_text(record.table, _format_cell, "", ",", "\n")
+    head = [f"# command: {record.command}\n"]
+    head += [f"# parameter {key}: {_csv_cell(value)}\n" for key, value in record.parameters.items()]
+    head += [f"# metadata {key}: {_csv_cell(value)}\n" for key, value in record.metadata.items()]
+    head.append(",".join(record.columns) + "\n")
+    return _joined(record, _csv_cell, head, "", ",", "\n", "\n", "")
 
 
-def _json_scalar(value) -> str:
-    if isinstance(value, bool):
-        raise TypeError("boolean cells are not part of the table contract")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return format_real(value)
-    return json.dumps(str(value))
+def _json_object(mapping: dict) -> str:
+    return "{" + ", ".join(f"{json.dumps(str(k))}: {_json_cell(v)}" for k, v in mapping.items()) + "}"
 
 
 def record_to_json(record: OutputRecord) -> str:
     # hand assembled so float cells go through the same 17 digit format as
     # the CSV encoder
-    def obj(mapping: dict) -> str:
-        inner = ", ".join(f"{json.dumps(str(k))}: {_json_scalar(v)}" for k, v in mapping.items())
-        return "{" + inner + "}"
-
-    head = (
-        f'{{"command": {json.dumps(record.command)}, '
-        f'"parameters": {obj(record.parameters)}, '
-        f'"columns": {json.dumps(list(record.columns))}, '
-        '"rows": ['
-    )
-    rows = _rows_text(record.table, _json_scalar, "[", ", ", "], ")[:-2]  # no ", " after the last row
-    tail = f'], "metadata": {obj(record.metadata)}}}\n'
-    return "".join([head, rows, tail])
+    head = [f'{{"command": {json.dumps(record.command)}, "parameters": {_json_object(record.parameters)}, '
+            f'"columns": {json.dumps(list(record.columns))}, "rows": [']
+    tail = f'], "metadata": {_json_object(record.metadata)}}}\n'
+    return _joined(record, _json_cell, head, "[", ", ", "], ", "]", tail)
 
 
 def parse_csv(text: str) -> dict:
     """Recover columns and typed rows from an emitted CSV record."""
-    columns = None
-    rows = []
-    command = None
-    parameters = {}
-    metadata = {}
+    comments = {"parameter": {}, "metadata": {}}
+    command, columns, rows = None, None, []
     for line in text.splitlines():
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("command:"):
-                command = body.split(":", 1)[1].strip()
-            elif body.startswith("parameter "):
-                key, value = body[len("parameter ") :].split(":", 1)
-                parameters[key.strip()] = _parse_cell(value.strip())
-            elif body.startswith("metadata "):
-                key, value = body[len("metadata ") :].split(":", 1)
-                metadata[key.strip()] = _parse_cell(value.strip())
-            continue
-        if columns is None:
+            kind, _, body = line[1:].strip().partition(" ")
+            if kind == "command:":
+                command = body.strip()
+            elif kind in comments:
+                key, value = body.split(":", 1)
+                comments[kind][key.strip()] = _parse_cell(value.strip())
+        elif columns is None:
             columns = line.split(",")
-            continue
-        rows.append(tuple(_parse_cell(cell) for cell in line.split(",")))
+        else:
+            rows.append(tuple(_parse_cell(cell) for cell in line.split(",")))
     if columns is None:
         raise ValueError("no header row found")
     return {
         "command": command,
-        "parameters": parameters,
+        "parameters": comments["parameter"],
         "columns": tuple(columns),
         "rows": tuple(rows),
-        "metadata": metadata,
+        "metadata": comments["metadata"],
     }
 
 

@@ -36,6 +36,7 @@ from .lattice import (
     element_infinite_nd_bz,
     element_periodic_nd,
 )
+from .special import require_positive_finite
 
 __all__ = ["CheckResult", "SUITES", "available_checks", "run_suite"]
 
@@ -253,9 +254,10 @@ def run_suite(suite: str = "all", tol_overrides: dict | None = None) -> tuple:
     """Run one suite (or all of them) and return a tuple of CheckResult.
 
     A check passes when its worst gap is at most its tolerance; a NaN gap
-    fails it.  tol_overrides maps check names to replacement tolerances; the
-    continuum convergence scan expands into one result row per spacing,
-    whose final row carries the overridable bar.
+    fails it.  tol_overrides maps check names to replacement tolerances, each
+    positive and finite (ValueError otherwise); the continuum convergence scan
+    expands into one result row per spacing, whose final row carries the
+    overridable bar.
     """
     if suite not in SUITES + ("all",):
         raise ValueError(f"unknown suite {suite!r}; expected one of {('all',) + SUITES}")
@@ -263,6 +265,8 @@ def run_suite(suite: str = "all", tol_overrides: dict | None = None) -> tuple:
     unknown = set(overrides) - set(available_checks())
     if unknown:
         raise ValueError(f"tolerance override for unknown check(s): {sorted(unknown)}")
+    for name, tol in overrides.items():
+        require_positive_finite(f"tolerance override {name}", float(tol))
     results = []
     for check_suite in SUITES if suite == "all" else (suite,):
         for check in _CHECKS[check_suite]:

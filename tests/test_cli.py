@@ -610,6 +610,15 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--override", "not-a-pair")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_override_needs_a_positive_finite_tolerance(self, capsys, tol):
+        # as every --tol: a NaN, zero or negative bar would fail the check, inf pass it
+        code, out, err = run_cli(capsys, "verify", "--suite", "asymptotics",
+                                 "--override", f"amplitude_identity={tol}")
+        assert (code, out) == (2, "")
+        assert err == (f"fraclat: tolerance override amplitude_identity must be positive and finite, "
+                       f"got {float(tol)}\n")
+
 
 class TestOutputContracts:
     def test_csv_round_trip_is_bit_exact(self, capsys):
@@ -678,6 +687,76 @@ class TestOutputContracts:
         )
         assert result.returncode == 0
         assert parse_csv(result.stdout)["rows"] == ((0, 2, "closed"), (1, -1, "closed"), (2, 0, "closed"))
+
+
+# over 10x the memory of any machine and past a 47-bit address space: the
+# kernel refuses the allocation at once, whatever its overcommit policy
+HUGE_SAMPLES = "100000000000000"
+# about 5 MB of CSV: far more than a pipe holds
+BIG_TABLE = ("dispersion", "--alpha", "1.3", "--grid", "301")
+
+
+def program(*argv, **kwargs):
+    """`python -m fraclat.cli argv` with a buffered stdout, as a shell runs it."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.Popen([sys.executable, "-m", "fraclat.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+class TestFailureContract:
+    """Every failure is one `fraclat: ...` line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize("target", ["missing/table.csv", "."])
+    def test_unwritable_output_exits_2_with_one_line(self, capsys, tmp_path, target):
+        path = str(tmp_path / target)
+        code, out, err = run_cli(capsys, *BIG_TABLE, "--output", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"fraclat: cannot write {path}: ") and err.count("\n") == 1
+
+    def test_oversized_request_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier table\n")
+        for destination in ("-", str(kept), str(tmp_path / "new.csv")):
+            code, out, err = run_cli(capsys, "kernel", "--alpha", "1.3", "--infinite", "--samples",
+                                     HUGE_SAMPLES, "--output", destination)
+            assert (code, out) == (2, "")
+            assert err.startswith("fraclat: Unable to allocate") and err.count("\n") == 1
+        assert kept.read_text() == "earlier table\n"
+        assert not (tmp_path / "new.csv").exists()
+
+    def test_in_process_caller_keeps_its_stdout(self, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        closed = ClosedPipe()
+        monkeypatch.setattr(sys, "stdout", closed)
+        before = os.fstat(1)
+        code = main(list(BIG_TABLE))
+        after = os.fstat(1)
+        assert sys.stdout is closed
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+        monkeypatch.undo()
+        assert (code, capsys.readouterr().err) == (1, "")
+
+    # the reader closes the pipe mid-table, or before the table, all held in stdout's buffer, is written
+    @pytest.mark.parametrize("grid, read", [("301", 100), ("3", 0)])
+    def test_closed_pipe_exits_1_silently(self, grid, read):
+        with program(*BIG_TABLE[:-1], grid, stdout=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(read)) == read
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("grid", ["3", "301"])  # all held in stdout's buffer, or not
+    def test_full_device_exits_2_with_one_line(self, grid):
+        with open("/dev/full", "w") as full, program(*BIG_TABLE[:-1], grid, stdout=full) as proc:
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (2, "fraclat: cannot write stdout: No space left on device\n")
 
 
 # Runs in a fresh interpreter: reports the scipy modules loaded by the

@@ -172,6 +172,18 @@ def test_each_bit_pattern_keeps_its_spelling():
     assert_encodes_as_reference(record)
 
 
+@pytest.mark.parametrize("table", [
+    [],
+    [np.zeros(0), np.zeros(0, dtype=np.int64), []],
+    [np.array([1.5, -0.0, 1.5]), ["ok", "singular", "ok"]],
+    [np.arange(3), np.array([1.0, math.inf, math.nan])],
+    [["%s", "é"], [math.nan, 2]],
+], ids=["no columns", "no rows", "text last", "nan last", "mixed last"])
+def test_edge_tables_match_reference(table):
+    # the JSON encoder trims the final row's ", " from the last column's last cell
+    assert_encodes_as_reference(make_record(table))
+
+
 def test_record_checks_its_table():
     with pytest.raises(ValueError, match="2 table columns do not match 3 columns"):
         OutputRecord("t", {}, ("a", "b", "c"), (np.zeros(2), np.zeros(2)))
