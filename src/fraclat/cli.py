@@ -2,11 +2,17 @@
 
 Subcommands: elements, matrix, dispersion, kernel, verify.  Every command
 builds one OutputRecord and writes it as CSV (default) or JSON to stdout or
-a file.  Exit codes: 0 success, 1 verification or tolerance failure, 2 usage
-or parameter error, an oversized request or a destination that cannot be
-written; each failure leaves one `fraclat: <reason>` line on stderr, except a
-closed stdout, which exits 1 silently.  Output is byte identical for
-identical flags.
+a file: every cell is spelled first, then the table's head, its row blocks
+(see `output`) and its tail are written one at a time as they are joined, so
+no table is held as one string.  A failure while spelling leaves an existing
+--output file untouched; one while the blocks are written (a full disk, or
+memory running out while a block is joined) leaves the part already written,
+before its one stderr line.  Exit codes: 0 success, 1 verification or
+tolerance failure, 2 usage or parameter error, an oversized request or a
+destination that cannot be written; each failure leaves one `fraclat:
+<reason>` line on stderr, except a closed stdout, which exits 1 silently.
+argparse's own --help and --version text keeps the same contract.  Output is
+byte identical for identical flags.
 
 Importing this module loads numpy with its BLAS on one thread unless one of
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set: no route
@@ -58,7 +64,7 @@ from .lattice import (
     element_infinite_nd_bz,
     normalized_dispersion_2d,
 )
-from .output import OutputRecord, record_to_csv, record_to_json
+from .output import OutputRecord, _blocks
 from .special import ToleranceError, require_positive_finite
 from .verify import SUITES, run_suite
 
@@ -397,15 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# characters per write: the text layer encodes one slice at a time, never a whole table
-_WRITE_SLICE = 1 << 20
-
-
-def _write_output(text: str, destination: str) -> None:
+def _write_output(record: OutputRecord, fmt: str, destination: str) -> None:
+    """Write the record's table block by block.  Every cell is spelled before
+    `destination` opens, so a failure while spelling leaves an existing file as
+    it was; a failure while the blocks are written leaves the part written."""
+    pieces = _blocks(record, fmt)
     with contextlib.nullcontext(sys.stdout) if destination == "-" else open(
             destination, "w", encoding="utf-8") as handle:
-        for start in range(0, len(text), _WRITE_SLICE):
-            handle.write(text[start:start + _WRITE_SLICE])
+        for piece in pieces:
+            handle.write(piece)
 
 
 def main(argv=None) -> int:
@@ -415,28 +421,30 @@ def main(argv=None) -> int:
         # walk them again; frozen, they stay out of every generation
         gc.freeze()
     parser = build_parser()
+    destination = "-"  # argparse writes --help and --version to stdout
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        record, exit_code = args.func(args)
-        text = record_to_csv(record) if args.format == "csv" else record_to_json(record)
-        _write_output(text, args.output)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help, --version or a usage error, already printed
+            exit_code = exc.code if isinstance(exc.code, int) else 2
+        else:
+            destination = args.output
+            record, exit_code = args.func(args)
+            _write_output(record, args.format, destination)
         sys.stdout.flush()
     except (ToleranceError, OverflowError) as exc:
         reason, exit_code = exc, 1
     except (ValueError, MemoryError) as exc:
         reason, exit_code = exc, 2
     except OSError as exc:  # only the write opens or writes a file
-        if argv is None and args.output == "-":
+        if argv is None and destination == "-":
             # stdout keeps what it could not write; pointed at /dev/null, the
             # interpreter's final flush of it cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):  # the reader has gone: nothing is left to tell it
             return 1
-        destination = "stdout" if args.output == "-" else args.output
-        reason, exit_code = f"cannot write {destination}: {exc.strerror or exc}", 2
+        where = "stdout" if destination == "-" else destination
+        reason, exit_code = f"cannot write {where}: {exc.strerror or exc}", 2
     else:
         return exit_code
     print(f"fraclat: {reason}", file=sys.stderr)

@@ -12,11 +12,15 @@ numbers, lists of str for text.  The encoders spell each column on its own,
 and each distinct cell of a column once: float arrays are keyed by their bits
 (so -0.0 stays apart from 0.0), int arrays by value and str lists through a
 dict.  A distinct cell is spelled with its row separator folded into its
-text, and the texts are gathered back by the inverse index and interleaved
-row by row between the table's head and tail: head, rows and tail are one
-join.  Any other column (an object or mixed list, or an array of another
-dtype) is spelled cell by cell.  The bytes equal a per-cell encoding of the
-rows.
+text, and each row keeps an int32 index into its column's texts.  Any other
+column (an object or mixed list, or an array of another dtype) is spelled
+cell by cell.  One encoder, `_blocks`, spells every column first, then
+yields the table's head, its rows in blocks of at most _BLOCK_ROWS rows, each
+gathered by those indices and interleaved row by row in one join, and its
+tail; `record_to_csv` and `record_to_json` join those pieces, and the CLI
+writes them one at a time, so a table on its way to a file is never held as
+one string and the peak memory of a large table is its record, its distinct
+texts and one block.  The bytes equal a per-cell encoding of the rows.
 """
 from __future__ import annotations
 
@@ -24,6 +28,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# rows per block: a table's text is made, and reaches its writer, one block at a time
+_BLOCK_ROWS = 1 << 14
 
 __all__ = [
     "OutputRecord",
@@ -100,8 +107,10 @@ class OutputRecord:
         return tuple(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.table)))
 
 
-def _spelled(column, spell, before: str, after: str) -> list:
-    """before + spell(cell) + after for each cell, each distinct cell spelled once."""
+def _spelled(column, spell, before: str, after: str) -> tuple:
+    """(texts, inverse): before + spell(cell) + after for each distinct cell, as
+    an object array, and each row's index into it, as int32 while that holds it."""
+    index_type = np.int32 if len(column) <= 1 << 31 else np.intp
     if isinstance(column, np.ndarray):
         if column.dtype == np.float64:  # by bits, so -0.0 stays apart from 0.0
             keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
@@ -115,49 +124,67 @@ def _spelled(column, spell, before: str, after: str) -> list:
             texts = [integer % v for v in distinct.tolist()]
         else:  # any other dtype (bool, object): its cells as Python scalars
             return _spelled(column.tolist(), spell, before, after)
-        return np.array(texts, dtype=object)[inverse].tolist()
-    if set(map(type, column)) <= {str}:
-        texts = {s: before + spell(s) + after for s in dict.fromkeys(column)}
-        return list(map(texts.__getitem__, column))
-    return [before + spell(v) + after for v in column]
-
-
-def _joined(record: OutputRecord, spell, head: list, first: str, between: str, last: str,
-            end: str, tail: str) -> str:
-    """The strings of `head`, the data rows and `tail` as one join.  A row spells
-    its first cell after `first`, each other cell after `between`, and ends in
-    `last`; the final row ends in `end` instead."""
-    table, width, start = record.table, len(record.table), len(head)
-    stop = start + width * len(table[0]) if table else start
-    parts = [None] * (stop + 1)
-    parts[:start], parts[stop] = head, tail
-    for j, column in enumerate(table):
-        parts[start + j:stop:width] = _spelled(column, spell, between if j else first,
-                                               last if j == width - 1 else "")
-    if stop > start:
-        parts[stop - 1] = parts[stop - 1][:-len(last)] + end
-    return "".join(parts)
-
-
-def record_to_csv(record: OutputRecord) -> str:
-    head = [f"# command: {record.command}\n"]
-    head += [f"# parameter {key}: {_csv_cell(value)}\n" for key, value in record.parameters.items()]
-    head += [f"# metadata {key}: {_csv_cell(value)}\n" for key, value in record.metadata.items()]
-    head.append(",".join(record.columns) + "\n")
-    return _joined(record, _csv_cell, head, "", ",", "\n", "\n", "")
+        inverse = inverse.astype(index_type)
+    elif set(map(type, column)) <= {str}:
+        index = {s: i for i, s in enumerate(dict.fromkeys(column))}
+        texts = [before + spell(s) + after for s in index]
+        inverse = np.fromiter(map(index.__getitem__, column), index_type, len(column))
+    else:
+        texts = [before + spell(v) + after for v in column]
+        inverse = np.arange(len(column), dtype=index_type)
+    return np.array(texts, dtype=object), inverse
 
 
 def _json_object(mapping: dict) -> str:
     return "{" + ", ".join(f"{json.dumps(str(k))}: {_json_cell(v)}" for k, v in mapping.items()) + "}"
 
 
+def _blocks(record: OutputRecord, fmt: str):
+    """The `fmt` ("csv" or "json") text of `record` as an iterator over its
+    head, its data rows in blocks of at most _BLOCK_ROWS rows, and its tail.
+    Every distinct cell is spelled before this returns."""
+    if fmt == "csv":
+        head = [f"# command: {record.command}\n"]
+        head += [f"# parameter {key}: {_csv_cell(value)}\n" for key, value in record.parameters.items()]
+        head += [f"# metadata {key}: {_csv_cell(value)}\n" for key, value in record.metadata.items()]
+        head.append(",".join(record.columns) + "\n")
+        tail = ""
+        # a row spells its first cell after `first`, each other cell after
+        # `between`, and ends in `last`; the final row ends in `end` instead
+        spell, first, between, last, end = _csv_cell, "", ",", "\n", "\n"
+    else:
+        # hand assembled so float cells go through the same 17 digit format as
+        # the CSV encoder
+        head = [f'{{"command": {json.dumps(record.command)}, "parameters": {_json_object(record.parameters)}, '
+                f'"columns": {json.dumps(list(record.columns))}, "rows": [']
+        tail = f'], "metadata": {_json_object(record.metadata)}}}\n'
+        spell, first, between, last, end = _json_cell, "[", ", ", "], ", "]"
+    table, width = record.table, len(record.table)
+    rows = len(table[0]) if table else 0
+    spelled = [_spelled(column, spell, between if j else first, last if j == width - 1 else "")
+               for j, column in enumerate(table)]
+
+    def pieces():
+        yield "".join(head)
+        for start in range(0, rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, rows)
+            parts = [None] * (width * (stop - start))
+            for j, (texts, inverse) in enumerate(spelled):
+                parts[j::width] = texts[inverse[start:stop]].tolist()
+            if stop == rows:
+                parts[-1] = parts[-1][:-len(last)] + end
+            yield "".join(parts)
+        yield tail
+
+    return pieces()
+
+
+def record_to_csv(record: OutputRecord) -> str:
+    return "".join(_blocks(record, "csv"))
+
+
 def record_to_json(record: OutputRecord) -> str:
-    # hand assembled so float cells go through the same 17 digit format as
-    # the CSV encoder
-    head = [f'{{"command": {json.dumps(record.command)}, "parameters": {_json_object(record.parameters)}, '
-            f'"columns": {json.dumps(list(record.columns))}, "rows": [']
-    tail = f'], "metadata": {_json_object(record.metadata)}}}\n'
-    return _joined(record, _json_cell, head, "[", ", ", "], ", "]", tail)
+    return "".join(_blocks(record, "json"))
 
 
 def parse_csv(text: str) -> dict:

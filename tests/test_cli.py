@@ -17,6 +17,7 @@ from fraclat.lattice import (
     element_infinite_nd_bz,
     element_periodic_nd,
 )
+from fraclat import output
 from fraclat.output import parse_csv, parse_json
 
 
@@ -757,6 +758,51 @@ class TestFailureContract:
         with open("/dev/full", "w") as full, program(*BIG_TABLE[:-1], grid, stdout=full) as proc:
             err = proc.stderr.read()
         assert (proc.returncode, err) == (2, "fraclat: cannot write stdout: No space left on device\n")
+
+    def test_failure_while_spelling_leaves_the_output_file(self, capsys, monkeypatch, tmp_path):
+        # every cell is spelled before --output opens, so the earlier table stays whole
+        def spelled(*args):
+            raise MemoryError("Unable to allocate 8.00 MiB for the cell texts")
+
+        monkeypatch.setattr(output, "_spelled", spelled)
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier table\n")
+        for fmt in ("csv", "json"):
+            code, out, err = run_cli(capsys, *BIG_TABLE, "--format", fmt, "--output", str(kept))
+            assert (code, out) == (2, "")
+            assert err == "fraclat: Unable to allocate 8.00 MiB for the cell texts\n"
+        assert kept.read_text() == "earlier table\n"
+
+    def test_writes_are_one_block_each(self, capsys, monkeypatch):
+        # a table of three blocks reaches stdout as its head, one write per block, and its tail
+        writes = []
+        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        code = main(["dispersion", "--alpha", "1.3", "--grid", "182"])  # 33124 rows
+        monkeypatch.undo()
+        capsys.readouterr()
+        rows = output._BLOCK_ROWS
+        assert code == 0
+        assert [piece.count("\n") for piece in writes[1:]] == [rows, rows, 182**2 - 2 * rows, 0]
+        assert parse_csv("".join(writes))["rows"][-1][:3] == (1.3, math.pi, math.pi)
+
+    # argparse prints --version and --help to stdout itself, before any table
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("argv", [("--version",), ("dispersion", "--help")])
+    def test_parser_output_into_a_full_device_exits_2(self, argv):
+        with open("/dev/full", "w") as full, program(*argv, stdout=full) as proc:
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (2, "fraclat: cannot write stdout: No space left on device\n")
+
+    @pytest.mark.parametrize("argv", [("--version",), ("dispersion", "--help")])
+    def test_parser_output_into_a_closed_pipe_exits_1_silently(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader has gone before the program writes
+        try:
+            with program(*argv, stdout=write_end) as proc:
+                err = proc.stderr.read()
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, err) == (1, "")
 
 
 # Runs in a fresh interpreter: reports the scipy modules loaded by the

@@ -6,7 +6,9 @@ reference applied to its rows of Python scalars.  Numeric columns are drawn
 as numpy arrays, contiguous or strided, whose cells repeat so that each
 column has few distinct values; text columns as lists of str; and mixed
 columns as lists of any cell type, which the encoders spell cell by cell.
-Derandomised, so every run draws the same examples.
+Derandomised, so every run draws the same examples.  Tables of up to two
+blocks and one row check that the row blocks join to the same text at every
+block edge.
 """
 import json
 import math
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraclat import output
 from fraclat.output import (
     OutputRecord,
     format_real,
@@ -25,6 +28,8 @@ from fraclat.output import (
     record_to_csv,
     record_to_json,
 )
+
+B = output._BLOCK_ROWS  # rows per block of encoded text
 
 NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, 1.0, 0.1, 1e16, 1e17,
@@ -222,3 +227,47 @@ def test_round_trips_are_bit_exact_for_finite_floats(values):
         assert parsed["columns"] == record.columns
         assert [row[0] for row in parsed["rows"]] == list(range(len(values)))
         assert [_bits(row[1]) for row in parsed["rows"]] == [_bits(v) for v in values]
+
+
+def block_table(rows: int, special=None) -> OutputRecord:
+    """A float, a str, an int, an object and a float column of `rows` rows; the
+    float columns, first and last in each row, hold `special` on the first and
+    last row of every block."""
+    reals = (np.arange(rows) % 7 - 3) * 0.1
+    if special is not None:
+        reals[np.arange(0, rows, B)] = reals[np.arange(B - 1, rows, B)] = reals[rows - 1:] = special
+    return make_record([
+        reals,
+        [("ok", "singular", "é∞", "%s")[i % 4] for i in range(rows)],
+        np.arange(rows) % 5 - 2,
+        [(-0.0, 7, "x", math.nan)[i % 4] for i in range(rows)],
+        reals.copy(),
+    ])
+
+
+@pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+def test_blocks_join_to_the_reference_at_block_edges(rows):
+    record = block_table(rows, math.nan)
+    assert "".join(output._blocks(record, "csv")) == record_to_csv(record) == reference_csv(record)
+    assert "".join(output._blocks(record, "json")) == record_to_json(record) == reference_json(record)
+
+
+@pytest.mark.parametrize("special, text", [(-0.0, "-0"), (math.nan, "NaN"), (math.inf, "Infinity"),
+                                           (-math.inf, "-Infinity")])
+def test_special_cells_at_block_edges_in_json(special, text):
+    record = block_table(2 * B + 1, special)
+    head, first, second, third, tail = output._blocks(record, "json")
+    # each block's first row opens with the cell, and its last row closes with it
+    for block, end in ((first, "], "), (second, "], "), (third, "]")):
+        assert block.startswith(f"[{text}, ") and block.endswith(f", {text}{end}")
+    assert head + first + second + third + tail == reference_json(record)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_no_piece_is_longer_than_one_block(fmt):
+    # a table of three blocks arrives as its head, one piece per block, and its tail
+    record = block_table(2 * B + 1)
+    head, *row_blocks, tail = output._blocks(record, fmt)
+    row_start = "\n" if fmt == "csv" else "["  # one per row: a CSV row's end, a JSON row's start
+    assert [block.count(row_start) for block in row_blocks] == [B, B, 1]
+    assert head.count("\n") + tail.count("\n") <= len(record.parameters) + len(record.metadata) + 2
