@@ -10,17 +10,32 @@ float bit exactly.
 A record stores its table by column: numpy float64 or int64 arrays for
 numbers, lists of str for text.  The encoders spell each column on its own,
 and each distinct cell of a column once: float arrays are keyed by their bits
-(so -0.0 stays apart from 0.0), int arrays by value and str lists through a
-dict.  A distinct cell is spelled with its row separator folded into its
-text, and each row keeps an int32 index into its column's texts.  Any other
-column (an object or mixed list, or an array of another dtype) is spelled
-cell by cell.  One encoder, `_blocks`, spells every column first, then
-yields the table's head, its rows in blocks of at most _BLOCK_ROWS rows, each
-gathered by those indices and interleaved row by row in one join, and its
-tail; `record_to_csv` and `record_to_json` join those pieces, and the CLI
-writes them one at a time, so a table on its way to a file is never held as
-one string and the peak memory of a large table is its record, its distinct
-texts and one block.  The bytes equal a per-cell encoding of the rows.
+(so -0.0 stays apart from 0.0), int arrays by value, both through one
+argsort, and str lists through a dict.  A distinct cell is spelled with its
+row separator folded into its text, and each row keeps an index into its
+column's distinct cells, in the narrowest unsigned dtype that holds it.  Any
+other column (an object or mixed list, or an array of another dtype) is
+spelled cell by cell.
+
+A column's distinct cells are the rows of one uint8 matrix: each row is the
+cell's UTF-8 text padded to the column's width with the byte 0xFF, which
+UTF-8 never contains, so deleting every 0xFF from a run of rows leaves their
+texts exactly.  Floats and ints are spelled by one % format per chunk of
+distinct values into a field of fixed width (24 characters, the widest
+%.17g text, or the widest int of the column), left-justified; the spaces
+that pad the field become 0xFF.  Only the field's spaces are swapped, as no
+%.17g or %d text holds a space while JSON's ", " separator, folded into the
+same row, does.  A str cell is encoded by itself, lone surrogates kept.
+
+One encoder, `_blocks`, spells every column first, then yields the table's
+head, its rows in blocks of at most _BLOCK_ROWS rows, and its tail.  A block
+gathers its rows of each column's matrix by those indices side by side into
+one byte matrix, whose bytes, the 0xFF deleted, decode to the block's text.
+`record_to_csv` and `record_to_json` join those pieces, and the CLI writes
+them one at a time, so a table on its way to a file is never held as one
+string and the peak memory of a large table is its record, its columns'
+matrices and indices, and one block.  The bytes equal a per-cell encoding of
+the rows.
 """
 from __future__ import annotations
 
@@ -31,6 +46,12 @@ import numpy as np
 
 # rows per block: a table's text is made, and reaches its writer, one block at a time
 _BLOCK_ROWS = 1 << 14
+# distinct numbers spelled by one % format
+_SPELL_CHUNK = 1 << 14
+# pads each distinct cell's UTF-8 text to its column's width: UTF-8 never holds it
+_PAD = b"\xff"
+# characters of the widest %.17g text, -4.9406564584124654e-324
+_REAL_WIDTH = 24
 
 __all__ = [
     "OutputRecord",
@@ -107,36 +128,100 @@ class OutputRecord:
         return tuple(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.table)))
 
 
+def _index(keys: np.ndarray) -> tuple:
+    """(distinct, inverse): the distinct values of `keys`, sorted, and each
+    row's index into them, in the narrowest unsigned dtype that holds it, from
+    one argsort: sort, mark where the value changes, count the marks."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    change = np.ones(len(keys), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
+    distinct = ordered[change]
+    del ordered
+    index_type = np.min_scalar_type(max(len(distinct) - 1, 0))
+    change[:1] = False
+    inverse = np.empty(len(keys), dtype=index_type)
+    inverse[order] = np.cumsum(change, dtype=index_type)
+    return distinct, inverse
+
+
+def _fields(values: np.ndarray, before: str, width: int, conversion: str, after: str) -> np.ndarray:
+    """before + the `conversion` ("d" or ".17g") of v, left-justified in a field
+    of `width` characters, + after for each v, one row each of a uint8 matrix;
+    the spaces that pad the field become _PAD.  One % per chunk of _SPELL_CHUNK
+    values."""
+    start = len(before)
+    matrix = np.empty((len(values), start + width + len(after)), dtype=np.uint8)
+    cell = f"{before}%-{width}{conversion}{after}"
+    for i in range(0, len(values), _SPELL_CHUNK):
+        chunk = values[i:i + _SPELL_CHUNK].tolist()
+        rows = matrix[i:i + len(chunk)]
+        rows[:] = np.frombuffer((cell * len(chunk) % tuple(chunk)).encode(), np.uint8).reshape(rows.shape)
+        padding = rows[:, start:start + width]
+        # no %.17g or %d text holds a space; JSON's ", " lies outside the field
+        padding[padding == ord(" ")] = ord(_PAD)
+    return matrix
+
+
+def _texts(texts: list) -> np.ndarray:
+    """Each text's UTF-8 bytes, lone surrogates kept, as one row of a uint8
+    matrix padded with _PAD to the longest."""
+    encoded = [text.encode("utf-8", "surrogatepass") for text in texts]
+    width = max(map(len, encoded), default=0)
+    padded = b"".join(cell.ljust(width, _PAD) for cell in encoded)
+    return np.frombuffer(padded, np.uint8).reshape(len(encoded), width)
+
+
 def _spelled(column, spell, before: str, after: str) -> tuple:
-    """(texts, inverse): before + spell(cell) + after for each distinct cell, as
-    an object array, and each row's index into it, as int32 while that holds it."""
-    index_type = np.int32 if len(column) <= 1 << 31 else np.intp
+    """(matrix, inverse): before + spell(cell) + after for each distinct cell,
+    as the _PAD padded UTF-8 rows of one uint8 matrix, and each row's index
+    into it."""
     if isinstance(column, np.ndarray):
         if column.dtype == np.float64:  # by bits, so -0.0 stays apart from 0.0
-            keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
-            distinct, real = keys.view(np.float64), before + "%.17g" + after
-            texts = [real % v for v in distinct.tolist()]
+            keys, inverse = _index(column.view(np.int64))
+            distinct = keys.view(np.float64)
+            matrix = _fields(distinct, before, _REAL_WIDTH, ".17g", after)
             for i in np.flatnonzero(~np.isfinite(distinct)).tolist():  # JSON's NaN and Infinity
-                texts[i] = before + spell(distinct[i].item()) + after
+                text = spell(distinct[i].item()).encode().ljust(_REAL_WIDTH, _PAD)
+                matrix[i, len(before):len(before) + _REAL_WIDTH] = np.frombuffer(text, np.uint8)
         elif column.dtype.kind in "iu":
-            distinct, inverse = np.unique(column, return_inverse=True)
-            integer = before + "%d" + after
-            texts = [integer % v for v in distinct.tolist()]
+            distinct, inverse = _index(column)
+            width = max(len(str(v)) for v in distinct[[0, -1]].tolist()) if len(distinct) else 1
+            matrix = _fields(distinct, before, width, "d", after)
         else:  # any other dtype (bool, object): its cells as Python scalars
             return _spelled(column.tolist(), spell, before, after)
-        inverse = inverse.astype(index_type)
-    elif set(map(type, column)) <= {str}:
+        return matrix, inverse
+    if set(map(type, column)) <= {str}:
         index = {s: i for i, s in enumerate(dict.fromkeys(column))}
-        texts = [before + spell(s) + after for s in index]
-        inverse = np.fromiter(map(index.__getitem__, column), index_type, len(column))
-    else:
-        texts = [before + spell(v) + after for v in column]
-        inverse = np.arange(len(column), dtype=index_type)
-    return np.array(texts, dtype=object), inverse
+        cells, rows = list(index), map(index.__getitem__, column)
+    else:  # a mixed list: each cell on its own
+        cells, rows = column, range(len(column))
+    index_type = np.min_scalar_type(max(len(cells) - 1, 0))
+    return _texts([before + spell(c) + after for c in cells]), np.fromiter(rows, index_type, len(column))
 
 
 def _json_object(mapping: dict) -> str:
     return "{" + ", ".join(f"{json.dumps(str(k))}: {_json_cell(v)}" for k, v in mapping.items()) + "}"
+
+
+def _block(spelled: list, start: int, stop: int, trim: int) -> str:
+    """Rows start:stop of the spelled columns as one text: each row's cells are
+    gathered side by side into one padded byte matrix, the final row loses its
+    last `trim` bytes, and the pad bytes are deleted."""
+    widths = [matrix.shape[1] for matrix, _ in spelled]
+    data = bytearray((stop - start) * sum(widths))
+    block = np.frombuffer(data, np.uint8).reshape(stop - start, sum(widths))
+    at = 0
+    for (matrix, inverse), width in zip(spelled, widths):
+        np.take(matrix, inverse[start:stop], axis=0, out=block[:, at:at + width], mode="clip")
+        at += width
+    if trim:  # the last column closes every row in its final bytes before the padding
+        final = block[-1]
+        kept = np.flatnonzero(final != ord(_PAD))[-1] + 1
+        final[kept - trim:kept] = ord(_PAD)
+    del block  # so the padded bytes are freed before the text is decoded
+    data = data.translate(None, _PAD)
+    return data.decode("utf-8", "surrogatepass")
 
 
 def _blocks(record: OutputRecord, fmt: str):
@@ -168,12 +253,8 @@ def _blocks(record: OutputRecord, fmt: str):
         yield "".join(head)
         for start in range(0, rows, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, rows)
-            parts = [None] * (width * (stop - start))
-            for j, (texts, inverse) in enumerate(spelled):
-                parts[j::width] = texts[inverse[start:stop]].tolist()
-            if stop == rows:
-                parts[-1] = parts[-1][:-len(last)] + end
-            yield "".join(parts)
+            # `end` is `last` cut short
+            yield _block(spelled, start, stop, len(last) - len(end) if stop == rows else 0)
         yield tail
 
     return pieces()

@@ -318,8 +318,10 @@ def integrate_even_periodic(f: Callable, tol: float = 1e-12) -> float:
     geometric = geometric_panel_edges(math.pi)
     width = math.pi
     while True:
-        # the geometric edges are pi / 2^j, so they lie on the grid of width pi / 2^k
-        edges = np.union1d(geometric, np.arange(0.0, math.pi, width))
+        # the geometric edges are pi / 2^j, so they lie on the grid of width pi / 2^k;
+        # merged by a sort, not np.union1d, whose unique loads numpy.ma
+        edges = np.sort(np.concatenate((geometric, np.arange(0.0, math.pi, width))))
+        edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
         x, w = gauss_panel_rule(edges, _GAUSS_ORDER)
         coarse = 2.0 * float(w @ f(x))
         x, w = gauss_panel_rule(edges, _GAUSS_ORDER + 8)

@@ -13,6 +13,7 @@ block edge.
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,10 @@ NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, 1.0, 0.1, 1e16, 1e17,
                math.nan, -math.nan, NAN_PAYLOAD, math.inf, -math.inf)
 EDGE_INTS = (0, 1, -1, 2**53 + 1, 2**63 - 1, -(2**63))
-STRINGS = ("ok", "singular", "", "a%sb", "%s", "%d%%", "x,y", '"q"', "é∞", "%(k)s", "\x00", "a\x00")
+# the last five sit next to the pad byte 0xFF or the space it replaces: U+00FF
+# (UTF-8 C3 BF), the last code point, a lone surrogate and spaces
+STRINGS = ("ok", "singular", "", "a%sb", "%s", "%d%%", "x,y", '"q"', "é∞", "%(k)s", "\x00", "a\x00",
+           "ÿ", "\U0010ffff", "\ud800", " a ", ", ")
 
 
 def _reference_cell(value) -> str:
@@ -183,7 +187,8 @@ def test_each_bit_pattern_keeps_its_spelling():
     [np.array([1.5, -0.0, 1.5]), ["ok", "singular", "ok"]],
     [np.arange(3), np.array([1.0, math.inf, math.nan])],
     [["%s", "é"], [math.nan, 2]],
-], ids=["no columns", "no rows", "text last", "nan last", "mixed last"])
+    [list(STRINGS), [*STRINGS[1:], 0.5]],
+], ids=["no columns", "no rows", "text last", "nan last", "mixed last", "pad neighbours"])
 def test_edge_tables_match_reference(table):
     # the JSON encoder trims the final row's ", " from the last column's last cell
     assert_encodes_as_reference(make_record(table))
@@ -271,3 +276,42 @@ def test_no_piece_is_longer_than_one_block(fmt):
     row_start = "\n" if fmt == "csv" else "["  # one per row: a CSV row's end, a JSON row's start
     assert [block.count(row_start) for block in row_blocks] == [B, B, 1]
     assert head.count("\n") + tail.count("\n") <= len(record.parameters) + len(record.metadata) + 2
+
+
+def test_lone_surrogate_is_kept():
+    record = make_record([["\ud800", "ÿ"], np.array([1.0, 2.0])])
+    assert record_to_csv(record).endswith("\ud800,1\nÿ,2\n")
+    assert record_to_json(record).endswith('[["\\ud800", 1], ["\\u00ff", 2]], "metadata": '
+                                           '{"version": "1.0.0", "tol": 9.9999999999999998e-13}}\n')
+
+
+@pytest.mark.parametrize("fmt, reference", [("csv", reference_csv), ("json", reference_json)])
+def test_narrowest_and_widest_numbers_across_a_block_edge(fmt, reference):
+    # 0.0 spells one character and -5e-324 24, the widest %.17g text; the int
+    # column holds both int64 extremes; the table's rows pass one block edge
+    rows = np.arange(B + 2)
+    reals = np.where(rows % 2 == 0, 0.0, -5e-324)
+    ints = np.where(rows % 3 == 0, np.int64(-(2**63)), np.int64(2**63 - 1))
+    record = make_record([reals, ints])
+    head, first, second, tail = output._blocks(record, fmt)
+    assert head + first + second + tail == reference(record)
+    if fmt == "csv":
+        assert first.endswith("\n-4.9406564584124654e-324,-9223372036854775808\n")
+        assert second == "0,9223372036854775807\n-4.9406564584124654e-324,9223372036854775807\n"
+    else:
+        assert first.endswith(", [-4.9406564584124654e-324, -9223372036854775808], ")
+        assert second == "[0, 9223372036854775807], [-4.9406564584124654e-324, 9223372036854775807]"
+
+
+def test_spelled_distinct_floats_stay_compact():
+    # 10^5 distinct floats are held as 25 padded bytes and a 4 byte index a row,
+    # not as one str object each, from the moment their spelling is done
+    record = make_record([np.arange(1, 100_001) / 7.0])
+    tracemalloc.start()
+    try:
+        pieces = output._blocks(record, "csv")
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 3.5e6
+    assert "".join(pieces) == reference_csv(record)
