@@ -32,8 +32,8 @@ _EXPORTS = {
     **dict.fromkeys(("ConvergenceReport", "continuum_convergence_check", "riesz_amplitude",
                      "riesz_kernel_infinite", "riesz_kernel_periodic"), "continuum"),
     **dict.fromkeys(("LatticeSpec", "OffsetVector", "SizeLimitError", "asymptotic_constant_nd",
-                     "build_laplacian_nd", "dispersion_surface", "eigenvalue_nd",
-                     "element_infinite_nd_bessel", "element_infinite_nd_bz",
+                     "build_laplacian_nd", "dispersion_sheet", "dispersion_surface",
+                     "eigenvalue_nd", "element_infinite_nd_bessel", "element_infinite_nd_bz",
                      "element_periodic_nd", "normalized_dispersion_2d"), "lattice"),
     **dict.fromkeys(("OutputRecord", "parse_csv", "parse_json", "record_to_csv",
                      "record_to_json"), "output"),

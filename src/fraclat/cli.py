@@ -2,17 +2,22 @@
 
 Subcommands: elements, matrix, dispersion, kernel, verify.  Every command
 builds one OutputRecord and writes it as CSV (default) or JSON to stdout or
-a file: every cell is spelled first, then the table's head, its row blocks
-(see `output`) and its tail are written one at a time as they are joined, so
-no table is held as one string.  A failure while spelling leaves an existing
---output file untouched; one while the blocks are written (a full disk, or
-memory running out while a block is joined) leaves the part already written,
-before its one stderr line.  Exit codes: 0 success, 1 verification or
-tolerance failure, 2 usage or parameter error, an oversized request or a
-destination that cannot be written; each failure leaves one `fraclat:
-<reason>` line on stderr, except a closed stdout, which exits 1 silently.
-argparse's own --help and --version text keeps the same contract.  Output is
-byte identical for identical flags.
+a file.  A column whose cells repeat in a pattern the command knows is handed
+over factored, as its cells and each row's position among them (see
+`output`): the route, flag and kind columns, the lattice indices, the alpha
+and kappa columns of a dispersion table, and the 2D sheet's frequencies,
+each computed once per pair kappa1 <= kappa2.  Every cell is spelled first,
+then the table's head, its row blocks (see `output`) and its tail are written
+one at a time as they are joined, so no table is held as one string.  A
+failure while spelling leaves an existing --output file untouched; one while
+the blocks are written (a full disk, or memory running out while a block is
+joined) leaves the part already written, before its one stderr line.  Exit
+codes: 0 success, 1 verification or tolerance failure, 2 usage or parameter
+error, an oversized request or a destination that cannot be written; each
+failure leaves one `fraclat: <reason>` line on stderr (`out of memory` for a
+MemoryError with no text of its own), except a closed stdout, which exits 1
+silently.  argparse's own --help and --version text keeps the same contract.
+Output is byte identical for identical flags.
 
 Importing this module loads numpy with its BLAS on one thread unless one of
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set: no route
@@ -59,7 +64,7 @@ from .lattice import (
     LatticeSpec,
     OffsetVector,
     build_laplacian_nd,
-    dispersion_surface,
+    dispersion_sheet,
     element_infinite_nd_bessel,
     element_infinite_nd_bz,
     normalized_dispersion_2d,
@@ -140,6 +145,13 @@ def _metadata() -> dict:
     return {"version": __version__}
 
 
+def _pattern(cells, each: int = 1, times: int = 1) -> tuple:
+    """The factored table column (cells, index) whose rows hold each cell of
+    `cells` `each` times running, the whole run repeated `times` times."""
+    index = np.arange(len(cells), dtype=np.min_scalar_type(max(len(cells) - 1, 0)))
+    return cells, np.tile(np.repeat(index, each), times)
+
+
 def _routes() -> dict:
     """Route name -> (domain, bound, element function) of `fraclat elements`.
 
@@ -201,7 +213,7 @@ def cmd_elements(args):
     tol = {} if bound in (None, "own") else {"tol": bound}
     parameters.update(tol)
     values = np.array([element(*lead, argument(point), **tol) for point in points])
-    table = (*np.array(points).T, values, [route] * len(points))
+    table = (*np.array(points).T, values, _pattern([route], each=len(points)))
     return OutputRecord("elements", parameters, columns + ("value", "route"), table, _metadata()), 0
 
 
@@ -217,7 +229,7 @@ def cmd_matrix(args):
         values = np.concatenate([build_laplacian_1d(order, chain).first_row,
                                  laplacian_eigenvalues_1d(order, chain)])
         parameters = {"alpha": alpha, "n": args.n, "mu": args.mu, "omega_sq": args.omega_sq}
-        table = (["row"] * args.n + ["eigenvalue"] * args.n, np.tile(np.arange(args.n), 2), values)
+        table = (_pattern(["row", "eigenvalue"], each=args.n), _pattern(np.arange(args.n), times=2), values)
         return OutputRecord("matrix", parameters, ("kind", "i", "value"), table, _metadata()), 0
 
     sizes = _parse_dims(args.dims)
@@ -230,8 +242,10 @@ def cmd_matrix(args):
     parameters = {"alpha": alpha, "dims": args.dims, "mu": args.mu, "omega_sq": args.omega_sq}
     columns = ("kind",) + tuple(f"i{j + 1}" for j in range(len(sizes))) + ("value",)
     sites = laplacian.size
-    indices = np.tile(np.indices(sizes).reshape(len(sizes), sites), 2)  # C order, as np.ndindex
-    table = (["element"] * sites + ["eigenvalue"] * sites, *indices,
+    # C order, as np.ndindex: the last axis runs fastest
+    indices = [_pattern(np.arange(size), each=math.prod(sizes[j + 1:]), times=2 * math.prod(sizes[:j]))
+               for j, size in enumerate(sizes)]
+    table = (_pattern(["element", "eigenvalue"], each=sites), *indices,
              np.concatenate([laplacian.ravel(), eigenvalues.ravel()]))
     return OutputRecord("matrix", parameters, columns, table, _metadata()), 0
 
@@ -252,8 +266,16 @@ def cmd_dispersion(args):
     }
     if args.dim == 2 and args.cut == "full":
         columns = ("alpha", "kappa1", "kappa2", "omega_normalized")
-        surfaces = np.concatenate([dispersion_surface(FractionalOrder(a), args.grid) for a in alphas])
-        table = (np.repeat(alphas, args.grid**2), *surfaces.T)
+        sheets = [dispersion_sheet(FractionalOrder(a), args.grid) for a in alphas]
+        axis, sheet, index = sheets[0]
+        values = np.concatenate([values_k for _, values_k, _ in sheets])
+        # the k-th alpha's sheet starts at k len(sheet) in values
+        index_type = np.min_scalar_type(len(values) - 1)
+        starts = np.arange(len(alphas), dtype=index_type) * len(sheet)
+        omega = (index.astype(index_type, copy=False) + starts[:, None, None]).ravel()
+        grid, count = args.grid, len(alphas)
+        table = (_pattern(np.array(alphas), each=grid**2), _pattern(axis, each=grid, times=count),
+                 _pattern(axis, times=grid * count), (values, omega))
         return OutputRecord("dispersion", parameters, columns, table, _metadata()), 0
 
     # a path over [0, pi]: the 1D zone, or the 2D axis or diagonal cut
@@ -267,7 +289,8 @@ def cmd_dispersion(args):
         else:
             across = np.zeros_like(path) if args.cut == "plane_010" else path
             values.append(normalized_dispersion_2d(order, path, across))
-    table = (np.repeat(alphas, args.grid), np.tile(path, len(alphas)), np.concatenate(values))
+    table = (_pattern(np.array(alphas), each=args.grid), _pattern(path, times=len(alphas)),
+             np.concatenate(values))
     return OutputRecord("dispersion", parameters, columns, table, _metadata()), 0
 
 
@@ -300,7 +323,7 @@ def cmd_kernel(args):
     if not args.infinite:
         table[0, ~singular] = riesz_kernel_periodic(alpha, length, points[~singular])
     table[-1, ~singular] = riesz_kernel_infinite(alpha, points[~singular])
-    flags = np.where(singular, "singular", "ok").tolist()
+    flags = (["ok", "singular"], singular.view(np.uint8))
     return OutputRecord("kernel", parameters, columns, (points, *table, flags), _metadata()), 0
 
 
@@ -434,8 +457,10 @@ def main(argv=None) -> int:
         sys.stdout.flush()
     except (ToleranceError, OverflowError) as exc:
         reason, exit_code = exc, 1
-    except (ValueError, MemoryError) as exc:
+    except ValueError as exc:
         reason, exit_code = exc, 2
+    except MemoryError as exc:  # a list's or a str's own MemoryError carries no text
+        reason, exit_code = str(exc) or "out of memory", 2
     except OSError as exc:  # only the write opens or writes a file
         if argv is None and destination == "-":
             # stdout keeps what it could not write; pointed at /dev/null, the

@@ -73,6 +73,7 @@ __all__ = [
     "element_infinite_nd_bessel",
     "asymptotic_constant_nd",
     "normalized_dispersion_2d",
+    "dispersion_sheet",
     "dispersion_surface",
 ]
 
@@ -512,12 +513,33 @@ def normalized_dispersion_2d(order: FractionalOrder, kappa1, kappa2):
                                lambda: 2.0 ** (0.5 * (order.alpha - 3.0)) * base ** (0.25 * order.alpha))
 
 
+def dispersion_sheet(order: FractionalOrder, grid: int) -> tuple:
+    """Normalized 2D dispersion sheet on an m x m grid over [0, pi]^2, each
+    value once: the sheet is symmetric under kappa1 <-> kappa2 bit for bit, as
+    sin^2 a + sin^2 b is sin^2 b + sin^2 a.
+
+    Returns (axis, values, index): the m samples of either axis, the sheet at
+    (axis[i], axis[j]) for i <= j, row by row, and the m x m matrix whose
+    entry [i, j] is the position of the sheet at (axis[i], axis[j]) in values.
+    """
+    m = require_integer(grid, "grid must be an integer >= 2", low=2)
+    axis = np.linspace(0.0, math.pi, m)
+    lengths = np.arange(m, 0, -1)  # row i of the upper triangle holds j = i .. m-1
+    values = normalized_dispersion_2d(order, np.repeat(axis, lengths),
+                                      np.concatenate([axis[i:] for i in range(m)]))
+    index = np.empty((m, m), dtype=np.min_scalar_type(len(values) - 1))
+    for i, start in enumerate((np.cumsum(lengths) - lengths).tolist()):
+        index[i, i:] = np.arange(start, start + m - i)
+        index[i, :i] = index[:i, i]  # the upper triangle's rows above, mirrored
+    return axis, values, index
+
+
 def dispersion_surface(order: FractionalOrder, grid: int) -> np.ndarray:
     """Normalized 2D dispersion sheet sampled on an m x m grid over [0, pi]^2.
 
-    Returns rows (kappa1, kappa2, normalized frequency), kappa2 fastest.
+    Returns rows (kappa1, kappa2, normalized frequency), kappa2 fastest: the
+    rows of dispersion_sheet expanded.
     """
-    axis = np.linspace(0.0, math.pi, require_integer(grid, "grid must be an integer >= 2", low=2))
+    axis, values, index = dispersion_sheet(order, grid)
     k1, k2 = np.meshgrid(axis, axis, indexing="ij")
-    values = normalized_dispersion_2d(order, k1, k2)
-    return np.column_stack([k1.ravel(), k2.ravel(), values.ravel()])
+    return np.column_stack([k1.ravel(), k2.ravel(), values[index].ravel()])

@@ -8,21 +8,24 @@ so identical inputs give byte identical payloads and parsing recovers every
 float bit exactly.
 
 A record stores its table by column: numpy float64 or int64 arrays for
-numbers, lists of str for text.  The encoders spell each column on its own,
-and each distinct cell of a column once: float arrays are keyed by their bits
-(so -0.0 stays apart from 0.0), int arrays by value, both through one
-argsort, and str lists through a dict.  A distinct cell is spelled with its
-row separator folded into its text, and each row keeps an index into its
-column's distinct cells, in the narrowest unsigned dtype that holds it.  Any
-other column (an object or mixed list, or an array of another dtype) is
-spelled cell by cell.
+numbers, lists of str for text, or a factored column, the pair (cells,
+index) of such an array or list and a 1-D unsigned integer array giving each
+row's cell, for a column whose cells repeat in a pattern its builder knows.
+The encoders spell each column on its own, and each of its cells once: a
+plain column is first factored into its distinct cells and each row's index
+into them, float arrays keyed by their bits (so -0.0 stays apart from 0.0)
+and int arrays by value, both through one argsort, and str lists through a
+dict, the index in the narrowest unsigned dtype that holds it; a factored
+column is taken as given.  A cell is spelled with its row separator folded
+into its text.  Any other column (an object or mixed list, or an array of
+another dtype) is spelled cell by cell.
 
-A column's distinct cells are the rows of one uint8 matrix: each row is the
+A column's cells are the rows of one uint8 matrix: each row is the
 cell's UTF-8 text padded to the column's width with the byte 0xFF, which
 UTF-8 never contains, so deleting every 0xFF from a run of rows leaves their
 texts exactly.  Floats and ints are spelled by one % format per chunk of
-distinct values into a field of fixed width (24 characters, the widest
-%.17g text, or the widest int of the column), left-justified; the spaces
+cells into a field of fixed width (24 characters, the widest %.17g text, or
+the widest of the column's least and greatest int), left-justified; the spaces
 that pad the field become 0xFF.  Only the field's spaces are swapped, as no
 %.17g or %d text holds a space while JSON's ", " separator, folded into the
 same row, does.  A str cell is encoded by itself, lone surrogates kept.
@@ -35,7 +38,7 @@ one byte matrix, whose bytes, the 0xFF deleted, decode to the block's text.
 them one at a time, so a table on its way to a file is never held as one
 string and the peak memory of a large table is its record, its columns'
 matrices and indices, and one block.  The bytes equal a per-cell encoding of
-the rows.
+the rows, factored columns expanded.
 """
 from __future__ import annotations
 
@@ -46,9 +49,9 @@ import numpy as np
 
 # rows per block: a table's text is made, and reaches its writer, one block at a time
 _BLOCK_ROWS = 1 << 14
-# distinct numbers spelled by one % format
+# numbers spelled by one % format
 _SPELL_CHUNK = 1 << 14
-# pads each distinct cell's UTF-8 text to its column's width: UTF-8 never holds it
+# pads each cell's UTF-8 text to its column's width: UTF-8 never holds it
 _PAD = b"\xff"
 # characters of the widest %.17g text, -4.9406564584124654e-324
 _REAL_WIDTH = 24
@@ -98,14 +101,28 @@ def _parse_cell(text: str):
         return text
 
 
+def _length(column) -> int:
+    return len(column[1]) if isinstance(column, tuple) else len(column)
+
+
+def _expanded(column) -> list:
+    """A column's cells as Python scalars, a factored column's row by row."""
+    if isinstance(column, tuple):
+        cells, index = column
+        column = cells[index] if isinstance(cells, np.ndarray) else [cells[i] for i in index.tolist()]
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
 @dataclass(frozen=True)
 class OutputRecord:
     """One tabular result: command name, parameters, columns, table, metadata.
 
-    The table holds one equal-length sequence per column: a numpy float64 or
-    int64 array, or a list of short strings.  Metadata carries the tool
-    version, never timestamps, so that repeated runs stay byte identical.  A
-    route's error bound is a parameter.
+    The table holds one column per name, each of equal length: a numpy
+    float64 or int64 array, a list of short strings, or a factored column,
+    the tuple (cells, index) of such an array or list and a 1-D unsigned
+    integer array whose entry for each row is the position of its cell in
+    cells.  Metadata carries the tool version, never timestamps, so that
+    repeated runs stay byte identical.  A route's error bound is a parameter.
     """
 
     command: str
@@ -119,13 +136,28 @@ class OutputRecord:
         object.__setattr__(self, "table", tuple(self.table))
         if len(self.table) != len(self.columns):
             raise ValueError(f"{len(self.table)} table columns do not match {len(self.columns)} columns")
-        if len({len(column) for column in self.table}) > 1:
+        for column in self.table:
+            if isinstance(column, tuple):
+                _check_factored(column)
+        if len({_length(column) for column in self.table}) > 1:
             raise ValueError("table columns differ in length")
 
     @property
     def rows(self) -> tuple:
-        """The table as row tuples of Python scalars."""
-        return tuple(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.table)))
+        """The table as row tuples of Python scalars, factored columns expanded."""
+        return tuple(zip(*map(_expanded, self.table)))
+
+
+def _check_factored(column: tuple) -> None:
+    """ValueError unless the column is (cells, index), index a 1-D unsigned
+    integer array of positions in cells: the encoder's gather would repeat
+    the last cell for a position past it."""
+    index = column[1] if len(column) == 2 else None
+    if not (isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind == "u"):
+        raise ValueError("a factored column is a (cells, index) pair, index a 1-D unsigned integer array")
+    cells = column[0]
+    if len(index) and index.max() >= len(cells):
+        raise ValueError(f"factored column index {index.max()} is past its {len(cells)} cells")
 
 
 def _index(keys: np.ndarray) -> tuple:
@@ -143,6 +175,27 @@ def _index(keys: np.ndarray) -> tuple:
     inverse = np.empty(len(keys), dtype=index_type)
     inverse[order] = np.cumsum(change, dtype=index_type)
     return distinct, inverse
+
+
+def _factored(column) -> tuple:
+    """(cells, index) of a column: a factored column as given; a float or int
+    array's distinct values and a str list's distinct texts, each row's index
+    into them; any other column's cells as Python scalars, each its own."""
+    if isinstance(column, tuple):
+        return column
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:  # by bits, so -0.0 stays apart from 0.0
+            keys, index = _index(column.view(np.int64))
+            return keys.view(np.float64), index
+        if column.dtype.kind in "iu":
+            return _index(column)
+        column = column.tolist()  # any other dtype (bool, object)
+    if set(map(type, column)) <= {str}:
+        index = {s: i for i, s in enumerate(dict.fromkeys(column))}
+        cells, rows = list(index), map(index.__getitem__, column)
+    else:  # a mixed list: each cell on its own
+        cells, rows = column, range(len(column))
+    return cells, np.fromiter(rows, np.min_scalar_type(max(len(cells) - 1, 0)), len(column))
 
 
 def _fields(values: np.ndarray, before: str, width: int, conversion: str, after: str) -> np.ndarray:
@@ -173,31 +226,23 @@ def _texts(texts: list) -> np.ndarray:
 
 
 def _spelled(column, spell, before: str, after: str) -> tuple:
-    """(matrix, inverse): before + spell(cell) + after for each distinct cell,
-    as the _PAD padded UTF-8 rows of one uint8 matrix, and each row's index
-    into it."""
-    if isinstance(column, np.ndarray):
-        if column.dtype == np.float64:  # by bits, so -0.0 stays apart from 0.0
-            keys, inverse = _index(column.view(np.int64))
-            distinct = keys.view(np.float64)
-            matrix = _fields(distinct, before, _REAL_WIDTH, ".17g", after)
-            for i in np.flatnonzero(~np.isfinite(distinct)).tolist():  # JSON's NaN and Infinity
-                text = spell(distinct[i].item()).encode().ljust(_REAL_WIDTH, _PAD)
-                matrix[i, len(before):len(before) + _REAL_WIDTH] = np.frombuffer(text, np.uint8)
-        elif column.dtype.kind in "iu":
-            distinct, inverse = _index(column)
-            width = max(len(str(v)) for v in distinct[[0, -1]].tolist()) if len(distinct) else 1
-            matrix = _fields(distinct, before, width, "d", after)
-        else:  # any other dtype (bool, object): its cells as Python scalars
-            return _spelled(column.tolist(), spell, before, after)
-        return matrix, inverse
-    if set(map(type, column)) <= {str}:
-        index = {s: i for i, s in enumerate(dict.fromkeys(column))}
-        cells, rows = list(index), map(index.__getitem__, column)
-    else:  # a mixed list: each cell on its own
-        cells, rows = column, range(len(column))
-    index_type = np.min_scalar_type(max(len(cells) - 1, 0))
-    return _texts([before + spell(c) + after for c in cells]), np.fromiter(rows, index_type, len(column))
+    """(matrix, index): before + spell(cell) + after for each cell of the
+    factored column, as the _PAD padded UTF-8 rows of one uint8 matrix, and
+    each row's index into it."""
+    cells, index = _factored(column)
+    if isinstance(cells, np.ndarray) and cells.dtype == np.float64:
+        matrix = _fields(cells, before, _REAL_WIDTH, ".17g", after)
+        for i in np.flatnonzero(~np.isfinite(cells)).tolist():  # JSON's NaN and Infinity
+            text = spell(cells[i].item()).encode().ljust(_REAL_WIDTH, _PAD)
+            matrix[i, len(before):len(before) + _REAL_WIDTH] = np.frombuffer(text, np.uint8)
+    elif isinstance(cells, np.ndarray) and cells.dtype.kind in "iu":
+        # factored cells need not be sorted: the widest int is the least or the greatest
+        width = max(len(str(v)) for v in (cells.min(), cells.max())) if len(cells) else 1
+        matrix = _fields(cells, before, width, "d", after)
+    else:
+        cells = cells.tolist() if isinstance(cells, np.ndarray) else cells  # any other dtype
+        matrix = _texts([before + spell(c) + after for c in cells])
+    return matrix, index
 
 
 def _json_object(mapping: dict) -> str:
@@ -212,8 +257,8 @@ def _block(spelled: list, start: int, stop: int, trim: int) -> str:
     data = bytearray((stop - start) * sum(widths))
     block = np.frombuffer(data, np.uint8).reshape(stop - start, sum(widths))
     at = 0
-    for (matrix, inverse), width in zip(spelled, widths):
-        np.take(matrix, inverse[start:stop], axis=0, out=block[:, at:at + width], mode="clip")
+    for (matrix, index), width in zip(spelled, widths):
+        np.take(matrix, index[start:stop], axis=0, out=block[:, at:at + width], mode="clip")
         at += width
     if trim:  # the last column closes every row in its final bytes before the padding
         final = block[-1]
@@ -227,7 +272,7 @@ def _block(spelled: list, start: int, stop: int, trim: int) -> str:
 def _blocks(record: OutputRecord, fmt: str):
     """The `fmt` ("csv" or "json") text of `record` as an iterator over its
     head, its data rows in blocks of at most _BLOCK_ROWS rows, and its tail.
-    Every distinct cell is spelled before this returns."""
+    Every cell is spelled before this returns."""
     if fmt == "csv":
         head = [f"# command: {record.command}\n"]
         head += [f"# parameter {key}: {_csv_cell(value)}\n" for key, value in record.parameters.items()]
@@ -245,7 +290,7 @@ def _blocks(record: OutputRecord, fmt: str):
         tail = f'], "metadata": {_json_object(record.metadata)}}}\n'
         spell, first, between, last, end = _json_cell, "[", ", ", "], ", "]"
     table, width = record.table, len(record.table)
-    rows = len(table[0]) if table else 0
+    rows = _length(table[0]) if table else 0
     spelled = [_spelled(column, spell, between if j else first, last if j == width - 1 else "")
                for j, column in enumerate(table)]
 

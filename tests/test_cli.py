@@ -714,14 +714,19 @@ class TestFailureContract:
         assert (code, out) == (2, "")
         assert err.startswith(f"fraclat: cannot write {path}: ") and err.count("\n") == 1
 
-    def test_oversized_request_exits_2_and_writes_nothing(self, capsys, tmp_path):
+    # numpy's MemoryError names its size; a list's, here of 10^14 offsets, has no text
+    @pytest.mark.parametrize("request_argv, reason", [
+        (("kernel", "--alpha", "1.3", "--infinite", "--samples", HUGE_SAMPLES), "Unable to allocate"),
+        (("elements", "--infinite", "--route", "closed", "--alpha", "1.3", "--p", f"0..{HUGE_SAMPLES}"),
+         "out of memory\n"),
+    ], ids=["numpy", "list"])
+    def test_oversized_request_exits_2_and_writes_nothing(self, capsys, tmp_path, request_argv, reason):
         kept = tmp_path / "kept.csv"
         kept.write_text("earlier table\n")
         for destination in ("-", str(kept), str(tmp_path / "new.csv")):
-            code, out, err = run_cli(capsys, "kernel", "--alpha", "1.3", "--infinite", "--samples",
-                                     HUGE_SAMPLES, "--output", destination)
+            code, out, err = run_cli(capsys, *request_argv, "--output", destination)
             assert (code, out) == (2, "")
-            assert err.startswith("fraclat: Unable to allocate") and err.count("\n") == 1
+            assert err.startswith(f"fraclat: {reason}") and err.count("\n") == 1
         assert kept.read_text() == "earlier table\n"
         assert not (tmp_path / "new.csv").exists()
 

@@ -15,12 +15,14 @@ from fraclat.chain import (
     element_periodic_bloch,
 )
 import fraclat.lattice as lattice
+from fraclat.cli import build_parser, cmd_dispersion
 from fraclat.lattice import (
     LatticeSpec,
     OffsetVector,
     SizeLimitError,
     asymptotic_constant_nd,
     build_laplacian_nd,
+    dispersion_sheet,
     dispersion_surface,
     eigenvalue_nd,
     element_infinite_nd_bessel,
@@ -738,3 +740,24 @@ class TestDispersionSurface:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             dispersion_surface(FractionalOrder(alpha=1.0), 1)
+
+    @pytest.mark.parametrize("alphas", [(1.3,), (0.7, 2.0, 5.9)])
+    @pytest.mark.parametrize("grid", range(2, 10))
+    def test_factored_sheet_expands_to_the_full_grid(self, grid, alphas):
+        # the sheet evaluated on every grid point, kappa2 fastest, alpha by alpha
+        axis = np.linspace(0.0, math.pi, grid)
+        k1, k2 = np.meshgrid(axis, axis, indexing="ij")
+        surfaces = [np.column_stack([k1.ravel(), k2.ravel(),
+                                     normalized_dispersion_2d(FractionalOrder(a), k1, k2).ravel()])
+                    for a in alphas]
+        for alpha, surface in zip(alphas, surfaces):
+            _, values, index = dispersion_sheet(FractionalOrder(alpha), grid)
+            assert (len(values), index.shape) == (grid * (grid + 1) // 2, (grid, grid))
+            assert dispersion_surface(FractionalOrder(alpha), grid).tobytes() == surface.tobytes()
+        # the CLI's factored columns expand to the same rows, bit for bit
+        args = build_parser().parse_args(["dispersion", "--dim", "2", "--grid", str(grid),
+                                          *(f"--alpha={a}" for a in alphas)])
+        record, _ = cmd_dispersion(args)
+        expected = np.concatenate([np.column_stack([np.full(grid**2, a), surface])
+                                   for a, surface in zip(alphas, surfaces)])
+        assert np.array(record.rows).tobytes() == expected.tobytes()

@@ -6,9 +6,10 @@ reference applied to its rows of Python scalars.  Numeric columns are drawn
 as numpy arrays, contiguous or strided, whose cells repeat so that each
 column has few distinct values; text columns as lists of str; and mixed
 columns as lists of any cell type, which the encoders spell cell by cell.
-Derandomised, so every run draws the same examples.  Tables of up to two
-blocks and one row check that the row blocks join to the same text at every
-block edge.
+Any of these may also be drawn factored, as the (cells, index) pair of the
+pool and each row's position in it.  Derandomised, so every run draws the
+same examples.  Tables of up to two blocks and one row check that the row
+blocks join to the same text at every block edge.
 """
 import json
 import math
@@ -113,13 +114,29 @@ ints = st.one_of(st.sampled_from(EDGE_INTS), st.integers(min_value=-(2**63), max
 strings = st.one_of(st.sampled_from(STRINGS), st.text(max_size=4))
 
 
+def factored(cells, rows, dtype=np.uint8) -> tuple:
+    """The factored column of `cells` whose rows hold cells[i] for i in rows."""
+    return cells, np.array(rows, dtype=dtype)
+
+
+def expand(column):
+    cells, index = column
+    return cells[index] if isinstance(cells, np.ndarray) else [cells[i] for i in index]
+
+
 @st.composite
 def columns(draw, length):
     """A float64 or int64 array, contiguous or strided, or a list of str, of
-    `length` cells drawn from a pool of 1-5 values, so cells repeat."""
+    `length` cells drawn from a pool of 1-5 values, so cells repeat; or the
+    factored column of the pool, in any unsigned index dtype."""
     kind = draw(st.sampled_from(("float", "int", "str")))
     pool = draw(st.lists({"float": floats, "int": ints, "str": strings}[kind], min_size=1, max_size=5))
-    cells = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=length, max_size=length))]
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=length, max_size=length))
+    if draw(st.booleans()):
+        if kind != "str":
+            pool = np.array(pool, dtype=np.float64 if kind == "float" else np.int64)
+        return factored(pool, rows, draw(st.sampled_from((np.uint8, np.uint16, np.uint32, np.uint64))))
+    cells = [pool[i] for i in rows]
     if kind == "str":
         return cells
     array = np.array(cells, dtype=np.float64 if kind == "float" else np.int64)
@@ -188,10 +205,23 @@ def test_each_bit_pattern_keeps_its_spelling():
     [np.arange(3), np.array([1.0, math.inf, math.nan])],
     [["%s", "é"], [math.nan, 2]],
     [list(STRINGS), [*STRINGS[1:], 0.5]],
-], ids=["no columns", "no rows", "text last", "nan last", "mixed last", "pad neighbours"])
+    # factored cells need be neither sorted nor distinct, nor all used
+    [factored(np.array([1.5, -0.0, math.nan, 0.0, math.inf, -math.inf, NAN_PAYLOAD, 1.5]),
+              [7, 1, 2, 3, 4, 5, 6, 1, 3, 2]),
+     factored(np.array([7, -(2**63), 0, 2**63 - 1, -1, 7]), [0, 1, 2, 3, 4, 5, 2, 0, 3, 1]),
+     factored(list(STRINGS), [16, 14, 0, 12, 13, 15, 14, 1, 4, 2], np.uint64)],
+    [factored(["ok", "singular"], [1, 0, 0]), factored(np.array([2.5, -0.0]), [0, 1, 1], np.uint16)],
+    [factored(np.array([3.0]), []), factored(np.zeros(0, dtype=np.int64), []), factored([], [])],
+], ids=["no columns", "no rows", "text last", "nan last", "mixed last", "pad neighbours",
+        "factored", "factored last", "factored no rows"])
 def test_edge_tables_match_reference(table):
     # the JSON encoder trims the final row's ", " from the last column's last cell
-    assert_encodes_as_reference(make_record(table))
+    record = make_record(table)
+    assert_encodes_as_reference(record)
+    # a factored column encodes as its cells written out row by row
+    expanded = make_record([expand(column) if isinstance(column, tuple) else column for column in table])
+    for encode in (record_to_csv, record_to_json):
+        assert encode(record) == encode(expanded)
 
 
 def test_record_checks_its_table():
@@ -199,12 +229,32 @@ def test_record_checks_its_table():
         OutputRecord("t", {}, ("a", "b", "c"), (np.zeros(2), np.zeros(2)))
     with pytest.raises(ValueError, match="differ in length"):
         OutputRecord("t", {}, ("a", "b"), (np.zeros(2), ["x"]))
+    with pytest.raises(ValueError, match="differ in length"):
+        OutputRecord("t", {}, ("a", "b"), (np.zeros(2), factored(["x"], [0, 0, 0])))
+
+
+@pytest.mark.parametrize("column, message", [
+    (factored(["x", "y"], [0, 2]), "index 2 is past its 2 cells"),
+    (factored([], [0, 0]), "index 0 is past its 0 cells"),
+    (factored(["x", "y"], [0, 1], np.int64), "unsigned"),
+    (factored(["x", "y"], [0, 1], np.float64), "unsigned"),
+    (factored(["x", "y"], [0, 1], bool), "unsigned"),
+    (factored(["x", "y"], [[0], [1]]), "1-D"),
+    ((["x", "y"], [0, 1]), "1-D unsigned integer array"),
+    ((["x", "y"], np.array([0, 1], np.uint8), None), "pair"),
+], ids=["past the cells", "no cells", "signed", "float", "bool", "2-D", "list", "triple"])
+def test_record_refuses_a_bad_factored_column(column, message):
+    # a gather past the cells would repeat the last cell, as np.take clips
+    with pytest.raises(ValueError, match=message):
+        OutputRecord("t", {}, ("a", "b"), (np.zeros(2), column))
 
 
 def test_rows_are_python_scalars():
-    record = make_record([np.array([1.5, -0.0]), np.array([7, 8]), ["ok", "singular"]])
-    assert record.rows == ((1.5, 7, "ok"), (-0.0, 8, "singular"))
-    assert [type(cell) for cell in record.rows[0]] == [float, int, str]
+    record = make_record([np.array([1.5, -0.0]), np.array([7, 8]), ["ok", "singular"],
+                          factored(np.array([0.5, -0.0]), [1, 0]), factored(np.array([3, 9]), [1, 1]),
+                          factored(["ok", "singular"], [1, 0], np.uint32)])
+    assert record.rows == ((1.5, 7, "ok", -0.0, 9, "singular"), (-0.0, 8, "singular", 0.5, 9, "ok"))
+    assert [type(cell) for cell in record.rows[0]] == [float, int, str] * 2
     # a table of no columns has no rows: an empty header line ends its CSV
     assert make_record([]).rows == () and record_to_csv(make_record([])).endswith("e-13\n\n")
 

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.special
 
 from fraclat.chain import FractionalOrder, element_infinite_quadrature
 from fraclat.lattice import OffsetVector, element_infinite_nd_bessel, element_infinite_nd_bz
+from fraclat import special
 from fraclat.special import (
     ToleranceError,
     first_entry,
@@ -19,6 +21,10 @@ from fraclat.special import (
     require_integer,
     within_double_range,
 )
+
+
+def struct_bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
 
 
 def zeta_direct_oracle(beta, x, terms=10**6):
@@ -101,6 +107,35 @@ class TestHurwitzZeta:
         zero_d = hurwitz_zeta(2.3, np.float64(0.3))
         assert type(zero_d) is float and zero_d == hurwitz_zeta(2.3, np.array(0.3))
         assert hurwitz_zeta(2.3, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("beta", [1.5, 3.9, 4.8, 14.2])
+    def test_blocks_give_the_one_call_bits(self, beta):
+        # each point's terms are summed alone, so the blocks join to the bits of
+        # one (point, term) power matrix over all points, a scalar x's included
+        shifts, exponents, coefficients = special._zeta_terms(beta)
+
+        def one_call(x):
+            return (np.power(np.asarray(x)[..., None] + shifts, exponents) * coefficients).sum(axis=-1)
+
+        xs = np.linspace(0.01, 40.0, 2 * special._ZETA_BLOCK + 77)
+        for x in (xs, xs[::-1].reshape(-1, 3)[:, 1:]):  # contiguous, and a strided 2D view
+            assert hurwitz_zeta(beta, x).tobytes() == one_call(x).tobytes()
+        for x in (0.3, 1e-6, 7e8):
+            assert struct_bits(hurwitz_zeta(beta, x)) == struct_bits(float(one_call(x)))
+
+    def test_power_matrix_is_held_a_block_at_a_time(self):
+        x = np.linspace(0.01, 0.99, 20_000)
+        hurwitz_zeta(3.9, x)
+        tracemalloc.start()
+        try:
+            hurwitz_zeta(3.9, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6  # one call over all points holds 8 MB
+        x[3 * special._ZETA_BLOCK + 5] = 1e-7  # the first entry past the range, in the fourth block
+        with pytest.raises(OverflowError, match=r"hurwitz_zeta\(60\.0, 1e-07\)"):
+            hurwitz_zeta(60.0, x)
 
     def test_array_errors_name_the_first_bad_element(self):
         with pytest.raises(ValueError, match=r"finite x > 0, got -3\.0$"):
