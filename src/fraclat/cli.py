@@ -352,8 +352,18 @@ def cmd_verify(args):
 # ------------------------------------------------------------------ driver
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse swallows the OSError of a failed write; one to stdout (--help,
+        # --version) must reach main(), as an unbuffered stdout leaves no flush to fail
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fraclat",
         description="Fractional Laplacian lattice matrices, dispersion tables, and kernels.",
     )

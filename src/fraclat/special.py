@@ -311,6 +311,19 @@ def geometric_panel_edges(upper: float) -> np.ndarray:
 _MAX_PANELS = 2**14
 # Gauss order per panel; the error estimate compares it with order + 8
 _GAUSS_ORDER = 16
+# panels whose nodes f sees in one call: 8 k to 12 k nodes
+_PANEL_BLOCK = 2**9
+
+
+def _panel_sum(f: Callable, edges: np.ndarray, order: int) -> float:
+    # 2 * weights @ f(nodes), the rule built and f called a block of panels at a time
+    weights = np.empty(order * (len(edges) - 1))
+    values = np.empty_like(weights)
+    for start in range(0, len(edges) - 1, _PANEL_BLOCK):
+        x, w = gauss_panel_rule(edges[start:start + _PANEL_BLOCK + 1], order)
+        nodes = slice(order * start, order * start + w.size)
+        weights[nodes], values[nodes] = w, f(x)
+    return 2.0 * float(weights @ values)
 
 
 def integrate_even_periodic(f: Callable, tol: float = 1e-12) -> float:
@@ -323,7 +336,9 @@ def integrate_even_periodic(f: Callable, tol: float = 1e-12) -> float:
     |Q(n + 8) - Q(n)| of the whole integral, n the Gauss order per panel,
     floored at its last place, meets tol; per panel differences would add up
     the rounding of oscillating factors that cancels in the whole.  f must
-    map an array of nodes to an array of values.
+    map an array of nodes to an array of values; it is called on the nodes
+    of _PANEL_BLOCK panels at a time, and each Q is one dot product of all
+    weights with all values, so its bits do not depend on the block.
     """
     require_positive_finite("tol", tol)
     geometric = geometric_panel_edges(math.pi)
@@ -333,10 +348,8 @@ def integrate_even_periodic(f: Callable, tol: float = 1e-12) -> float:
         # merged by a sort, not np.union1d, whose unique loads numpy.ma
         edges = np.sort(np.concatenate((geometric, np.arange(0.0, math.pi, width))))
         edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
-        x, w = gauss_panel_rule(edges, _GAUSS_ORDER)
-        coarse = 2.0 * float(w @ f(x))
-        x, w = gauss_panel_rule(edges, _GAUSS_ORDER + 8)
-        fine = 2.0 * float(w @ f(x))
+        coarse = _panel_sum(f, edges, _GAUSS_ORDER)
+        fine = _panel_sum(f, edges, _GAUSS_ORDER + 8)
         estimate = _last_place_floor(fine, abs(fine - coarse))
         if estimate <= tol:
             return fine

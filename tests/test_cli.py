@@ -697,9 +697,12 @@ HUGE_SAMPLES = "100000000000000"
 BIG_TABLE = ("dispersion", "--alpha", "1.3", "--grid", "301")
 
 
-def program(*argv, **kwargs):
-    """`python -m fraclat.cli argv` with a buffered stdout, as a shell runs it."""
+def program(*argv, buffered=True, **kwargs):
+    """`python -m fraclat.cli argv` with a buffered stdout, as a shell runs it,
+    or an unbuffered one, as with PYTHONUNBUFFERED=1."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen([sys.executable, "-m", "fraclat.cli", *argv], env=env,
                             stderr=subprocess.PIPE, text=True, **kwargs)
 
@@ -790,20 +793,23 @@ class TestFailureContract:
         assert [piece.count("\n") for piece in writes[1:]] == [rows, rows, 182**2 - 2 * rows, 0]
         assert parse_csv("".join(writes))["rows"][-1][:3] == (1.3, math.pi, math.pi)
 
-    # argparse prints --version and --help to stdout itself, before any table
+    # argparse prints --version and --help to stdout itself, before any table; it
+    # ignores a failed write, which with an unbuffered stdout is the only one
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv", [("--version",), ("dispersion", "--help")])
-    def test_parser_output_into_a_full_device_exits_2(self, argv):
-        with open("/dev/full", "w") as full, program(*argv, stdout=full) as proc:
+    def test_parser_output_into_a_full_device_exits_2(self, argv, buffered):
+        with open("/dev/full", "w") as full, program(*argv, buffered=buffered, stdout=full) as proc:
             err = proc.stderr.read()
         assert (proc.returncode, err) == (2, "fraclat: cannot write stdout: No space left on device\n")
 
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv", [("--version",), ("dispersion", "--help")])
-    def test_parser_output_into_a_closed_pipe_exits_1_silently(self, argv):
+    def test_parser_output_into_a_closed_pipe_exits_1_silently(self, argv, buffered):
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader has gone before the program writes
         try:
-            with program(*argv, stdout=write_end) as proc:
+            with program(*argv, buffered=buffered, stdout=write_end) as proc:
                 err = proc.stderr.read()
         finally:
             os.close(write_end)

@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 
@@ -339,6 +341,50 @@ class TestIntegrateEvenPeriodic:
         f = lambda k: np.cos(k) * 4.0 * np.sin(k / 2.0) ** 2
         val = integrate_even_periodic(f)
         assert val == pytest.approx(-2.0 * math.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, p", [(0.2, 9927), (2.3, 3390), (1.5, 5000)])
+    def test_blocks_keep_the_one_call_bits(self, monkeypatch, alpha, p):
+        # f sees at most a block of panels' nodes a call, together the whole
+        # rule's nodes in order, and the sum keeps the bits of one call per rule
+        def run(block):
+            monkeypatch.setattr(special, "_PANEL_BLOCK", block)
+            calls = []
+
+            def f(kappa):
+                calls.append(kappa.copy())
+                return np.cos(kappa * p) * (4.0 * np.sin(0.5 * kappa) ** 2) ** (0.5 * alpha)
+            return integrate_even_periodic(f), calls
+
+        default = special._PANEL_BLOCK
+        whole, one_call = run(2**40)
+        assert len(one_call) % 2 == 0 and len(one_call) > 2  # one call per rule, over several widths
+        for block in (7, default):
+            value, calls = run(block)
+            assert struct_bits(value) == struct_bits(whole)
+            assert max(x.size for x in calls) <= block * (special._GAUSS_ORDER + 8)
+            assert np.concatenate(calls).tobytes() == np.concatenate(one_call).tobytes()
+
+    def test_chain_values_keep_their_bits(self):
+        # as the CLI runs them, on one BLAS thread: the dot product over all
+        # nodes sums in another order on more threads
+        script = ("from fraclat.chain import FractionalOrder, element_infinite_quadrature\n"
+                  "for alpha, p in ((0.2, 9927), (2.3, 3390), (1.5, 5000), (1.3, 99999)):\n"
+                  "    print(repr(element_infinite_quadrature(FractionalOrder(alpha), p)))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["-1.4440205318591602e-06", "8.661064565023687e-13",
+                                       "-1.6925303279647252e-10", "-1.0510054852665849e-12"]
+
+    def test_nodes_are_held_a_block_at_a_time(self):
+        order = FractionalOrder(alpha=1.3)
+        element_infinite_quadrature(order, 99999)
+        tracemalloc.start()
+        try:
+            element_infinite_quadrature(order, 99999)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5e6  # the whole rule's nodes at once held 7.9 MB
 
     def test_tolerance_error(self):
         # the estimate is floored at the integral's last place, so the width

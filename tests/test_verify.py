@@ -1,6 +1,7 @@
 """The verify runner: suite composition, per-row bars and the NaN rule."""
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -33,3 +34,15 @@ def test_a_nan_route_fails_its_check(monkeypatch, route, check):
     monkeypatch.setattr(fraclat.verify, route, lambda *args, **kwargs: math.nan)
     failed = {r.name: r.achieved for r in run_suite("oracles") if not r.passed}
     assert check in failed and math.isnan(failed[check])
+
+
+def test_image_sum_is_held_a_block_at_a_time():
+    # 199 999 images per sum, summed in blocks: the whole sum's arrays held 4.8 MB
+    tracemalloc.start()
+    try:
+        gaps = list(fraclat.verify._check_kernel_zeta_vs_images())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert len(gaps) == 12 and max(gaps) < 1e-14
