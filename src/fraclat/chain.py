@@ -382,8 +382,10 @@ def element_periodic_bloch(order: FractionalOrder, chain: ChainSpec, p: int) -> 
     """Profile of a finite ring as a sum over its Bloch modes.
 
     f_N(p) = omega_sq / N * sum_l cos(2 pi (l p mod N) / N) (4 sin^2(pi l / N))^(alpha/2),
-    both factors read from the ring's cached tables.  OverflowError past the double
-    range, as from alpha 1024 on.
+    both factors read from the ring's cached tables.  The sum is one BLAS dot
+    product, so in a library process with a threaded BLAS its last bits can
+    depend on the thread count; the CLI pins BLAS to one thread.  OverflowError
+    past the double range, as from alpha 1024 on.
     """
     n = chain.size
     power, phase = _ring_powers(n, order.alpha), ring_axis(n, p)[1]

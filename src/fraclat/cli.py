@@ -2,22 +2,25 @@
 
 Subcommands: elements, matrix, dispersion, kernel, verify.  Every command
 builds one OutputRecord and writes it as CSV (default) or JSON to stdout or
-a file.  A column whose cells repeat in a pattern the command knows is handed
-over factored, as its cells and each row's position among them (see
-`output`): the route, flag and kind columns, the lattice indices, the alpha
-and kappa columns of a dispersion table, and the 2D sheet's frequencies,
-each computed once per pair kappa1 <= kappa2.  Every cell is spelled first,
-then the table's head, its row blocks (see `output`) and its tail are written
-one at a time as they are joined, so no table is held as one string.  A
-failure while spelling leaves an existing --output file untouched; one while
-the blocks are written (a full disk, or memory running out while a block is
-joined) leaves the part already written, before its one stderr line.  Exit
-codes: 0 success, 1 verification or tolerance failure, 2 usage or parameter
-error, an oversized request or a destination that cannot be written; each
-failure leaves one `fraclat: <reason>` line on stderr (`out of memory` for a
-MemoryError with no text of its own), except a closed stdout, which exits 1
-silently.  argparse's own --help and --version text keeps the same contract.
-Output is byte identical for identical flags.
+a file.  The encoder spells a plain column row by row and each cell of a
+factored column once, and finds no repeats of its own (see `output`), so a
+command hands over factored, as its cells and each row's position among
+them, every column whose cells it knows to repeat: the 2D dispersion sheet,
+whose frequencies are computed once per pair kappa1 <= kappa2; the index,
+kind, route, flag, alpha and kappa columns; and the value column of the 1D
+matrix, whose first row is symmetric, first_row[p] == first_row[n - p] bit
+for bit.  Every cell is spelled first, then the table's head, its row blocks
+(see `output`) and its tail are written one at a time as they are joined, so
+no table is held as one string.  A failure while spelling leaves an existing
+--output file untouched; one while the blocks are written (a full disk, or
+memory running out while a block is joined) leaves the part already written,
+before its one stderr line.  Exit codes: 0 success, 1 verification or
+tolerance failure, 2 usage or parameter error, an oversized request or a
+destination that cannot be written; each failure leaves one
+`fraclat: <reason>` line on stderr (`out of memory` for a MemoryError with no
+text of its own), except a closed stdout, which exits 1 silently.  argparse's
+own --help and --version text keeps the same contract.  Output is byte
+identical for identical flags.
 
 Importing this module loads numpy with its BLAS on one thread unless one of
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set: no route
@@ -226,10 +229,14 @@ def cmd_matrix(args):
             raise UsageError(f"--n {args.n} exceeds the matrix export limit {MATRIX_MAX_SITES_1D}")
         order = FractionalOrder(alpha, omega_sq=args.omega_sq)
         chain = ChainSpec(args.n, mass=args.mu)
-        values = np.concatenate([build_laplacian_1d(order, chain).first_row,
-                                 laplacian_eigenvalues_1d(order, chain)])
-        parameters = {"alpha": alpha, "n": args.n, "mu": args.mu, "omega_sq": args.omega_sq}
-        table = (_pattern(["row", "eigenvalue"], each=args.n), _pattern(np.arange(args.n), times=2), values)
+        n, half = args.n, args.n // 2 + 1
+        # first_row[p] == first_row[n - p] bit for bit: rows p and n - p share cell min(p, n - p)
+        cells = np.concatenate([build_laplacian_1d(order, chain).first_row[:half],
+                                laplacian_eigenvalues_1d(order, chain)])
+        p = np.arange(n, dtype=np.min_scalar_type(len(cells) - 1))  # after the FFT, off its peak
+        values = (cells, np.concatenate([np.minimum(p, n - p), p + half]))
+        parameters = {"alpha": alpha, "n": n, "mu": args.mu, "omega_sq": args.omega_sq}
+        table = (_pattern(["row", "eigenvalue"], each=n), _pattern(np.arange(n), times=2), values)
         return OutputRecord("matrix", parameters, ("kind", "i", "value"), table, _metadata()), 0
 
     sizes = _parse_dims(args.dims)

@@ -11,14 +11,11 @@ A record stores its table by column: numpy float64 or int64 arrays for
 numbers, lists of str for text, or a factored column, the pair (cells,
 index) of such an array or list and a 1-D unsigned integer array giving each
 row's cell, for a column whose cells repeat in a pattern its builder knows.
-The encoders spell each column on its own, and each of its cells once: a
-plain column is first factored into its distinct cells and each row's index
-into them, float arrays keyed by their bits (so -0.0 stays apart from 0.0)
-and int arrays by value, both through one argsort, and str lists through a
-dict, the index in the narrowest unsigned dtype that holds it; a factored
-column is taken as given.  A cell is spelled with its row separator folded
-into its text.  Any other column (an object or mixed list, or an array of
-another dtype) is spelled cell by cell.
+The encoders spell each column as it is handed over and look for no repeats
+of their own: a plain column row by row, and each cell of a factored column
+once.  A cell is spelled with its row separator folded into its text.  Any
+other column (an object or mixed list, or an array of another dtype) is
+spelled cell by cell.
 
 A column's cells are the rows of one uint8 matrix: each row is the
 cell's UTF-8 text padded to the column's width with the byte 0xFF, which
@@ -32,13 +29,14 @@ same row, does.  A str cell is encoded by itself, lone surrogates kept.
 
 One encoder, `_blocks`, spells every column first, then yields the table's
 head, its rows in blocks of at most _BLOCK_ROWS rows, and its tail.  A block
-gathers its rows of each column's matrix by those indices side by side into
-one byte matrix, whose bytes, the 0xFF deleted, decode to the block's text.
-`record_to_csv` and `record_to_json` join those pieces, and the CLI writes
-them one at a time, so a table on its way to a file is never held as one
-string and the peak memory of a large table is its record, its columns'
-matrices and indices, and one block.  The bytes equal a per-cell encoding of
-the rows, factored columns expanded.
+copies its rows of each plain column's matrix, and gathers those of a
+factored column's matrix by its index, side by side into one byte matrix,
+whose bytes, the 0xFF deleted, decode to the block's text.  `record_to_csv`
+and `record_to_json` join those pieces, and the CLI writes them one at a
+time, so a table on its way to a file is never held as one string and the
+peak memory of a large table is its record, its columns' matrices, and one
+block.  The bytes equal a per-cell encoding of the rows, factored columns
+expanded.
 """
 from __future__ import annotations
 
@@ -121,8 +119,11 @@ class OutputRecord:
     float64 or int64 array, a list of short strings, or a factored column,
     the tuple (cells, index) of such an array or list and a 1-D unsigned
     integer array whose entry for each row is the position of its cell in
-    cells.  Metadata carries the tool version, never timestamps, so that
-    repeated runs stay byte identical.  A route's error bound is a parameter.
+    cells.  The encoders spell a plain column row by row and each cell of a
+    factored column once, so a builder that knows a column's cells repeat
+    hands it over factored.  Metadata carries the tool version, never
+    timestamps, so that repeated runs stay byte identical.  A route's error
+    bound is a parameter.
     """
 
     command: str
@@ -160,44 +161,6 @@ def _check_factored(column: tuple) -> None:
         raise ValueError(f"factored column index {index.max()} is past its {len(cells)} cells")
 
 
-def _index(keys: np.ndarray) -> tuple:
-    """(distinct, inverse): the distinct values of `keys`, sorted, and each
-    row's index into them, in the narrowest unsigned dtype that holds it, from
-    one argsort: sort, mark where the value changes, count the marks."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    change = np.ones(len(keys), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
-    distinct = ordered[change]
-    del ordered
-    index_type = np.min_scalar_type(max(len(distinct) - 1, 0))
-    change[:1] = False
-    inverse = np.empty(len(keys), dtype=index_type)
-    inverse[order] = np.cumsum(change, dtype=index_type)
-    return distinct, inverse
-
-
-def _factored(column) -> tuple:
-    """(cells, index) of a column: a factored column as given; a float or int
-    array's distinct values and a str list's distinct texts, each row's index
-    into them; any other column's cells as Python scalars, each its own."""
-    if isinstance(column, tuple):
-        return column
-    if isinstance(column, np.ndarray):
-        if column.dtype == np.float64:  # by bits, so -0.0 stays apart from 0.0
-            keys, index = _index(column.view(np.int64))
-            return keys.view(np.float64), index
-        if column.dtype.kind in "iu":
-            return _index(column)
-        column = column.tolist()  # any other dtype (bool, object)
-    if set(map(type, column)) <= {str}:
-        index = {s: i for i, s in enumerate(dict.fromkeys(column))}
-        cells, rows = list(index), map(index.__getitem__, column)
-    else:  # a mixed list: each cell on its own
-        cells, rows = column, range(len(column))
-    return cells, np.fromiter(rows, np.min_scalar_type(max(len(cells) - 1, 0)), len(column))
-
-
 def _fields(values: np.ndarray, before: str, width: int, conversion: str, after: str) -> np.ndarray:
     """before + the `conversion` ("d" or ".17g") of v, left-justified in a field
     of `width` characters, + after for each v, one row each of a uint8 matrix;
@@ -227,16 +190,17 @@ def _texts(texts: list) -> np.ndarray:
 
 def _spelled(column, spell, before: str, after: str) -> tuple:
     """(matrix, index): before + spell(cell) + after for each cell of the
-    factored column, as the _PAD padded UTF-8 rows of one uint8 matrix, and
-    each row's index into it."""
-    cells, index = _factored(column)
+    column, as the _PAD padded UTF-8 rows of one uint8 matrix, and each row's
+    index into it: a factored column's own index, a plain column's None, its
+    rows spelled in row order."""
+    cells, index = column if isinstance(column, tuple) else (column, None)
     if isinstance(cells, np.ndarray) and cells.dtype == np.float64:
         matrix = _fields(cells, before, _REAL_WIDTH, ".17g", after)
         for i in np.flatnonzero(~np.isfinite(cells)).tolist():  # JSON's NaN and Infinity
             text = spell(cells[i].item()).encode().ljust(_REAL_WIDTH, _PAD)
             matrix[i, len(before):len(before) + _REAL_WIDTH] = np.frombuffer(text, np.uint8)
     elif isinstance(cells, np.ndarray) and cells.dtype.kind in "iu":
-        # factored cells need not be sorted: the widest int is the least or the greatest
+        # the widest int is the least or the greatest
         width = max(len(str(v)) for v in (cells.min(), cells.max())) if len(cells) else 1
         matrix = _fields(cells, before, width, "d", after)
     else:
@@ -251,14 +215,18 @@ def _json_object(mapping: dict) -> str:
 
 def _block(spelled: list, start: int, stop: int, trim: int) -> str:
     """Rows start:stop of the spelled columns as one text: each row's cells are
-    gathered side by side into one padded byte matrix, the final row loses its
-    last `trim` bytes, and the pad bytes are deleted."""
+    copied, or gathered by a factored column's index, side by side into one
+    padded byte matrix, the final row loses its last `trim` bytes, and the pad
+    bytes are deleted."""
     widths = [matrix.shape[1] for matrix, _ in spelled]
     data = bytearray((stop - start) * sum(widths))
     block = np.frombuffer(data, np.uint8).reshape(stop - start, sum(widths))
     at = 0
     for (matrix, index), width in zip(spelled, widths):
-        np.take(matrix, index[start:stop], axis=0, out=block[:, at:at + width], mode="clip")
+        if index is None:
+            block[:, at:at + width] = matrix[start:stop]
+        else:
+            np.take(matrix, index[start:stop], axis=0, out=block[:, at:at + width], mode="clip")
         at += width
     if trim:  # the last column closes every row in its final bytes before the padding
         final = block[-1]

@@ -338,7 +338,11 @@ def integrate_even_periodic(f: Callable, tol: float = 1e-12) -> float:
     the rounding of oscillating factors that cancels in the whole.  f must
     map an array of nodes to an array of values; it is called on the nodes
     of _PANEL_BLOCK panels at a time, and each Q is one dot product of all
-    weights with all values, so its bits do not depend on the block.
+    weights with all values, so its bits do not depend on the block.  That dot
+    product goes through BLAS, so in a library process with a threaded BLAS
+    its last bits can depend on the thread count: element_infinite_quadrature(
+    FractionalOrder(2.3), 3390) returns 8.661053488756661e-13 on two threads
+    and 8.661064565023687e-13 on one.  The CLI pins BLAS to one thread.
     """
     require_positive_finite("tol", tol)
     geometric = geometric_panel_edges(math.pi)

@@ -8,8 +8,14 @@ import sys
 import numpy as np
 import pytest
 
-from fraclat.chain import ChainSpec, FractionalOrder, element_periodic_bloch
-from fraclat.cli import main
+from fraclat.chain import (
+    ChainSpec,
+    FractionalOrder,
+    build_laplacian_1d,
+    element_periodic_bloch,
+    laplacian_eigenvalues_1d,
+)
+from fraclat.cli import build_parser, cmd_matrix, main
 from fraclat.lattice import (
     LatticeSpec,
     OffsetVector,
@@ -18,7 +24,7 @@ from fraclat.lattice import (
     element_periodic_nd,
 )
 from fraclat import output
-from fraclat.output import parse_csv, parse_json
+from fraclat.output import OutputRecord, parse_csv, parse_json, record_to_csv, record_to_json
 
 
 def run_cli(capsys, *argv):
@@ -381,6 +387,21 @@ class TestMatrixCommand:
         base = [row[2] for row in parse_csv(out_unit)["rows"]]
         scaled = [row[2] for row in parse_csv(out_mu)["rows"]]
         np.testing.assert_allclose(scaled, [2.5 * v for v in base], rtol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 4097])
+    def test_ring_table_encodes_as_its_expanded_record(self, capsys, n):
+        # the value column reaches the encoder factored by the first row's
+        # symmetry; the table must be that of the first row and the spectrum
+        # handed over whole
+        argv = ("matrix", "--alpha", "1.3", "--n", str(n), "--mu", "0.7", "--omega-sq", "2.5")
+        record, _ = cmd_matrix(build_parser().parse_args(argv))
+        order, chain = FractionalOrder(1.3, omega_sq=2.5), ChainSpec(n, mass=0.7)
+        values = np.concatenate([build_laplacian_1d(order, chain).first_row,
+                                 laplacian_eigenvalues_1d(order, chain)])
+        expanded = OutputRecord(record.command, record.parameters, record.columns,
+                                (*record.table[:-1], values), record.metadata)
+        for fmt, encode in (("csv", record_to_csv), ("json", record_to_json)):
+            assert run_cli(capsys, *argv, "--format", fmt) == (0, encode(expanded), "")
 
     def test_size_and_flag_validation(self, capsys):
         bad_invocations = [
@@ -816,21 +837,22 @@ class TestFailureContract:
         assert (proc.returncode, err) == (1, "")
 
 
-# Runs in a fresh interpreter: reports the scipy modules loaded by the
-# import of the CLI, then runs main(argv) and reports the output digest and
-# the scipy modules loaded by then.
+# Runs in a fresh interpreter: reports the modules of scipy, numpy.random
+# and numpy.ma loaded by the import of the CLI, then runs main(argv) and
+# reports the output digest and the modules of those three loaded by then.
 STARTUP_PROBE = """
 import contextlib, hashlib, io, json, sys
 import fraclat, fraclat.cli
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-at_import = scipy_modules()
+def unwanted_modules():
+    return sorted(m for m in sys.modules
+                  if any(m == name or m.startswith(name + ".") for name in ("scipy", "numpy.random", "numpy.ma")))
+at_import = unwanted_modules()
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = fraclat.cli.main(sys.argv[1:])
 print(json.dumps({
     "at_import": at_import,
-    "after_run": scipy_modules(),
+    "after_run": unwanted_modules(),
     "code": code,
     "sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
 }))
@@ -877,6 +899,9 @@ def blas_env(**variables):
 
 
 class TestStartup:
+    """Every run of STARTUP_PROBE loads none of scipy, numpy.random and
+    numpy.ma, neither at import nor by the end of its command."""
+
     # digest of this table since its head images, below the closed form's
     # series start, come from the walk down from the series; every row is
     # within 1.9e-16 relative of a 40-digit Bloch mode sum (1.1e-15 with the
@@ -908,6 +933,15 @@ class TestStartup:
     def test_bessel_route_loads_no_scipy(self, offset):
         report = self.probe("elements", "--alpha", "1.4", "--infinite", "--route", "nd_bessel",
                             "--offset", offset)
+        assert (report["at_import"], report["after_run"], report["code"]) == ([], [], 0)
+
+    def test_bz_route_loads_no_scipy(self):
+        report = self.probe("elements", "--alpha", "1.4", "--infinite", "--route", "nd_bz",
+                            "--offset", "1,1,0,0")
+        assert (report["at_import"], report["after_run"], report["code"]) == ([], [], 0)
+
+    def test_quadrature_route_loads_no_scipy(self):
+        report = self.probe("elements", "--alpha", "1.5", "--infinite", "--route", "quadrature", "--p", "7")
         assert (report["at_import"], report["after_run"], report["code"]) == ([], [], 0)
 
     def test_verify_suites_load_no_scipy(self):

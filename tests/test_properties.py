@@ -1,7 +1,9 @@
 """Property tests of the heat kernel Bessel route over orders, dimensions and offsets,
 of the 1D zone quadrature over orders and offsets up to 10^4, and of the 1D
 closed form on both sides of its series start.  The Bessel route is also held
-to its evaluation on scipy.special's ive and rgamma.
+to its evaluation on scipy.special's ive and rgamma.  The ring Laplacian's
+first row is held to its symmetry bit for bit, which `fraclat matrix --n`
+relies on to spell each of its cells once.
 
 Derandomised, so every run draws the same examples.
 """
@@ -18,7 +20,9 @@ from hypothesis import strategies as st
 from fraclat import lattice
 
 from fraclat.chain import (
+    ChainSpec,
     FractionalOrder,
+    build_laplacian_1d,
     element_infinite_closed,
     element_infinite_quadrature,
     is_integer_half,
@@ -130,3 +134,19 @@ def test_closed_form_across_the_series_start(alpha, step):
             expected = float(-amp * mpmath.gamma(p - a) / mpmath.gamma(p + 1 + a))
         # relative on both sides of the series start
         assert abs(value - expected) <= 1e-14 * abs(expected)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    # integer alpha / 2 included, and alpha past 100, where 2^alpha dwarfs the row's far entries
+    alpha=st.one_of(st.floats(min_value=0.0, max_value=400.0, exclude_min=True),
+                    st.integers(min_value=1, max_value=200).map(lambda k: 2.0 * k)),
+    # odd primes run numpy's FFT through its Bluestein path
+    n=st.one_of(st.integers(min_value=2, max_value=5000), st.sampled_from((3, 5, 7, 97, 1009, 4093, 4999))),
+    mass=st.floats(min_value=1e-3, max_value=1e3),
+    omega_sq=st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_ring_first_row_is_symmetric_bit_for_bit(alpha, n, mass, omega_sq):
+    row = build_laplacian_1d(FractionalOrder(alpha, omega_sq=omega_sq), ChainSpec(n, mass=mass)).first_row
+    bits = row.view(np.int64)  # so -0.0 and 0.0 stay apart
+    assert np.array_equal(bits[1:], bits[:0:-1])
