@@ -81,10 +81,14 @@ SPECTRAL_POINT_CAP = 10**7
 
 _MAX_DIM = 4
 
-# default error bound of the zone and heat kernel integrals, and their Gauss
-# order per panel; the error estimate compares it with order + 8
+# default error bound of the zone and heat kernel integrals.  The heat kernel
+# integral keeps Gauss order 24 per panel and compares it with order 32 for
+# its estimate; the zone integral's pair, the estimate's order then the
+# returned one, is lower, as its panels span at most one period of their
+# cosine, where Gauss's remainder is 7e-29 at order 16
 _ND_TOL = 1e-9
 _GAUSS_ORDER = 24
+_BZ_GAUSS_ORDERS = (16, 24)
 
 
 def jv(order, x):
@@ -323,24 +327,25 @@ def element_infinite_nd_bz(
     _BZ_BLOCK points (_tensor_sum).  The shells are summed from
     the outside in and stop where the whole cube left, bounded by
     (h / pi)^n (n h^2)^(alpha/2), is at most a quarter of the value's last
-    place.  Gauss orders n and n + 8, n = _GAUSS_ORDER, give the error
-    estimate omega_sq (|difference| + that bound), floored at the value's
-    last place and checked against tol.  The default tol is
-    absolute: once |f| reaches 2^23 (about 8.4e6) its last place exceeds it
-    and an explicit tol is needed, which at the origin happens from alpha
-    about 17.86 in 2D, 15.26 in 3D and 13.79 in 4D.  Where the two orders
-    differ by two last places, the default already fails at some orders from
-    about 17.1 in 2D and 14.9 in 3D.  A 4D element takes 0.3 s at
-    (1, 0, 0, 0), about 2 s at mixed components up to 8 and 10 s at
-    (8, 8, 8, 8).  OverflowError where
+    place.  Gauss orders 16 and 24 (_BZ_GAUSS_ORDERS) give the value, at
+    order 24, and the error estimate omega_sq (|difference| + that bound),
+    floored at the value's last place and checked against tol.  The default
+    tol is absolute: once |f| reaches 2^23 (about 8.4e6) its last place
+    exceeds it and an explicit tol is needed, which at the origin happens
+    from alpha about 17.86 in 2D, 15.26 in 3D and 13.79 in 4D.  Where the
+    two orders differ by a few last places, the default already fails at
+    the origin at some orders from alpha 17.1 in 2D, 14.3 in 3D and 12.9 in
+    4D.  At alpha 1.3 a 3D element takes 10-15 ms at offsets up to
+    (9, 5, 2), and a 4D element 0.26 s at (1, 0, 0, 0), 0.3-0.45 s at mixed
+    components up to 8 and 2.2 s at (8, 8, 8, 8).  OverflowError where
     lambda^(alpha/2) or omega_sq times the integral passes the double range.
     """
     require_positive_finite("tol", tol)
     _check_domain(dim, offset)
     comps, a = offset.components, 0.5 * order.alpha
     call = f"element_infinite_nd_bz(alpha={order.alpha!r}, offset={comps})"
-    coarse, _ = within_double_range(call, _bz_value, a, comps, _GAUSS_ORDER)
-    fine, left_out = within_double_range(call, _bz_value, a, comps, _GAUSS_ORDER + 8)
+    (coarse, _), (fine, left_out) = (
+        within_double_range(call, _bz_value, a, comps, n) for n in _BZ_GAUSS_ORDERS)
     value = within_double_range(call, lambda: order.omega_sq * fine)
     return accept_estimate(value, order.omega_sq * (abs(fine - coarse) + left_out), tol, "zone integral")
 

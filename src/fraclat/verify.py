@@ -123,12 +123,21 @@ def _check_nd_bessel_vs_chain():
                                 element_infinite_closed(order, p))
 
 
+def _nd_bessel_vs_nd_bz(cases):
+    for alpha, comps in cases:
+        order, offset = FractionalOrder(alpha), OffsetVector(comps)
+        yield _relative_gap(element_infinite_nd_bessel(order, len(comps), offset),
+                            element_infinite_nd_bz(order, len(comps), offset))
+
+
 def _check_nd_bessel_vs_nd_bz():
     # heat kernel route vs Brillouin zone integral on the square lattice
-    for alpha, comps in ((0.3, (0, 0)), (1.3, (1, 4)), (2.7, (3, 1)), (1.3, (40, 3))):
-        order, offset = FractionalOrder(alpha), OffsetVector(comps)
-        yield _relative_gap(element_infinite_nd_bessel(order, 2, offset),
-                            element_infinite_nd_bz(order, 2, offset))
+    return _nd_bessel_vs_nd_bz(((0.3, (0, 0)), (1.3, (1, 4)), (2.7, (3, 1)), (1.3, (40, 3))))
+
+
+def _check_nd_bessel_vs_nd_bz_3d():
+    # the same on the cubic lattice
+    return _nd_bessel_vs_nd_bz(((1.3, (2, 1, 2)), (3.9, (1, 1, 0))))
 
 
 def _check_nd_bessel_vs_periodic_4d():
@@ -235,6 +244,7 @@ _CHECKS = {
         _Check("nd_bz_vs_chain", _check_nd_bz_vs_chain, 1e-9),
         _Check("nd_bessel_vs_chain", _check_nd_bessel_vs_chain, 1e-12),
         _Check("nd_bessel_vs_nd_bz", _check_nd_bessel_vs_nd_bz, 1e-12),
+        _Check("nd_bessel_vs_nd_bz_3d", _check_nd_bessel_vs_nd_bz_3d, 1e-12),
         _Check("nd_bessel_vs_periodic_4d", _check_nd_bessel_vs_periodic_4d, 1e-12),
     ),
     "asymptotics": (

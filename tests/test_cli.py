@@ -241,6 +241,20 @@ class TestElementsCommand:
         code, out, err = run_cli(capsys, "elements", *argv)
         assert (code, out, err) == (1, "", f"fraclat: {call} exceeds the double range\n")
 
+    def test_image_sum_inside_the_double_range(self):
+        # omega_sq * A passes the double range while the element does not: both
+        # processes exit 0, the first value 1e308 times the second
+        values = []
+        for omega_sq in ("1e308", "1"):
+            argv = ["elements", "--alpha", "3.3", "--omega-sq", omega_sq, "--n", "1000", "--p", "500",
+                    "--route", "images", "--tol", "1e300"]
+            done = subprocess.run([sys.executable, "-m", "fraclat.cli", *argv],
+                                  capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, ""), argv
+            values.append(float(done.stdout.splitlines()[-1].split(",")[1]))
+        big, unit = values
+        assert abs(big - 1e308 * unit) <= 1e-14 * abs(big)
+
     def test_huge_even_order_overflow_is_named_at_once(self, capsys):
         # C(2m, m) is bounded before math.comb builds it: this took 13 s and
         # then failed to convert an integer, and alpha = 1e19 never finished
